@@ -5,6 +5,10 @@ below (1 - 2.6e-7) * sqrt(2) * |K|.  This package provides the numerical
 solver for the minimum quadrilateral, the normalization pipeline and case
 analysis behind that bound, exact evaluation of the cut-area function, and
 interval-arithmetic certification of the constants involved.
+
+The names exported here cover the solver, the case machine and the checks of
+the theorem; the modules (``circumquad.geometry``, ``circumquad.pipeline``,
+...) hold the rest.
 """
 
 from .constants import TheoremConstants, certify_constants
@@ -18,7 +22,6 @@ from .errors import (
     DegenerateParallelogram,
     DivisionByIntervalContainingZero,
     DomainError,
-    EmptyResult,
     HypothesisViolated,
     InconsistentCase,
     NegativeRadicand,
@@ -28,38 +31,13 @@ from .errors import (
     SingularMap,
     SolverFailure,
 )
-from .geometry import (
-    AffineMap,
-    ConvexPolygon,
-    Line,
-    Point,
-    apply_affine,
-    contains_point,
-    contains_polygon,
-    convex_hull,
-    halfplane_clip,
-    line_intersection,
-    linf_ball,
-    linf_distance_to_polygon,
-    polygon_area,
-)
-from .intervals import (
-    CertifiedComparison,
-    Expr,
-    Interval,
-    Verdict,
-    certify_equal_exact,
-    certify_less,
-    const,
-    esqrt,
-    sqrt_enclosure,
-)
+from .geometry import ConvexPolygon, Point, contains_polygon, convex_hull
+from .intervals import Verdict
 from .minquad import (
     CircumscriptionCertificate,
     Quadrilateral,
     SolverOptions,
     brute_force_min_quad,
-    midpoint_certificate,
     min_circumscribed_quadrilateral,
     varignon,
 )
@@ -67,37 +45,21 @@ from .pipeline import (
     CaseId,
     CaseReport,
     ContactBox,
-    LemmaBranch,
-    NormalizedScene,
-    OctagonScene,
-    apply_contact_reflections,
-    axis_box_with_contacts,
-    build_octagon,
     case_machine,
     inner_ball_inclusion,
     lemma_octagon_quad,
     normalize_to_square,
     outer_ball_check,
-    reflection_normalize,
-    unit_square,
 )
-from .zeta import (
-    ZetaParams,
-    zeta,
-    zeta_bound,
-    zeta_derivative,
-    zeta_derivative_roots,
-)
+from .zeta import zeta, zeta_bound, zeta_derivative, zeta_derivative_roots
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "AreaIdentityViolated",
     "BadParams",
     "CaseId",
     "CaseReport",
-    "CertifiedComparison",
     "CircumquadError",
     "CircumscriptionCertificate",
     "ContactBox",
@@ -107,18 +69,11 @@ __all__ = [
     "DegenerateParallelogram",
     "DivisionByIntervalContainingZero",
     "DomainError",
-    "EmptyResult",
-    "Expr",
     "HypothesisViolated",
     "InconsistentCase",
-    "Interval",
-    "LemmaBranch",
-    "Line",
     "NegativeRadicand",
     "NoFeasibleQuadruple",
     "NormalizationViolated",
-    "NormalizedScene",
-    "OctagonScene",
     "ParallelLines",
     "Point",
     "Quadrilateral",
@@ -127,36 +82,18 @@ __all__ = [
     "SolverOptions",
     "TheoremConstants",
     "Verdict",
-    "ZetaParams",
-    "apply_affine",
-    "apply_contact_reflections",
-    "axis_box_with_contacts",
     "brute_force_min_quad",
-    "build_octagon",
     "case_machine",
     "certify_constants",
-    "certify_equal_exact",
-    "certify_less",
-    "const",
-    "contains_point",
     "contains_polygon",
     "convex_hull",
-    "esqrt",
     "gen_corpus",
-    "halfplane_clip",
     "inner_ball_inclusion",
     "lemma_octagon_quad",
-    "line_intersection",
-    "linf_ball",
-    "linf_distance_to_polygon",
-    "midpoint_certificate",
     "min_circumscribed_quadrilateral",
     "normalize_to_square",
     "outer_ball_check",
-    "polygon_area",
     "regular_polygon",
-    "sqrt_enclosure",
-    "unit_square",
     "varignon",
     "zeta",
     "zeta_bound",

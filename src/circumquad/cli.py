@@ -6,7 +6,8 @@ verification of the constants), ``bench`` (CSV benchmark over a generated
 corpus), and ``gen`` (corpus body files).
 
 Exit codes: 0 success, 2 input error, 3 degenerate body, 4 certification
-failure.
+failure, 5 internal error (any other library error, such as a solver
+failure or an inconsistent case).
 """
 
 from __future__ import annotations
@@ -43,37 +44,45 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _parse_fraction(value, what: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParams(f"bad {what} {value!r}: {exc}") from exc
+
+
 def _parse_scalar(v, exact: bool):
-    if isinstance(v, bool):
-        raise ValueError("coordinate must be a number or string")
-    if isinstance(v, str):
-        f = Fraction(v)
-    elif isinstance(v, int):
-        f = Fraction(v)
-    elif isinstance(v, float):
-        # Decimal semantics: 0.1 means 1/10, not its binary approximation.
-        f = Fraction(repr(v))
-    else:
-        raise ValueError(f"bad coordinate {v!r}")
-    return f if exact else float(f)
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise BadParams(f"bad coordinate {v!r}: must be a number or string")
+    # Decimal semantics: 0.1 means 1/10, not its binary approximation.
+    f = _parse_fraction(repr(v) if isinstance(v, float) else v, "coordinate")
+    # The solver runs in floats, so exact coordinates must fit a float too.
+    try:
+        approx = float(f)
+    except OverflowError as exc:
+        raise BadParams(f"coordinate {v!r} is out of float range") from exc
+    return f if exact else approx
 
 
 def read_body(path: str) -> ConvexPolygon:
     """Load a body file, taking the hull of the listed vertices."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also undecodable bytes
+            raise BadParams(f"body file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data:
-        raise ValueError("body file must be an object with a 'vertices' key")
+        raise BadParams("body file must be an object with a 'vertices' key")
     mode = data.get("mode", "float")
     if mode not in ("float", "rational"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise BadParams(f"unknown mode {mode!r}")
     raw = data["vertices"]
     if not isinstance(raw, list) or len(raw) < 3:
-        raise ValueError("body needs at least 3 vertices")
+        raise BadParams("body needs at least 3 vertices")
     pts = []
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"bad vertex entry {entry!r}")
+            raise BadParams(f"bad vertex entry {entry!r}")
         pts.append(
             (
                 _parse_scalar(entry[0], mode == "rational"),
@@ -118,7 +127,7 @@ def cmd_solve(args) -> int:
         "body_area": float(abs(body.area)),
         "ratio": float(cert.area_ratio),
         "midpoint_residuals": [float(r) for r in cert.midpoint_residuals],
-        "degenerate_triangle": quad.degenerate_triangle,
+        "degenerate_triangle": len(quad) == 3,
     }
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -155,7 +164,7 @@ def cmd_certify(args) -> int:
     for name in ("c1", "c2", "c3", "r", "delta"):
         val = getattr(args, name)
         if val is not None:
-            overrides[name] = Fraction(val)
+            overrides[name] = _parse_fraction(val, f"--{name}")
     consts = TheoremConstants(**overrides)
     comparisons = certify_constants(consts, args.precision)
     payload = []
@@ -321,20 +330,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DegenerateBody, DegenerateInput) as exc:
         print(f"degenerate body: {exc}", file=sys.stderr)
         return 3
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        TypeError,
-        ZeroDivisionError,
-        json.JSONDecodeError,
-        BadParams,
-    ) as exc:
+    except (OSError, BadParams) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CircumquadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

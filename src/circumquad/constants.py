@@ -29,10 +29,7 @@ from .intervals import (
     const,
     esqrt,
 )
-from .zeta import zeta_bound
-
-_C3_MIN = Fraction(14, 5)
-_DELTA_MAX = Fraction(1, 10)
+from .zeta import cut_domain_violation, zeta_bound
 
 # Bounds certified against the constants (right-hand sides of the checks).
 _C2_BOUND = Fraction(1) + Fraction(206, 100_000)
@@ -67,10 +64,9 @@ class TheoremConstants:
                 object.__setattr__(self, name, Fraction(value))
         if not self.c1 > 1:
             raise BadParams("c1 must exceed 1")
-        if not self.c3 >= _C3_MIN:
-            raise BadParams("c3 must be at least 14/5")
-        if not (0 <= self.delta <= _DELTA_MAX):
-            raise BadParams("delta must lie in [0, 1/10]")
+        problem = cut_domain_violation(self.c3, self.delta)
+        if problem:
+            raise BadParams(f"c3 and delta: {problem}")
 
     def c2_expr(self) -> Expr:
         if self.c2 is not None:

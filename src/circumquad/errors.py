@@ -30,10 +30,6 @@ class ParallelLines(CircumquadError):
     """Two lines have no unique intersection point."""
 
 
-class EmptyResult(CircumquadError):
-    """A clipping operation produced a region with empty interior."""
-
-
 # --- solver -----------------------------------------------------------------
 
 class DegenerateBody(CircumquadError):

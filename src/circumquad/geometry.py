@@ -10,8 +10,7 @@ into floats.
 
 Orientation convention: polygon vertices are counterclockwise and strictly
 convex (no repeated or collinear consecutive vertices).  Lines are written
-``a*x + b*y = c``; for an edge ``p -> q`` of a ccw polygon the normal ``(a, b)``
-of ``Line.through(p, q)`` points to the *left*, i.e. into the polygon.
+``a*x + b*y = c``.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
-from .errors import (
-    DegenerateInput,
-    EmptyResult,
-    ParallelLines,
-    SingularMap,
-)
+from .errors import DegenerateInput, ParallelLines, SingularMap
 
 Scalar = Union[int, float, Fraction]
 
@@ -84,18 +78,6 @@ class Line(NamedTuple):
     b: Scalar
     c: Scalar
 
-    @classmethod
-    def through(cls, p: Point, q: Point) -> "Line":
-        a = p.y - q.y
-        b = q.x - p.x
-        if a == 0 and b == 0:
-            raise DegenerateInput("line through two identical points")
-        return cls(a, b, a * p.x + b * p.y)
-
-    def side(self, p: Point) -> Scalar:
-        """Signed residual a*x + b*y - c (positive on the normal side)."""
-        return self.a * p.x + self.b * p.y - self.c
-
 
 def line_intersection(l1: Line, l2: Line) -> Point:
     det = l1.a * l2.b - l2.a * l1.b
@@ -115,10 +97,6 @@ class AffineMap(NamedTuple):
     m22: Scalar
     t1: Scalar
     t2: Scalar
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(1, 0, 0, 1, 0, 0)
 
     @property
     def det(self) -> Scalar:
@@ -144,23 +122,19 @@ class AffineMap(NamedTuple):
             -(n21 * self.t1 + n22 * self.t2),
         )
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """Map equal to applying ``other`` first, then ``self``."""
-        return AffineMap(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-            self.m11 * other.t1 + self.m12 * other.t2 + self.t1,
-            self.m21 * other.t1 + self.m22 * other.t2 + self.t2,
-        )
-
 
 def _coerce_points(points: Iterable[Sequence[Scalar]]) -> Tuple[Point, ...]:
     pts = [Point(p[0], p[1]) for p in points]
     if any(isinstance(p.x, float) or isinstance(p.y, float) for p in pts):
         return tuple(Point(float(p.x), float(p.y)) for p in pts)
-    return tuple(Point(Fraction(p.x), Fraction(p.y)) for p in pts)
+    # Re-wrapping a Fraction costs as much as a Fraction operation; skip it.
+    return tuple(
+        Point(
+            p.x if type(p.x) is Fraction else Fraction(p.x),
+            p.y if type(p.y) is Fraction else Fraction(p.y),
+        )
+        for p in pts
+    )
 
 
 class ConvexPolygon:
@@ -204,10 +178,10 @@ class ConvexPolygon:
         return hash(self.vertices)
 
     def __repr__(self) -> str:
-        return f"ConvexPolygon({list(self.vertices)!r})"
+        return f"{type(self).__name__}({list(self.vertices)!r})"
 
     def __reduce__(self):
-        return (_rebuild_polygon, (self.vertices,))
+        return (_rebuild_polygon, (type(self), self.vertices))
 
     @property
     def is_exact(self) -> bool:
@@ -243,20 +217,13 @@ class ConvexPolygon:
             return self
         # Rounding cannot un-order vertices for the polygons we build, but it
         # can flatten nearly collinear triples, so skip re-validation.
-        return ConvexPolygon._unchecked(
+        return self._unchecked(
             tuple(Point(float(v.x), float(v.y)) for v in self.vertices)
         )
 
-    def to_exact(self) -> "ConvexPolygon":
-        if self.is_exact:
-            return self
-        return ConvexPolygon(
-            [(Fraction(v.x), Fraction(v.y)) for v in self.vertices]
-        )
 
-
-def _rebuild_polygon(vertices):
-    return ConvexPolygon._unchecked(vertices)
+def _rebuild_polygon(cls, vertices):
+    return cls._unchecked(vertices)
 
 
 def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
@@ -282,10 +249,6 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
     if len(hull) < 3:
         raise DegenerateInput("points are collinear")
     return ConvexPolygon(hull)
-
-
-def polygon_area(poly: ConvexPolygon) -> Scalar:
-    return poly.area
 
 
 def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) -> bool:
@@ -326,56 +289,6 @@ def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:
     if d < 0:
         imgs.reverse()
     return ConvexPolygon(imgs)
-
-
-def _clean_ring(ring):
-    """Drop duplicate and collinear consecutive vertices from a convex ring."""
-    out = []
-    for p in ring:
-        if not out or p != out[-1]:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            a = out[i - 1]
-            b = out[i]
-            c = out[(i + 1) % len(out)]
-            if cross3(a, b, c) <= 0:
-                del out[i]
-                changed = True
-                break
-    return out
-
-
-def halfplane_clip(
-    poly: ConvexPolygon, line: Line, keep_side: int = 1
-) -> ConvexPolygon:
-    """Intersect ``poly`` with a halfplane bounded by ``line``.
-
-    ``keep_side=+1`` keeps ``{a*x + b*y <= c}``; ``keep_side=-1`` keeps the
-    opposite halfplane.  Raises EmptyResult when the intersection has empty
-    interior.
-    """
-    if keep_side not in (1, -1):
-        raise DegenerateInput("keep_side must be +1 or -1")
-    vs = poly.vertices
-    d = [keep_side * line.side(v) for v in vs]
-    out = []
-    n = len(vs)
-    for i in range(n):
-        j = (i + 1) % n
-        if d[i] <= 0:
-            out.append(vs[i])
-        if (d[i] < 0 < d[j]) or (d[j] < 0 < d[i]):
-            t = _div(d[i], d[i] - d[j])
-            out.append(vs[i] + t * (vs[j] - vs[i]))
-    out = _clean_ring(out)
-    if len(out) < 3:
-        raise EmptyResult("halfplane clip left no interior")
-    return ConvexPolygon(out)
 
 
 def _linf_point_segment(p: Point, a: Point, b: Point) -> Scalar:

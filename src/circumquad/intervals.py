@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Callable, Union
 
 from .errors import (
     BadParams,
@@ -271,17 +271,3 @@ def certify_less(lhs, rhs, precision_bits: int = 128) -> CertifiedComparison:
         rhs_interval=ri,
     )
 
-
-def certify_equal_exact(lhs: RationalLike, rhs: RationalLike, claim: Tuple[str, str]) -> CertifiedComparison:
-    """Certify exact rational equality (decidable, no precision involved)."""
-    a, b = Fraction(lhs), Fraction(rhs)
-    verdict = Verdict.PROVEN if a == b else Verdict.DISPROVEN
-    return CertifiedComparison(
-        lhs_text=claim[0],
-        relation="=",
-        rhs_text=claim[1],
-        verdict=verdict,
-        precision_bits=0,
-        lhs_interval=Interval.point(a),
-        rhs_interval=Interval.point(b),
-    )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -41,11 +40,8 @@ from .errors import (
 )
 from .geometry import (
     ConvexPolygon,
-    Point,
     Scalar,
-    _coerce_points,
     contains_polygon,
-    cross3,
     linf_distance_to_polygon,
     midpoint,
 )
@@ -53,73 +49,40 @@ from .geometry import (
 _TWO_PI = 2.0 * math.pi
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_STARTS = 5
+# Descent cycles per start.  Refinement stops earlier once a cycle gains less
+# than ``tol``; on affine pentagons 30 and 40 cycles give identical quads.
+_REFINE_CYCLES = 30
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for :func:`min_circumscribed_quadrilateral`.
+    """Settings of :func:`min_circumscribed_quadrilateral`.
 
     coarse_grid: angles in the initial exhaustive scan (>= 8).
-    refine_iters: max descent cycles per start.
-    tol: relative stopping tolerance on the area.
-    seed: reserved for randomized restarts; the default pipeline is
-        deterministic and ignores it.
+    tol: relative stopping tolerance on the area; also the relative slack of
+        the containment check.
     """
 
     coarse_grid: int = 90
-    refine_iters: int = 30
     tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.coarse_grid < 8:
             raise BadParams("coarse_grid must be at least 8")
-        if self.refine_iters < 1:
-            raise BadParams("refine_iters must be positive")
         if not self.tol > 0:
             raise BadParams("tol must be positive")
 
 
-@dataclass(frozen=True)
-class Quadrilateral:
-    """Four vertices in ccw order.
+class Quadrilateral(ConvexPolygon):
+    """Strictly convex polygon with exactly four ccw vertices."""
 
-    Values are not validated at construction (lightweight carrier); use
-    :attr:`is_proper` or :meth:`polygon` when the convexity invariant matters.
-    A body that is itself a triangle is represented with its last vertex
-    duplicated and ``degenerate_triangle`` set.
-    """
+    __slots__ = ()
 
-    vertices: Tuple[Point, Point, Point, Point]
-    degenerate_triangle: bool = False
-
-    def __post_init__(self):
-        if len(self.vertices) != 4:
-            raise BadParams("a quadrilateral needs exactly 4 vertices")
-        object.__setattr__(self, "vertices", _coerce_points(self.vertices))
-
-    @property
-    def area(self) -> Scalar:
-        vs = self.vertices
-        twice = sum(vs[i].cross(vs[(i + 1) % 4]) for i in range(4))
-        return twice / 2 if isinstance(twice, float) else Fraction(twice, 2)
-
-    @property
-    def is_proper(self) -> bool:
-        vs = self.vertices
-        return all(cross3(vs[i], vs[(i + 1) % 4], vs[(i + 2) % 4]) > 0 for i in range(4))
-
-    def polygon(self) -> ConvexPolygon:
-        """Vertices as a validated polygon; drops a duplicated vertex."""
-        vs = list(self.vertices)
-        ring = [v for i, v in enumerate(vs) if v != vs[i - 1]]
-        return ConvexPolygon(ring)
-
-    def to_float(self) -> "Quadrilateral":
-        return Quadrilateral(
-            tuple(Point(float(v.x), float(v.y)) for v in self.vertices),
-            self.degenerate_triangle,
-        )
+    def __init__(self, vertices):
+        vs = tuple(vertices)
+        if len(vs) != 4:
+            raise BadParams(f"a quadrilateral needs exactly 4 vertices, got {len(vs)}")
+        super().__init__(vs)
 
 
 @dataclass(frozen=True)
@@ -127,23 +90,26 @@ class CircumscriptionCertificate:
     """Evidence attached to a solver answer.
 
     midpoint_residuals are the max-norm distances from each edge midpoint of
-    the quadrilateral to the body, scaled by the body's max-norm diameter;
-    at a true minimum they vanish (every minimal side touches the body at the
-    side's midpoint).
+    the witness to the body, scaled by the body's max-norm diameter, one per
+    edge; at a true minimum they vanish (every minimal side touches the body
+    at the side's midpoint).
     """
 
     contains_body: bool
-    midpoint_residuals: Tuple[Scalar, Scalar, Scalar, Scalar]
+    midpoint_residuals: Tuple[Scalar, ...]
     area_ratio: Scalar
 
 
 def varignon(quad: Quadrilateral) -> ConvexPolygon:
     """Parallelogram of the edge midpoints; has half the quadrilateral's area.
 
-    Raises DegenerateParallelogram when the midpoints are collinear.
+    Raises BadParams for a polygon that is not a quadrilateral (such as a
+    triangle body's witness) and DegenerateParallelogram when the midpoints
+    are collinear.
     """
-    vs = quad.vertices
-    mids = [midpoint(vs[i], vs[(i + 1) % 4]) for i in range(4)]
+    if len(quad) != 4:
+        raise BadParams(f"varignon needs 4 vertices, got {len(quad)}")
+    mids = [midpoint(a, b) for a, b in quad.edges()]
     try:
         return ConvexPolygon(mids)
     except DegenerateInput as exc:
@@ -151,16 +117,14 @@ def varignon(quad: Quadrilateral) -> ConvexPolygon:
 
 
 def midpoint_certificate(
-    body: ConvexPolygon, quad: Quadrilateral, tol: Scalar = 0
+    body: ConvexPolygon, quad: ConvexPolygon, tol: Scalar = 0
 ) -> CircumscriptionCertificate:
     """Check containment and measure the midpoint optimality residuals."""
-    vs = quad.vertices
     diam = body.linf_diameter()
     residuals = tuple(
-        linf_distance_to_polygon(midpoint(vs[i], vs[(i + 1) % 4]), body) / diam
-        for i in range(4)
+        linf_distance_to_polygon(midpoint(a, b), body) / diam for a, b in quad.edges()
     )
-    contains = contains_polygon(quad.polygon(), body, tol)
+    contains = contains_polygon(quad, body, tol)
     ratio = quad.area / body.area
     return CircumscriptionCertificate(contains, residuals, ratio)
 
@@ -347,7 +311,7 @@ def _refine(V: np.ndarray, angles: List[float], opts: SolverOptions):
         cand[i] = value
         return cand
 
-    for _ in range(opts.refine_iters):
+    for _ in range(_REFINE_CYCLES):
         area_before = area
         for i in range(4):
             x, fx = _golden_min(
@@ -387,18 +351,19 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
     _, quad_idx, _ = _scan_support_grid(V, grid)
     angles = [_TWO_PI * k / grid for k in quad_idx]
     _, corners = _quad_from_angles(V, angles)
-    return Quadrilateral(tuple(Point(x, y) for x, y in corners))
+    return Quadrilateral(corners)
 
 
 def min_circumscribed_quadrilateral(
     body: ConvexPolygon, options: Optional[SolverOptions] = None
-) -> Tuple[Quadrilateral, CircumscriptionCertificate]:
+) -> Tuple[ConvexPolygon, CircumscriptionCertificate]:
     """Minimum-area quadrilateral containing ``body``, with certificate.
 
     Grid scan for global structure, then local refinement from the best few
     distinct starts.  The result never exceeds the best grid candidate.  A
-    triangular body is returned as-is with a duplicated vertex and the
-    ``degenerate_triangle`` flag (no strictly smaller quadrilateral exists).
+    triangular body is its own witness: the result is then the body's
+    3-vertex polygon (no strictly smaller quadrilateral exists), otherwise a
+    :class:`Quadrilateral`.
     """
     opts = options or SolverOptions()
     poly = body.to_float()
@@ -406,11 +371,8 @@ def min_circumscribed_quadrilateral(
     if poly.area <= 1e-12 * diam * diam:
         raise DegenerateBody("body area is numerically zero")
 
-    if len(poly.vertices) == 3:
-        v = poly.vertices
-        quad = Quadrilateral((v[0], v[1], v[2], v[2]), degenerate_triangle=True)
-        cert = midpoint_certificate(poly, quad, opts.tol)
-        return quad, cert
+    if len(poly) == 3:
+        return poly, midpoint_certificate(poly, poly, opts.tol)
 
     V = np.asarray(poly.vertices, dtype=float)
     _, _, minima = _scan_support_grid(V, opts.coarse_grid)
@@ -426,7 +388,7 @@ def min_circumscribed_quadrilateral(
         raise NoFeasibleQuadruple("refinement lost every candidate")
 
     _, corners = _quad_from_angles(V, list(best[1]))
-    quad = Quadrilateral(tuple(Point(x, y) for x, y in corners))
+    quad = Quadrilateral(corners)
     cert = midpoint_certificate(poly, quad, opts.tol)
     if not cert.contains_body:
         raise SolverFailure("refined quadrilateral fails the containment check")

@@ -48,6 +48,7 @@ from .minquad import (
     min_circumscribed_quadrilateral,
     varignon,
 )
+from .zeta import cut_domain_violation
 
 HALF = Fraction(1, 2)
 
@@ -118,19 +119,14 @@ class NormalizedScene:
 
     body: ConvexPolygon
     quad: Quadrilateral
-    square: ConvexPolygon
 
 
 @dataclass(frozen=True)
 class OctagonScene:
-    """Contact octagon data for a normalized body."""
+    """Contact octagon of a normalized body and its area."""
 
-    square: ConvexPolygon
-    contacts: ContactBox
     octagon: ConvexPolygon
     octagon_area: Scalar
-    body: ConvexPolygon
-    normalizing_map: Optional[AffineMap] = None
 
 
 def normalize_to_square(
@@ -164,12 +160,8 @@ def normalize_to_square(
     # square corners (corner v0 maps to (-1, -1)).
     inv = AffineMap(m11, m12, m21, m22, center.x, center.y).inverse()
     norm_body = apply_affine(inv, body)
-    q = tuple(inv.apply(v) for v in quad.vertices)
-    norm_quad = Quadrilateral(q, degenerate_triangle=quad.degenerate_triangle)
-    scene = NormalizedScene(
-        body=norm_body, quad=norm_quad, square=unit_square(norm_body.is_exact)
-    )
-    return scene, inv
+    norm_quad = Quadrilateral(inv.apply(v) for v in quad.vertices)
+    return NormalizedScene(body=norm_body, quad=norm_quad), inv
 
 
 def axis_box_with_contacts(
@@ -205,10 +197,7 @@ def axis_box_with_contacts(
 
 
 def build_octagon(
-    body: ConvexPolygon,
-    contacts: ContactBox,
-    tol: Scalar = 0,
-    normalizing_map: Optional[AffineMap] = None,
+    body: ConvexPolygon, contacts: ContactBox, tol: Scalar = 0
 ) -> OctagonScene:
     """Convex hull of the unit square and the four box contacts.
 
@@ -216,8 +205,7 @@ def build_octagon(
     contacts genuinely come from ``body``, that the octagon sits inside it.
     Exact inputs are checked exactly; float inputs up to ``tol``.
     """
-    square = unit_square(body.is_exact)
-    pts = list(square.vertices) + list(contacts.contacts)
+    pts = list(unit_square(body.is_exact).vertices) + list(contacts.contacts)
     octagon = convex_hull(pts)
     area = octagon.area
     ident = contacts.x + contacts.y
@@ -234,14 +222,7 @@ def build_octagon(
             )
     if not contains_polygon(body, octagon, tol):
         raise NormalizationViolated("contact octagon escapes the body")
-    return OctagonScene(
-        square=square,
-        contacts=contacts,
-        octagon=octagon,
-        octagon_area=area,
-        body=body,
-        normalizing_map=normalizing_map,
-    )
+    return OctagonScene(octagon=octagon, octagon_area=area)
 
 
 def apply_contact_reflections(
@@ -342,10 +323,9 @@ def lemma_octagon_quad(
     """
     x1, y2 = contacts.a1, contacts.a2
     v1, v2, w1, w2 = contacts.v1, contacts.v2, contacts.w1, contacts.w2
-    if not (c >= Fraction(14, 5) - tol):
-        raise DomainError("cut size c must be at least 14/5")
-    if not (-tol <= delta <= Fraction(1, 10) + tol):
-        raise DomainError("tilt parameter delta must lie in [0, 1/10]")
+    problem = cut_domain_violation(c, delta, tol)
+    if problem:
+        raise DomainError(problem)
 
     checks = (
         (-v1.y <= 1 + tol and v1.y <= 1 + tol, "|v1_y| <= 1"),
@@ -449,11 +429,15 @@ class CaseId(Enum):
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Outcome of running the case machine on one body."""
+    """Outcome of running the case machine on one body.
+
+    The witness is a :class:`Quadrilateral`, or the body itself when the body
+    is a triangle.
+    """
 
     case_id: CaseId
     certified_factor: float
-    witness: Quadrilateral
+    witness: ConvexPolygon
     empirical_ratio: float
     details: Dict[str, object] = field(default_factory=dict)
 
@@ -487,7 +471,7 @@ def case_machine(
 
     quad, cert = min_circumscribed_quadrilateral(body, opts)
     ratio = float(cert.area_ratio)
-    if quad.degenerate_triangle:
+    if len(quad) == 3:
         return CaseReport(
             case_id=CaseId.DEGENERATE_TRIANGLE,
             certified_factor=1.0 / math.sqrt(2.0),
@@ -496,7 +480,7 @@ def case_machine(
             details={},
         )
 
-    scene, norm_map = normalize_to_square(body.to_float(), quad.to_float())
+    scene, norm_map = normalize_to_square(body.to_float(), quad)
     case_id, factor, details = _classify_normalized(scene.body, consts, slack)
     details["normalizing_map"] = norm_map
     return CaseReport(

@@ -12,23 +12,35 @@ literal constants are Fractions, which Python coerces as needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Optional
 
 from .errors import DomainError
-
-Scalar = Union[int, float, Fraction]
+from .geometry import Scalar
 
 _C_MIN = Fraction(14, 5)
 _DELTA_MAX = Fraction(1, 10)
 
 
+def cut_domain_violation(
+    c: Scalar, delta: Scalar, slack: Scalar = 0
+) -> Optional[str]:
+    """Name the bound that ``(c, delta)`` breaks, or None inside the domain.
+
+    The domain of the cut parameters is c >= 14/5 and 0 <= delta <= 1/10;
+    ``slack`` widens every bound by that much, for float callers.
+    """
+    if not c >= _C_MIN - slack:
+        return f"cut size c = {c} must be at least 14/5"
+    if not (-slack <= delta <= _DELTA_MAX + slack):
+        return f"tilt parameter delta = {delta} must lie in [0, 1/10]"
+    return None
+
+
 def _validate_params(c: Scalar, delta: Scalar) -> None:
-    if not c >= _C_MIN:
-        raise DomainError(f"width parameter c = {c} must be >= 14/5")
-    if not (0 <= delta <= _DELTA_MAX):
-        raise DomainError(f"band parameter delta = {delta} must be in [0, 1/10]")
+    problem = cut_domain_violation(c, delta)
+    if problem:
+        raise DomainError(problem)
 
 
 def zeta_denominator(c: Scalar, delta: Scalar, t: Scalar) -> Scalar:
@@ -96,26 +108,3 @@ def zeta_bound(c: Scalar, delta: Scalar) -> Scalar:
     tail_num = (c - 2) * (c * (43 - 54 * delta) - 22 - 20 * delta)
     tail_den = c * (7 - 20 * delta + 20 * delta * delta) - 4
     return (c / 20) * (8 * (c + 2) + 4 * c / (1 - 2 * delta) + tail_num / tail_den)
-
-
-@dataclass(frozen=True)
-class ZetaParams:
-    """A validated (c, delta) pair with the zeta calculus as methods."""
-
-    c: Scalar
-    delta: Scalar
-
-    def __post_init__(self):
-        _validate_params(self.c, self.delta)
-
-    def value(self, t: Scalar) -> Scalar:
-        return zeta(self.c, self.delta, t)
-
-    def derivative(self, t: Scalar) -> Scalar:
-        return zeta_derivative(self.c, self.delta, t)
-
-    def derivative_roots(self) -> Tuple[Scalar, Scalar]:
-        return zeta_derivative_roots(self.c, self.delta)
-
-    def bound(self) -> Scalar:
-        return zeta_bound(self.c, self.delta)

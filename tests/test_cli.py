@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from circumquad import cli
 from circumquad.cli import body_to_json, main, read_body
 from circumquad.corpus import regular_polygon
+from circumquad.errors import InconsistentCase
 
 
 def write_body(tmp_path, name, payload):
@@ -62,7 +64,9 @@ class TestSolve:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["degenerate_triangle"]
-        assert out["ratio"] == pytest.approx(1.0, abs=1e-9)
+        assert out["ratio"] == 1.0
+        assert sorted(out["vertices"]) == [[0.0, 0.0], [0.0, 3.0], [4.0, 0.0]]
+        assert out["midpoint_residuals"] == [0.0, 0.0, 0.0]
 
     def test_solver_flags(self, tmp_path, capsys):
         rc = main(["solve", square_file(tmp_path), "--grid", "32", "--tol", "1e-7"])
@@ -125,6 +129,23 @@ class TestInputErrors:
         path = write_body(tmp_path, "b.json", {"vertices": [[0, 0], [1, 0], [0, True]]})
         assert main(["solve", path]) == 2
 
+    @pytest.mark.parametrize("bad", ["1e400", "1/0", "abc"])
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_unparsable_coordinate(self, tmp_path, capsys, bad, mode):
+        path = write_body(
+            tmp_path, "c.json", {"mode": mode, "vertices": [[bad, 0], [1, 0], [0, 1]]}
+        )
+        assert main(["solve", path]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_library_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InconsistentCase("forced")
+
+        monkeypatch.setattr(cli, "case_machine", fail)
+        assert main(["witness", square_file(tmp_path)]) == 5
+        assert "internal error" in capsys.readouterr().err
+
     def test_collinear_body(self, tmp_path, capsys):
         path = write_body(
             tmp_path, "line.json", {"vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]}
@@ -181,6 +202,8 @@ class TestCertify:
 
     def test_invalid_override(self, capsys):
         assert main(["certify", "--delta", "1/2"]) == 2
+        assert main(["certify", "--c1", "abc"]) == 2
+        assert main(["certify", "--c3", "1/0"]) == 2
 
 
 class TestBench:

@@ -5,7 +5,6 @@ import pytest
 
 from circumquad import (
     BadParams,
-    SolverOptions,
     gen_corpus,
     min_circumscribed_quadrilateral,
     regular_polygon,
@@ -85,8 +84,7 @@ def test_vertex_parameter_respected():
 def test_affine_pentagon_ratio_is_affine_invariant():
     # The min-quad ratio of any affine pentagon image equals the regular
     # pentagon's 3/sqrt(5), a sharp discriminator for generator bugs.
-    opts = SolverOptions(refine_iters=40)
     for body in gen_corpus("affine_pentagon", 5, seed=9):
-        quad, _ = min_circumscribed_quadrilateral(body, opts)
+        quad, _ = min_circumscribed_quadrilateral(body)
         ratio = quad.area / body.area
         assert ratio == pytest.approx(3 / math.sqrt(5), abs=1e-5)

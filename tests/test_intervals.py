@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circumquad import (
+from circumquad.errors import (
     BadParams,
-    CertifiedComparison,
     DivisionByIntervalContainingZero,
-    Interval,
     NegativeRadicand,
+)
+from circumquad.intervals import (
+    CertifiedComparison,
+    Interval,
     Verdict,
-    certify_equal_exact,
     certify_less,
     const,
     esqrt,
@@ -138,12 +139,6 @@ class TestCertify:
         rhs = const(F(3, 2))
         for bits in (16, 32, 64, 128, 256):
             assert certify_less(lhs, rhs, bits).verdict is Verdict.PROVEN
-
-    def test_equal_exact(self):
-        comp = certify_equal_exact(F(1, 3) + F(1, 6), F(1, 2), "sum check")
-        assert comp.verdict is Verdict.PROVEN
-        comp2 = certify_equal_exact(F(1, 3), F(1, 2), "sum check")
-        assert comp2.verdict is Verdict.DISPROVEN
 
     def test_claim_text(self):
         comp = certify_less(const(F(1), "one"), const(F(2), "two"), 32)

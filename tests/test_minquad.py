@@ -10,7 +10,7 @@ from circumquad import (
     BadParams,
     ConvexPolygon,
     DegenerateBody,
-    DegenerateParallelogram,
+    DegenerateInput,
     Point,
     Quadrilateral,
     SolverOptions,
@@ -18,12 +18,12 @@ from circumquad import (
     convex_hull,
     contains_polygon,
     gen_corpus,
-    midpoint_certificate,
     min_circumscribed_quadrilateral,
     regular_polygon,
     varignon,
 )
 from circumquad.geometry import AffineMap, apply_affine
+from circumquad.minquad import midpoint_certificate
 
 
 def random_rational_quad(rng):
@@ -45,15 +45,24 @@ class TestQuadrilateral:
     def test_area_frozen(self):
         q = Quadrilateral((Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)))
         assert q.area == 4
-        assert q.is_proper
+        assert isinstance(q, ConvexPolygon)
+
+    def test_needs_exactly_four_vertices(self):
+        with pytest.raises(BadParams):
+            Quadrilateral([(0, 0), (2, 0), (1, 2)])
+        with pytest.raises(BadParams):
+            Quadrilateral([(0, 0), (2, 0), (3, 1), (1, 2), (-1, 1)])
 
     def test_degenerate_triangle_polygon(self):
-        q = Quadrilateral(
-            (Point(0, 0), Point(2, 0), Point(1, 2), Point(1, 2)),
-            degenerate_triangle=True,
-        )
-        assert len(q.polygon()) == 3
-        assert q.area == 2
+        # A triangle is its own witness: the body's 3-vertex polygon.
+        tri = ConvexPolygon([(0, 0), (2, 0), (1, 2)])
+        witness, cert = min_circumscribed_quadrilateral(tri)
+        assert len(witness) == 3
+        assert not isinstance(witness, Quadrilateral)
+        assert witness == tri.to_float()
+        assert witness.area == 2
+        assert cert.midpoint_residuals == (0.0, 0.0, 0.0)
+        assert cert.area_ratio == 1.0
 
     def test_exact_area_is_fraction(self):
         q = Quadrilateral(
@@ -77,9 +86,10 @@ class TestVarignon:
             assert q.area == 2 * para.area  # exact rational identity
 
     def test_flat_quad_raises(self):
-        q = Quadrilateral((Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)))
-        with pytest.raises(DegenerateParallelogram):
-            varignon(q)
+        # A flat quadrilateral, whose midpoints would be collinear, is
+        # rejected before varignon can see it.
+        with pytest.raises(DegenerateInput):
+            Quadrilateral((Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)))
 
 
 class TestSolver:
@@ -105,14 +115,15 @@ class TestSolver:
     def test_triangle_degenerates(self):
         tri = ConvexPolygon([(0, 0), (2, 0), (0.5, 1.5)])
         quad, cert = min_circumscribed_quadrilateral(tri)
-        assert quad.degenerate_triangle
+        assert len(quad) == 3
         assert cert.area_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_containment_certificate(self):
         body = gen_corpus("random", 1, seed=3, vertices=32)[0]
         quad, cert = min_circumscribed_quadrilateral(body)
         assert cert.contains_body
-        assert contains_polygon(quad.polygon(), body.to_float(), tol=1e-9)
+        assert isinstance(quad, Quadrilateral)
+        assert contains_polygon(quad, body.to_float(), tol=1e-9)
         assert max(cert.midpoint_residuals) <= 1e-6
 
     def test_deterministic(self):
@@ -155,7 +166,7 @@ class TestSolver:
     def test_options_accepted(self):
         body = gen_corpus("random", 1, seed=2, vertices=12)[0]
         quad, cert = min_circumscribed_quadrilateral(
-            body, SolverOptions(coarse_grid=48, refine_iters=10, tol=1e-7)
+            body, SolverOptions(coarse_grid=48, tol=1e-7)
         )
         assert cert.contains_body
 

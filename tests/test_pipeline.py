@@ -8,20 +8,17 @@ import pytest
 
 from circumquad import (
     AreaIdentityViolated,
+    BadParams,
     CaseId,
     ContactBox,
     ConvexPolygon,
     DomainError,
     HypothesisViolated,
     InconsistentCase,
-    LemmaBranch,
     NormalizationViolated,
     Point,
     Quadrilateral,
     TheoremConstants,
-    apply_contact_reflections,
-    axis_box_with_contacts,
-    build_octagon,
     case_machine,
     contains_polygon,
     convex_hull,
@@ -30,13 +27,19 @@ from circumquad import (
     min_circumscribed_quadrilateral,
     normalize_to_square,
     outer_ball_check,
-    reflection_normalize,
     regular_polygon,
-    unit_square,
     zeta,
     zeta_bound,
 )
-from circumquad.pipeline import _classify_normalized
+from circumquad.pipeline import (
+    LemmaBranch,
+    _classify_normalized,
+    apply_contact_reflections,
+    axis_box_with_contacts,
+    build_octagon,
+    reflection_normalize,
+    unit_square,
+)
 
 
 def box(a1, a2, b1, b2, v1y=F(0), v2x=F(0), w1y=F(0), w2x=F(0)):
@@ -126,7 +129,7 @@ class TestBuildOctagon:
         body = hull_with_square(cb)
         scene = build_octagon(body, cb)
         assert scene.octagon_area == cb.x + cb.y
-        assert contains_polygon(scene.body, scene.octagon)
+        assert contains_polygon(body, scene.octagon)
 
     def test_contacts_on_square_edges_degenerate_to_square(self):
         cb = box(F(-1), F(-1), F(1), F(1))
@@ -294,7 +297,6 @@ class TestBalls:
         far = Quadrilateral(
             (Point(F(4), F(0)), Point(F(0), F(1)), Point(F(-1), F(0)), Point(F(0), F(-1)))
         )
-        assert not far.degenerate_triangle
         assert not outer_ball_check(far)
         assert outer_ball_check(far, tol=2)
 
@@ -323,9 +325,15 @@ class TestCaseMachine:
         assert rep.details["box_area"] == pytest.approx(16.0, rel=1e-6)
 
     def test_triangle_case(self):
-        rep = case_machine(ConvexPolygon([(0, 0), (2, 0), (0.6, 1.7)]))
+        tri = ConvexPolygon([(0, 0), (2, 0), (0.6, 1.7)])
+        rep = case_machine(tri)
         assert rep.case_id is CaseId.DEGENERATE_TRIANGLE
         assert rep.certified_factor == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert rep.witness == tri
+        assert len(rep.witness) == 3
+        assert rep.empirical_ratio == 1.0
+        with pytest.raises(BadParams):
+            normalize_to_square(tri, rep.witness)
 
     def test_disk_exceeds_octagon(self):
         rep = case_machine(regular_polygon(64))
@@ -342,7 +350,7 @@ class TestCaseMachine:
 
     def test_report_has_witness_and_map(self):
         rep = case_machine(regular_polygon(7))
-        assert rep.witness.is_proper
+        assert isinstance(rep.witness, Quadrilateral)
         assert "normalizing_map" in rep.details
 
 

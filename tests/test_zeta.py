@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circumquad import (
+    BadParams,
     DomainError,
-    ZetaParams,
+    TheoremConstants,
     zeta,
     zeta_bound,
     zeta_derivative,
     zeta_derivative_roots,
 )
+from circumquad.zeta import cut_domain_violation
 
 c_strategy = st.fractions(min_value=F(14, 5), max_value=4, max_denominator=200)
 delta_strategy = st.fractions(min_value=0, max_value=F(1, 10), max_denominator=200)
@@ -51,14 +53,19 @@ class TestDomain:
         with pytest.raises(DomainError):
             zeta_derivative(F(3), F(0), F(-3, 2))
 
-    def test_params_dataclass_validates(self):
+    def test_cut_domain_bounds_and_slack(self):
+        c_min, delta_max, eps = F(14, 5), F(1, 10), F(1, 10**6)
+        assert cut_domain_violation(c_min, F(0)) is None
+        assert cut_domain_violation(c_min, delta_max) is None
+        assert "14/5" in cut_domain_violation(c_min - eps, F(0))
+        assert "delta" in cut_domain_violation(c_min, delta_max + eps)
+        assert "delta" in cut_domain_violation(c_min, -eps)
+        assert cut_domain_violation(2.8 - 1e-12, 0.1 + 1e-12, slack=1e-9) is None
+        # Callers keep their own error class for the shared domain.
         with pytest.raises(DomainError):
-            ZetaParams(F(1), F(0))
-        p = ZetaParams(F(3), F(1, 10))
-        assert p.value(F(-3, 2)) == F(5451, 580)
-        assert p.bound() == F(5451, 580)
-        assert p.derivative_roots() == zeta_derivative_roots(F(3), F(1, 10))
-        assert p.derivative(F(0)) == zeta_derivative(F(3), F(1, 10), F(0))
+            zeta_bound(F(5, 2), F(0))
+        with pytest.raises(BadParams):
+            TheoremConstants(c3=F(5, 2))
 
 
 class TestIdentities:
