@@ -111,9 +111,9 @@ def _map_to_json(m: Optional[AffineMap]):
 
 def _solver_options(args) -> SolverOptions:
     kwargs = {}
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         kwargs["coarse_grid"] = args.grid
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         kwargs["tol"] = args.tol
     return SolverOptions(**kwargs)
 

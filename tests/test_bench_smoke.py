@@ -2,7 +2,7 @@
 
 A benchmark layer whose trace target is missing only prints a warning and
 reads 0, so a change to the public surface could blank per-layer metrics
-without failing anything else.  Both checks run in child processes, so the
+without failing anything else.  Every check runs in a child process, so the
 thread-pinning environment that ``bench/run.py`` sets on import stays out of
 the test process.
 """
@@ -11,6 +11,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "bench" / "run.py"
@@ -26,9 +28,10 @@ def _run(args, timeout):
     )
 
 
-def test_exact_proof_workload_passes():
+@pytest.mark.parametrize("workload", ["exact-proof", "solve-mixed"])
+def test_workload_passes(workload):
     done = _run(
-        [str(RUN), "--workload", "exact-proof", "--seed", "1", "--seconds", "0"], 300
+        [str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0"], 300
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])

@@ -138,6 +138,12 @@ class TestInputErrors:
         assert main(["solve", path]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--grid", "0"], ["--tol", "0"]])
+    @pytest.mark.parametrize("command", ["solve", "witness"])
+    def test_zero_solver_flag_rejected(self, tmp_path, capsys, command, flag):
+        assert main([command, square_file(tmp_path), *flag]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_library_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise InconsistentCase("forced")

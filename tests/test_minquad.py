@@ -15,6 +15,7 @@ from circumquad import (
     Quadrilateral,
     SolverOptions,
     brute_force_min_quad,
+    case_machine,
     convex_hull,
     contains_polygon,
     gen_corpus,
@@ -118,13 +119,34 @@ class TestSolver:
         assert len(quad) == 3
         assert cert.area_ratio == pytest.approx(1.0, abs=1e-12)
 
-    def test_containment_certificate(self):
-        body = gen_corpus("random", 1, seed=3, vertices=32)[0]
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "family, vertices", [("random", 16), ("ellipse", 64), ("affine_pentagon", 5)]
+    )
+    def test_containment_certificate(self, family, vertices, seed):
+        body = gen_corpus(family, 1, seed=seed, vertices=vertices)[0]
         quad, cert = min_circumscribed_quadrilateral(body)
         assert cert.contains_body
         assert isinstance(quad, Quadrilateral)
         assert contains_polygon(quad, body.to_float(), tol=1e-9)
-        assert max(cert.midpoint_residuals) <= 1e-6
+        # Every side of a minimal quadrilateral touches the body at its midpoint.
+        assert max(cert.midpoint_residuals) <= 1e-12
+
+    def test_quadrilateral_with_short_edge_is_its_own_minimum(self):
+        # Descent that lets a side collapse into a corner stalls here at a
+        # circumscribed triangle 2e-4 larger than the body, whose two equal
+        # corners then fail normalization.
+        body = ConvexPolygon(
+            [
+                (-0.9612424473081325, -0.03359605924071807),
+                (0.4062696710165534, -0.8151402595865846),
+                (0.4337252699698957, 0.1903475785091706),
+                (-0.8975570209078634, -0.01935717813741933),
+            ]
+        )
+        _, cert = min_circumscribed_quadrilateral(body)
+        assert cert.area_ratio == pytest.approx(1.0, abs=1e-9)
+        assert case_machine(body).empirical_ratio == cert.area_ratio
 
     def test_deterministic(self):
         body = gen_corpus("random", 1, seed=5, vertices=16)[0]
