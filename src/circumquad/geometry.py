@@ -248,7 +248,13 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInput("points are collinear")
-    return ConvexPolygon(hull)
+    # Each chain already turns strictly left at every kept point; only the
+    # turns at the two points where the chains meet are still unchecked.
+    if cross3(lower[-2], upper[0], upper[1]) <= 0 or (
+        cross3(upper[-2], lower[0], lower[1]) <= 0
+    ):
+        raise DegenerateInput("hull is not strictly convex where its chains meet")
+    return ConvexPolygon._unchecked(tuple(hull))
 
 
 def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) -> bool:

@@ -8,8 +8,13 @@ iff consecutive angle gaps stay below pi and every edge has positive length.
 Two entry points share the same parametrization deliberately kept dumb:
 
 * :func:`brute_force_min_quad` scans every feasible quadruple on a uniform
-  angle grid and returns the best one.  It is the reference oracle: slow,
-  exhaustive, no refinement.
+  angle grid and returns the best one.  It is the reference oracle:
+  exhaustive, no refinement.  The scan splits the doubled area into four
+  corner terms, one per pair of consecutive lines, and minimizes their sum
+  over 4-cycles of grid directions as a min-plus search: O(n^3) time and
+  O(n^2) memory on an n-grid.  A side has zero length exactly when the
+  contact vertex of its line lies on both neighbouring lines, so feasibility
+  is a test on contact vertices, not on computed corners.
 * :func:`min_circumscribed_quadrilateral` runs the same scan on a coarser
   grid, then refines the best few grid quadruples by exact cyclic coordinate
   descent, each side moving in turn to its best angle by enumerating the body
@@ -26,7 +31,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -135,83 +139,109 @@ def midpoint_certificate(
 # --- support-direction machinery ---------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gap_triples(n: int):
-    """All (cumulative) gap triples of feasible grid quadruples.
-
-    A quadruple a < b < c < d of grid indices is feasible only if all four
-    cyclic gaps are at most (n-1)//2 steps (gap >= pi gives parallel or
-    unbounded configurations).  Encoded as cumulative offsets from the anchor,
-    sorted by total span so anchors can slice a prefix.
-    """
-    g_max = (n - 1) // 2
-    g = np.arange(1, g_max + 1, dtype=np.int64)
-    g1, g2, g3 = np.meshgrid(g, g, g, indexing="ij")
-    total = g1 + g2 + g3
-    mask = (total >= n - g_max) & (total <= n - 1)
-    c1 = g1[mask]
-    c2 = (g1 + g2)[mask]
-    c3 = total[mask]
-    order = np.argsort(c3, kind="stable")
-    return c1[order], c2[order], c3[order]
-
-
-def _scan_support_grid(poly: ConvexPolygon, n: int):
+def _scan_support_grid(poly: ConvexPolygon, n: int, count: int):
     """Exhaustive scan over feasible support-direction quadruples of a float body.
 
-    Returns the per-anchor minima as a sorted list of (doubled_area,
-    index_quadruple).  Areas are doubled (raw shoelace sums) to avoid a
-    pointless halving pass.
+    Returns the ``count`` best per-anchor minima as a sorted list of
+    (doubled_area, index_quadruple), the anchor being the smallest index.
+
+    Line k has outward normal angle 2*pi*k/n and support value h_k, taken
+    about the vertex mean so that the squares below do not cancel.  The
+    doubled area is the sum of h_i times the length of side i; grouped by
+    corner it is a sum of four corner terms
+
+        2A(a, b, c, d) = W(a, b) + W(b, c) + W(c, d) + W(d, a),
+        W(i, j) = (2 h_i h_j - (h_i^2 + h_j^2) cos g) / sin g,
+
+    g being the gap from line i to line j.  Each anchor a therefore needs
+    only min over c of (min_b [W(a,b) + W(b,c)] + min_d [W(c,d) + W(d,a)]):
+    O(n^2) per anchor and O(n^3) in all, with O(n^2) memory.
+
+    Feasibility is exact and combinatorial.  With every gap in (0, pi), the
+    contact vertex of line i lies on side i between its two corners: the
+    piece towards line j has length (h_j - <u_j, v_i>) / sin g >= 0.  So
+    side i has zero length exactly when its contact lies on both neighbouring
+    lines.  Sides b and d only restrict the pairs (b, c) and (c, d); sides a
+    and c couple b with d, so each b and each d is tagged by whether a's
+    contact and c's contact lie on it, and pairs sharing a tag are excluded.
+    "Lies on" allows the rounding level ``2 * tiny`` of
+    :class:`_Support`, so every accepted side is longer than ``tiny``.
     """
-    thetas = _TWO_PI * np.arange(n) / n
-    co = np.cos(thetas)
-    si = np.sin(thetas)
     V = np.asarray(poly.vertices, dtype=float)
-    H = (V @ np.stack([co, si])).max(axis=0)
+    tiny = 1e-12 * np.abs(V).max()
+    V = V - V.mean(axis=0)
+    step = _TWO_PI / n
+    angles = step * np.arange(n)
+    P = V @ np.stack([np.cos(angles), np.sin(angles)])
+    H = P.max(axis=0)
+    # on[i, j]: the contact vertex of line i lies on line j.
+    on = H[None, :] - P[P.argmax(axis=0)] <= 2.0 * tiny
 
     g_max = (n - 1) // 2
     idx = np.arange(n)
-    Xx = np.full((n, n), np.nan)
-    Xy = np.full((n, n), np.nan)
-    for g in range(1, g_max + 1):
-        b = (idx + g) % n
-        inv = 1.0 / math.sin(_TWO_PI * g / n)
-        Xx[idx, b] = (H * si[b] - H[b] * si) * inv
-        Xy[idx, b] = (H[b] * co - H * co[b]) * inv
+    gap = (idx[None, :] - idx[:, None]) % n
+    inv_sin = np.zeros(n)
+    inv_sin[1 : g_max + 1] = 1.0 / np.sin(step * np.arange(1, g_max + 1))
+    Hi, Hj = H[:, None], H[None, :]
+    W = (2.0 * Hi * Hj - (Hi * Hi + Hj * Hj) * np.cos(step * gap)) * inv_sin[gap]
+    W[(gap == 0) | (gap > g_max)] = np.inf
+    onT = on.T
 
-    # Tangent condition: corners along each edge must advance in ccw order.
-    P1 = -Xx * si[None, :] + Xy * co[None, :]  # tangent at b dot X(a, b)
-    P2 = -Xx * si[:, None] + Xy * co[:, None]  # tangent at b dot X(b, c)
-    E = P2[None, :, :] > P1[:, :, None]
+    def pair_sums(a: int, c):
+        """W(a,b)+W(b,c) over b and W(c,d)+W(d,a) over d, each with its tags.
 
-    T = Xx[:, :, None] * Xy[None, :, :]
-    T -= Xy[:, :, None] * Xx[None, :, :]  # cross(X(a,b), X(b,c)) at [a,b,c]
-    flat = np.where(E, T, np.inf).reshape(-1)
-    del T, E
+        Rows run over b = a+1.. and d = ..n-1, columns over ``c``; a pair
+        whose middle side has zero length is inf.  A line's tag has bit 2
+        set when a's contact lies on it and bit 1 when c's contact does.
+        """
+        b = slice(a + 1, a + g_max + 1)
+        d = slice(a + n - g_max, n)
+        F = W[a, b, None] + W[b, c]
+        F[on[b, a, None] & on[b, c]] = np.inf
+        G = W.T[d, c] + W[d, a, None]
+        G[on[d, a, None] & on[d, c]] = np.inf
+        return F, 2 * on[a, b, None] + onT[b, c], G, 2 * on[a, d, None] + onT[d, c]
 
-    c1, c2, c3 = _gap_triples(n)
-    minima: List[Tuple[float, Tuple[int, int, int, int]]] = []
+    def tag_minima(S, tag):
+        """Column minima of S over the rows of each tag 0..3."""
+        off_c = np.where(tag & 1, np.inf, S)
+        on_c = np.where(tag & 1, S, np.inf)
+        on_a = tag[:, 0] >= 2  # bit 2 is the same in every column
+        return [
+            part.min(axis=0, initial=np.inf)
+            for part in (off_c[~on_a], on_c[~on_a], off_c[on_a], on_c[on_a])
+        ]
+
+    best = []
+    cols = np.arange(n)
     for a in range(g_max):
-        m = int(np.searchsorted(c3, n - 1 - a, side="right"))
-        if m == 0:
-            continue
-        B = a + c1[:m]
-        C = a + c2[:m]
-        D = a + c3[:m]
-        areas = flat[(a * n + B) * n + C]
-        areas = areas + flat[(B * n + C) * n + D]
-        areas += flat[(C * n + D) * n + a]
-        areas += flat[(D * n + a) * n + B]
-        j = int(np.argmin(areas))
-        value = float(areas[j])
-        if not math.isfinite(value):
-            continue
-        ties = np.flatnonzero(areas == value)
-        pick = min((int(B[k]), int(C[k]), int(D[k])) for k in ties)
-        minima.append((value, (a, *pick)))
-
-    if not minima:
+        c = cols[a + 2 :]
+        F, tag_b, G, tag_d = pair_sums(a, c)
+        Fk, Gk = tag_minima(F, tag_b), tag_minima(G, tag_d)
+        # A b and a d may pair only when their tags share no bit.
+        total = np.minimum.reduce(
+            [
+                Fk[0] + np.minimum.reduce(Gk),
+                Gk[0] + np.minimum.reduce(Fk[1:]),
+                Fk[1] + Gk[2],
+                Fk[2] + Gk[1],
+            ]
+        )
+        j = int(np.argmin(total))
+        if math.isfinite(total[j]):
+            best.append((float(total[j]), a, int(c[j])))
+    if not best:
         raise NoFeasibleQuadruple(f"no proper quadrilateral on the {n}-grid")
+    best.sort()
+
+    minima: List[Tuple[float, Tuple[int, int, int, int]]] = []
+    for value, a, c in best[:count]:
+        F, tag_b, G, tag_d = pair_sums(a, np.array([c]))
+        S = F[:, 0, None] + G[None, :, 0]
+        S[(tag_b[:, 0, None] & tag_d[None, :, 0]) != 0] = np.inf
+        k = int(np.argmin(S))
+        b, d = divmod(k, S.shape[1])
+        minima.append((value, (a, a + 1 + b, c, a + n - g_max + d)))
     minima.sort()
     return minima
 
@@ -340,10 +370,12 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
     diam = poly.linf_diameter()
     if poly.area <= 1e-12 * diam * diam:
         raise DegenerateBody("body area is numerically zero")
-    _, idx = _scan_support_grid(poly, grid)[0]
+    _, idx = _scan_support_grid(poly, grid, 1)[0]
     support = _Support(poly)
     lines = [support.line(_TWO_PI * k / grid) for k in idx]
     _, corners = _quad_from_lines(lines, support.tiny)
+    if corners is None:
+        raise NoFeasibleQuadruple(f"the best quadruple on the {grid}-grid is degenerate")
     return Quadrilateral(corners)
 
 
@@ -371,7 +403,7 @@ def min_circumscribed_quadrilateral(
     step = _TWO_PI / opts.coarse_grid
     area, lines = min(
         _refine(support, [step * k for k in quad_idx], opts.tol)
-        for _, quad_idx in _scan_support_grid(poly, opts.coarse_grid)[:_MAX_STARTS]
+        for _, quad_idx in _scan_support_grid(poly, opts.coarse_grid, _MAX_STARTS)
     )
     if not math.isfinite(area):
         raise NoFeasibleQuadruple("refinement lost every candidate")

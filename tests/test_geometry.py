@@ -127,6 +127,29 @@ class TestHull:
         assert again == hull
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(coord, min_size=3, max_size=20),
+            st.lists(
+                st.tuples(
+                    st.floats(-1e3, 1e3, allow_subnormal=False),
+                    st.floats(-1e3, 1e3, allow_subnormal=False),
+                ),
+                min_size=3,
+                max_size=20,
+            ),
+        )
+    )
+    def test_hull_passes_the_constructor_check(self, pts):
+        # The hull skips re-validation; the validating constructor must agree.
+        try:
+            hull = convex_hull(pts)
+        except DegenerateInput:
+            return
+        assert ConvexPolygon(hull.vertices) == hull
+
+
 class TestLines:
     def test_intersection_frozen(self):
         l1 = Line(F(1), F(1), F(1))  # x + y = 1

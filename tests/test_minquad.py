@@ -1,7 +1,9 @@
 """Minimum circumscribed quadrilateral solver and the midpoint identity."""
 
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +26,7 @@ from circumquad import (
     varignon,
 )
 from circumquad.geometry import AffineMap, apply_affine
-from circumquad.minquad import midpoint_certificate
+from circumquad.minquad import _scan_support_grid, midpoint_certificate
 
 
 def random_rational_quad(rng):
@@ -191,6 +193,100 @@ class TestSolver:
             body, SolverOptions(coarse_grid=48, tol=1e-7)
         )
         assert cert.contains_body
+
+
+def grid_corners(poly, n, quad):
+    """Corners of the quadrilateral cut out by the support lines of ``quad``."""
+    lines = []
+    for k in quad:
+        c, s = math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)
+        lines.append((c, s, max(v.x * c + v.y * s for v in poly.vertices)))
+    corners = []
+    for (c1, s1, h1), (c2, s2, h2) in zip(lines, lines[1:] + lines[:1]):
+        det = c1 * s2 - c2 * s1
+        corners.append(((h1 * s2 - h2 * s1) / det, (c1 * h2 - c2 * h1) / det))
+    return corners
+
+
+def shortest_side(corners):
+    return min(math.dist(corners[i - 1], corners[i]) for i in range(4))
+
+
+def enumerate_grid_quads(poly, n):
+    """Per-anchor minimum doubled area by direct enumeration of the n-grid.
+
+    Visits every a < b < c < d whose four cyclic gaps lie in (0, pi),
+    intersects the support lines, takes the shoelace sum of the corners and
+    skips any quadrilateral with a side of zero length.  Keyed by anchor a.
+    """
+    # A collapsed side comes out of rounding far shorter than this.
+    zero = 1e-9 * poly.linf_diameter()
+    best = {}
+    for quad in itertools.combinations(range(n), 4):
+        gaps = [(quad[(i + 1) % 4] - quad[i]) % n for i in range(4)]
+        if max(gaps) * 2 >= n:
+            continue
+        corners = grid_corners(poly, n, quad)
+        if shortest_side(corners) <= zero:
+            continue
+        twice = sum(
+            x1 * y2 - x2 * y1
+            for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1])
+        )
+        best[quad[0]] = min(best.get(quad[0], math.inf), twice)
+    return best
+
+
+SCAN_BODIES = {
+    "random-8": gen_corpus("random", 1, seed=4, vertices=8)[0],
+    "random-16": gen_corpus("random", 1, seed=4, vertices=16)[0],
+    "ellipse-64": gen_corpus("ellipse", 1, seed=4, vertices=64)[0],
+    "affine_pentagon": gen_corpus("affine_pentagon", 1, seed=4)[0],
+    # Edge normals at multiples of pi/6 fall on the 24-grid: contact ties.
+    "hexagon": regular_polygon(6),
+    # Quadruples with a side of zero length are triangles and would win.
+    "triangle": regular_polygon(3),
+    "skew-triangle": ConvexPolygon([(0.0, 0.0), (3.0, 0.4), (1.1, 2.3)]),
+}
+
+
+class TestGridScan:
+    @pytest.mark.parametrize("n", [16, 17, 24])
+    @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
+    def test_matches_direct_enumeration(self, name, n):
+        # 17 has no antiparallel directions; on 16 and 24 opposite sides of
+        # a quadruple can be exactly parallel.
+        poly = SCAN_BODIES[name].to_float()
+        expected = enumerate_grid_quads(poly, n)
+        minima = _scan_support_grid(poly, n, n)
+        assert sorted(quad[0] for _, quad in minima) == sorted(expected)
+        for value, quad in minima:
+            assert value == pytest.approx(expected[quad[0]], rel=1e-12, abs=0)
+            assert all(0 < quad[i + 1] - quad[i] for i in range(3))
+        zero = 1e-9 * poly.linf_diameter()
+        for _, quad in minima:
+            assert shortest_side(grid_corners(poly, n, quad)) > zero
+
+    @pytest.mark.parametrize("grid", [90, 96, 180])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_oracle_on_regular_polygons(self, k, grid):
+        # The triangle's best grid quadruples include ones with a side of
+        # zero length; the oracle must skip them, not fail on them.
+        body = regular_polygon(k)
+        quad = brute_force_min_quad(body, grid=grid)
+        assert isinstance(quad, Quadrilateral)
+        assert contains_polygon(quad, body.to_float(), tol=1e-9)
+
+    def test_oracle_memory_stays_quadratic(self):
+        # Arrays indexed by three grid directions take about 100 MB at 180.
+        body = gen_corpus("random", 1, seed=1, vertices=16)[0]
+        tracemalloc.start()
+        try:
+            brute_force_min_quad(body, grid=180)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestMidpointCertificate:
