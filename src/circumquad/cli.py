@@ -7,7 +7,8 @@ corpus), and ``gen`` (corpus body files).
 
 Exit codes: 0 success, 2 input error, 3 degenerate body, 4 certification
 failure, 5 internal error (any other library error, such as a solver
-failure or an inconsistent case).
+failure or an inconsistent case).  ``--grid`` takes 8 to 1024 angles; a
+larger grid is an input error, since the scan's memory grows with its square.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
 from .geometry import AffineMap, ConvexPolygon, convex_hull
 from .intervals import Verdict
 from .minquad import SolverOptions, min_circumscribed_quadrilateral
-from .pipeline import case_machine
+from .pipeline import CaseReport, case_machine
 
 _CSV_HEADER = (
     "id,n_vertices,area_K,area_Q,empirical_ratio,case_id,"
@@ -134,23 +135,36 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _details_to_json(report: CaseReport) -> dict:
+    """The case ladder's evidence; a rung that was not reached adds no keys."""
+    out = {}
+    box = report.contacts
+    if box is not None:
+        out.update(x=float(box.x), y=float(box.y), box_area=float(box.box_area))
+    if report.max_octagon_gap is not None:
+        out.update(
+            octagon_area=report.octagon_area,
+            max_octagon_gap=report.max_octagon_gap,
+        )
+    if report.lemma_branch is not None:
+        out.update(
+            reflections=report.reflections,
+            cut_quad_area=report.cut_quad_area,
+            lemma_branch=report.lemma_branch.value,
+        )
+    return out
+
+
 def cmd_witness(args) -> int:
     body = read_body(args.file)
     report = case_machine(body, options=_solver_options(args))
-    details = dict(report.details)
-    norm_map = details.pop("normalizing_map", None)
-    branch = details.pop("lemma_branch", None)
-    if branch is not None:
-        details["lemma_branch"] = branch.value
-    if "reflections" in details:
-        details["reflections"] = list(details["reflections"])
     out = {
         "case_id": report.case_id.value,
         "certified_factor": report.certified_factor,
         "empirical_ratio": report.empirical_ratio,
         "witness": [[float(v.x), float(v.y)] for v in report.witness.vertices],
-        "normalizing_map": _map_to_json(norm_map),
-        "details": details,
+        "normalizing_map": _map_to_json(report.normalizing_map),
+        "details": _details_to_json(report),
     }
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -280,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp):
-        sp.add_argument("--grid", type=int, default=None, help="coarse angle grid size")
+        sp.add_argument("--grid", type=int, default=None, help="coarse angle grid size (8 to 1024)")
         sp.add_argument("--tol", type=float, default=None, help="solver tolerance")
 
     sp = sub.add_parser("solve", help="minimum circumscribed quadrilateral")

@@ -15,8 +15,10 @@ defining identities exactly instead of comparing approximations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .errors import BadParams
@@ -46,7 +48,9 @@ class TheoremConstants:
     c2 and r default to their defining radicals in terms of c1 and are kept
     as expressions; rational overrides are allowed (the certifier then
     re-checks every inequality, including the factor coincidence, against
-    the overridden values).
+    the overridden values).  The float view the case machine reads
+    (:meth:`c2_value`, :meth:`r_value`, :meth:`case_factors`) is derived
+    once per instance, on first use.
     """
 
     c1: Fraction = Fraction(1) + Fraction(53, 100_000_000)
@@ -79,13 +83,26 @@ class TheoremConstants:
             return const(self.r, "r")
         return esqrt(32 * (esqrt(const(self.c1, "c1")) - 1))
 
-    def c2_value(self, precision_bits: int = 64) -> float:
-        iv = self.c2_expr().enclosure(precision_bits)
-        return float((iv.lo + iv.hi) / 2)
+    @cached_property
+    def _floats(self) -> Tuple[float, float, float, float, float]:
+        """(c2, r, f1, f2, f3) as floats, derived on first use only.
 
-    def r_value(self, precision_bits: int = 64) -> float:
-        iv = self.r_expr().enclosure(precision_bits)
-        return float((iv.lo + iv.hi) / 2)
+        c2 and r are the midpoints of their 64-bit enclosures; the case
+        factors are 1/sqrt(c1), 1/sqrt(1+(c2-1)^2/(8 c1)) and 1/(1+r^2/32).
+        """
+        c1 = float(self.c1)
+        c2 = _midpoint(self.c2_expr())
+        r = _midpoint(self.r_expr())
+        f1 = 1.0 / math.sqrt(c1)
+        f2 = 1.0 / math.sqrt(1.0 + (c2 - 1.0) ** 2 / (8.0 * c1))
+        f3 = 1.0 / (1.0 + r * r / 32.0)
+        return c2, r, f1, f2, f3
+
+    def c2_value(self) -> float:
+        return self._floats[0]
+
+    def r_value(self) -> float:
+        return self._floats[1]
 
     def case_factors(self) -> Tuple[float, float, float]:
         """Float approximations of the three case factors.
@@ -93,15 +110,12 @@ class TheoremConstants:
         (1/sqrt(c1), 1/sqrt(1+(c2-1)^2/(8 c1)), 1/(1+r^2/32)); identical for
         derived c2 and r.
         """
-        import math
+        return self._floats[2:]
 
-        c1 = float(self.c1)
-        f1 = 1.0 / math.sqrt(c1)
-        c2 = self.c2_value()
-        f2 = 1.0 / math.sqrt(1.0 + (c2 - 1.0) ** 2 / (8.0 * c1))
-        r = self.r_value()
-        f3 = 1.0 / (1.0 + r * r / 32.0)
-        return f1, f2, f3
+
+def _midpoint(expr: Expr) -> float:
+    iv = expr.enclosure(64)
+    return float((iv.lo + iv.hi) / 2)
 
 
 def _corner_cut_peak(consts: TheoremConstants) -> Fraction:

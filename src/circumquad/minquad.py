@@ -59,13 +59,17 @@ _MAX_STARTS = 6
 # Descent cycles per start.  Refinement stops earlier once a cycle gains less
 # than ``tol``, which on the corpus families takes 2 to 4 cycles.
 _REFINE_CYCLES = 30
+# Largest angle grid a scan accepts.  The scan holds a few n-by-n float arrays
+# and takes O(n^3) time: at 1024 about 52 MB and 9 s for a 16-vertex body on a
+# 2-core VM, and the memory grows with n^2 beyond that.
+_MAX_GRID = 1024
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Settings of :func:`min_circumscribed_quadrilateral`.
 
-    coarse_grid: angles in the initial exhaustive scan (>= 8).
+    coarse_grid: angles in the initial exhaustive scan (8 to 1024).
     tol: relative stopping tolerance on the area; also the relative slack of
         the containment check.
     """
@@ -74,8 +78,8 @@ class SolverOptions:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.coarse_grid < 8:
-            raise BadParams("coarse_grid must be at least 8")
+        if not 8 <= self.coarse_grid <= _MAX_GRID:
+            raise BadParams(f"coarse_grid must be between 8 and {_MAX_GRID}")
         if not self.tol > 0:
             raise BadParams("tol must be positive")
 
@@ -272,6 +276,20 @@ class _Support:
         c, s = math.cos(theta), math.sin(theta)
         return c, s, px * c + py * s
 
+    def grid_lines(self, idx, n: int):
+        """Angles and supporting lines of the directions ``idx`` on the n-grid."""
+        angles = [_TWO_PI * k / n for k in idx]
+        return angles, [self.line(a) for a in angles]
+
+
+def _float_support(body: ConvexPolygon) -> Tuple[ConvexPolygon, _Support]:
+    """The body in floats and its support function; rejects a flat body."""
+    poly = body.to_float()
+    diam = poly.linf_diameter()
+    if poly.area <= 1e-12 * diam * diam:
+        raise DegenerateBody("body area is numerically zero")
+    return poly, _Support(poly)
+
 
 def _quad_from_lines(lines, tiny: float):
     """Area and corners of the quadrilateral cut out by four support lines.
@@ -340,9 +358,8 @@ def _side_candidates(support: _Support, angles: List[float], lines, i: int):
         start, k = end, k + 1
 
 
-def _refine(support: _Support, angles: List[float], tol: float):
+def _refine(support: _Support, angles: List[float], lines, tol: float):
     """Cyclic exact coordinate descent over the four side angles."""
-    lines = [support.line(a) for a in angles]
     area, _ = _quad_from_lines(lines, support.tiny)
     for _ in range(_REFINE_CYCLES):
         area_before = area
@@ -362,17 +379,13 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
     """Best circumscribed quadrilateral over the uniform angle grid.
 
     Exhaustive over all feasible direction quadruples; no refinement.  Serves
-    as the independent oracle for the solver.
+    as the independent oracle for the solver.  ``grid`` runs from 16 to 1024.
     """
-    if grid < 16:
-        raise BadParams("grid must be at least 16")
-    poly = body.to_float()
-    diam = poly.linf_diameter()
-    if poly.area <= 1e-12 * diam * diam:
-        raise DegenerateBody("body area is numerically zero")
+    if not 16 <= grid <= _MAX_GRID:
+        raise BadParams(f"grid must be between 16 and {_MAX_GRID}")
+    poly, support = _float_support(body)
     _, idx = _scan_support_grid(poly, grid, 1)[0]
-    support = _Support(poly)
-    lines = [support.line(_TWO_PI * k / grid) for k in idx]
+    _, lines = support.grid_lines(idx, grid)
     _, corners = _quad_from_lines(lines, support.tiny)
     if corners is None:
         raise NoFeasibleQuadruple(f"the best quadruple on the {grid}-grid is degenerate")
@@ -391,19 +404,14 @@ def min_circumscribed_quadrilateral(
     :class:`Quadrilateral`.
     """
     opts = options or SolverOptions()
-    poly = body.to_float()
-    diam = poly.linf_diameter()
-    if poly.area <= 1e-12 * diam * diam:
-        raise DegenerateBody("body area is numerically zero")
-
+    poly, support = _float_support(body)
     if len(poly) == 3:
         return poly, midpoint_certificate(poly, poly, opts.tol)
 
-    support = _Support(poly)
-    step = _TWO_PI / opts.coarse_grid
+    n = opts.coarse_grid
     area, lines = min(
-        _refine(support, [step * k for k in quad_idx], opts.tol)
-        for _, quad_idx in _scan_support_grid(poly, opts.coarse_grid, _MAX_STARTS)
+        _refine(support, *support.grid_lines(quad_idx, n), opts.tol)
+        for _, quad_idx in _scan_support_grid(poly, n, _MAX_STARTS)
     )
     if not math.isfinite(area):
         raise NoFeasibleQuadruple("refinement lost every candidate")

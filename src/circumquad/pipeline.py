@@ -14,10 +14,11 @@ through untouched, floats get tolerance-aware comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from .constants import TheoremConstants
 from .errors import (
@@ -432,14 +433,27 @@ class CaseReport:
     """Outcome of running the case machine on one body.
 
     The witness is a :class:`Quadrilateral`, or the body itself when the body
-    is a triangle.
+    is a triangle.  The other fields are the case ladder's evidence, each
+    ``None`` when its rung was not reached (all of them for a triangle): the
+    map onto the midpoint square and the normalized body's contact box, then
+    the contact octagon's area and the body's largest sup-norm gap to it,
+    then the cut construction's branch, reflections and quadrilateral area.
     """
 
     case_id: CaseId
     certified_factor: float
     witness: ConvexPolygon
     empirical_ratio: float
-    details: Dict[str, object] = field(default_factory=dict)
+    normalizing_map: Optional[AffineMap] = None
+    contacts: Optional[ContactBox] = None
+    octagon_area: Optional[float] = None
+    max_octagon_gap: Optional[float] = None
+    lemma_branch: Optional[LemmaBranch] = None
+    reflections: Optional[Tuple[bool, bool]] = None
+    cut_quad_area: Optional[float] = None
+
+
+_DEFAULT_CONSTS = TheoremConstants()
 
 
 def case_machine(
@@ -465,7 +479,7 @@ def case_machine(
     Triangle-degenerate minimizers short-circuit to the exact factor
     1/sqrt(2).
     """
-    consts = consts or TheoremConstants()
+    consts = consts or _DEFAULT_CONSTS
     opts = options or SolverOptions()
     slack = 10 * opts.tol
 
@@ -473,51 +487,59 @@ def case_machine(
     ratio = float(cert.area_ratio)
     if len(quad) == 3:
         return CaseReport(
-            case_id=CaseId.DEGENERATE_TRIANGLE,
-            certified_factor=1.0 / math.sqrt(2.0),
-            witness=quad,
-            empirical_ratio=ratio,
-            details={},
+            CaseId.DEGENERATE_TRIANGLE, 1.0 / math.sqrt(2.0), quad, ratio
         )
 
     scene, norm_map = normalize_to_square(body.to_float(), quad)
-    case_id, factor, details = _classify_normalized(scene.body, consts, slack)
-    details["normalizing_map"] = norm_map
-    return CaseReport(
-        case_id=case_id,
-        certified_factor=factor,
-        witness=quad,
-        empirical_ratio=ratio,
-        details=details,
-    )
+    return _classify_normalized(scene.body, consts, slack, quad, ratio, norm_map)
 
 
 def _classify_normalized(
-    norm_body: ConvexPolygon, consts: TheoremConstants, slack: float
-) -> Tuple[CaseId, float, Dict[str, object]]:
-    """Case ladder on a body already normalized to touch [-1, 1]^2."""
+    norm_body: ConvexPolygon,
+    consts: TheoremConstants,
+    slack: float,
+    witness: ConvexPolygon,
+    empirical_ratio: float,
+    normalizing_map: Optional[AffineMap] = None,
+) -> CaseReport:
+    """Case ladder on a body already normalized to touch [-1, 1]^2.
+
+    ``witness``, ``empirical_ratio`` and ``normalizing_map`` are passed
+    through to the report; the ladder adds the evidence of each rung it
+    reaches.
+    """
     contacts = axis_box_with_contacts(norm_body, tol=slack)
+    report = partial(
+        CaseReport,
+        witness=witness,
+        empirical_ratio=empirical_ratio,
+        normalizing_map=normalizing_map,
+        contacts=contacts,
+    )
     f1, f2, f3 = consts.case_factors()
     c1 = float(consts.c1)
     c2 = consts.c2_value()
     r = consts.r_value()
     x, y = float(contacts.x), float(contacts.y)
-    details: Dict[str, object] = {"x": x, "y": y, "box_area": x * y}
 
     if x * y > 8 * c1 + slack:
-        return CaseId.BOX_LARGE, f1, details
+        return report(CaseId.BOX_LARGE, f1)
     if x > c2 * y + slack or y > c2 * x + slack:
-        return CaseId.BOX_SKEWED, f2, details
+        return report(CaseId.BOX_SKEWED, f2)
 
     scene8 = build_octagon(norm_body, contacts, tol=slack)
     gap = max(
         float(linf_distance_to_polygon(v, scene8.octagon))
         for v in norm_body.vertices
     )
-    details["octagon_area"] = float(scene8.octagon_area)
-    details["max_octagon_gap"] = gap
+    octagon_area = float(scene8.octagon_area)
     if gap > r + slack:
-        return CaseId.BODY_EXCEEDS_OCTAGON, f3, details
+        return report(
+            CaseId.BODY_EXCEEDS_OCTAGON,
+            f3,
+            octagon_area=octagon_area,
+            max_octagon_gap=gap,
+        )
 
     # Remaining configuration: round box, body hugging the contact octagon.
     # The cut construction then beats area 8, which contradicts minimality
@@ -532,7 +554,12 @@ def _classify_normalized(
             "dilated cut quadrilateral fails the strict area-8 guard: "
             f"(1+r)^2 * {cut_area} >= 8"
         )
-    details["lemma_branch"] = branch
-    details["reflections"] = flips
-    details["cut_quad_area"] = cut_area
-    return CaseId.OCTAGON_IMPROVED, min(f1, f2, f3), details
+    return report(
+        CaseId.OCTAGON_IMPROVED,
+        min(f1, f2, f3),
+        octagon_area=octagon_area,
+        max_octagon_gap=gap,
+        lemma_branch=branch,
+        reflections=flips,
+        cut_quad_area=cut_area,
+    )

@@ -93,7 +93,24 @@ class TestWitness:
         assert len(out["witness"]) == 4
         nm = out["normalizing_map"]
         assert set(nm) == {"matrix", "translation"}
-        assert "x" in out["details"] and "y" in out["details"]
+        assert out["case_id"] == "box-large"
+        details = out["details"]
+        assert list(details) == ["x", "y", "box_area"]
+        assert all(type(v) is float for v in details.values())
+        assert details["box_area"] == details["x"] * details["y"]
+
+    def test_disk_reports_the_octagon_rung(self, tmp_path, capsys):
+        path = write_body(tmp_path, "disk.json", body_to_json(regular_polygon(64)))
+        assert main(["witness", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["case_id"] == "body-exceeds-octagon"
+        assert set(out["normalizing_map"]) == {"matrix", "translation"}
+        details = out["details"]
+        assert list(details) == [
+            "x", "y", "box_area", "octagon_area", "max_octagon_gap"
+        ]
+        assert all(type(v) is float for v in details.values())
+        assert details["max_octagon_gap"] > 0.05
 
     def test_triangle(self, tmp_path, capsys):
         path = write_body(tmp_path, "tri.json", {"vertices": [[0, 0], [4, 0], [0, 3]]})
@@ -103,6 +120,7 @@ class TestWitness:
         assert out["case_id"] == "degenerate-triangle"
         assert out["certified_factor"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert out["normalizing_map"] is None
+        assert out["details"] == {}
 
 
 class TestInputErrors:
@@ -143,6 +161,12 @@ class TestInputErrors:
     def test_zero_solver_flag_rejected(self, tmp_path, capsys, command, flag):
         assert main([command, square_file(tmp_path), *flag]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "witness"])
+    def test_grid_above_cap_rejected(self, tmp_path, capsys, command):
+        # Rejected while the options are built, before any scan array exists.
+        assert main([command, square_file(tmp_path), "--grid", "100000"]) == 2
+        assert "coarse_grid" in capsys.readouterr().err
 
     def test_library_failure_is_internal_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,14 +1,18 @@
 """Certified verification of the improvement constants."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from circumquad import (
     BadParams,
+    CaseId,
     TheoremConstants,
     Verdict,
+    case_machine,
     certify_constants,
+    regular_polygon,
 )
 
 
@@ -38,6 +42,35 @@ class TestTheoremConstants:
         assert f1 == pytest.approx(f2, abs=1e-12)
         assert f1 == pytest.approx(f3, abs=1e-12)
         assert f1 == pytest.approx(1 - 2.65e-7, abs=2e-9)
+
+
+class TestFloatView:
+    def test_bit_for_bit(self):
+        # Midpoints of the 64-bit enclosures of c2 and r, and the factors
+        # computed from them in floats.
+        c = TheoremConstants()
+        assert c.c2_value() == 1.0020591265738656
+        assert c.r_value() == 0.002912043762789332
+        assert c.case_factors() == (0.9999997350001054,) * 3
+
+    def test_derived_once_across_bodies(self, monkeypatch):
+        calls = Counter()
+        for name in ("c2_expr", "r_expr"):
+            def counted(self, _name=name, _method=getattr(TheoremConstants, name)):
+                calls[_name] += 1
+                return _method(self)
+
+            monkeypatch.setattr(TheoremConstants, name, counted)
+        for body in (regular_polygon(5), regular_polygon(64)):
+            assert case_machine(body).case_id is not CaseId.DEGENERATE_TRIANGLE
+        assert calls["c2_expr"] <= 1
+        assert calls["r_expr"] <= 1
+
+    def test_overrides_get_their_own_view(self):
+        c = TheoremConstants(c2=F(100205, 100000), r=F(3, 1000))
+        assert c.c2_value() == pytest.approx(1.00205, rel=1e-15)
+        assert c.r_value() == pytest.approx(0.003, rel=1e-15)
+        assert TheoremConstants().c2_value() == 1.0020591265738656
 
 
 class TestCertification:

@@ -187,6 +187,21 @@ class TestSolver:
                 ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), grid=8
             )
 
+    def test_grid_cap(self):
+        square = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert SolverOptions(coarse_grid=1024).coarse_grid == 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParams):
+                SolverOptions(coarse_grid=100_000)
+            with pytest.raises(BadParams):
+                brute_force_min_quad(square, grid=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A scan at that grid would need about 80 GB per n-by-n array.
+        assert peak < 1_000_000
+
     def test_options_accepted(self):
         body = gen_corpus("random", 1, seed=2, vertices=12)[0]
         quad, cert = min_circumscribed_quadrilateral(

@@ -31,6 +31,7 @@ from circumquad import (
     zeta,
     zeta_bound,
 )
+from circumquad.geometry import AffineMap
 from circumquad.pipeline import (
     LemmaBranch,
     _classify_normalized,
@@ -322,7 +323,8 @@ class TestCaseMachine:
         rep = case_machine(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
         assert rep.case_id is CaseId.BOX_LARGE
         assert rep.empirical_ratio == pytest.approx(1.0, abs=1e-9)
-        assert rep.details["box_area"] == pytest.approx(16.0, rel=1e-6)
+        assert rep.contacts.box_area == pytest.approx(16.0, rel=1e-6)
+        assert rep.max_octagon_gap is None and rep.lemma_branch is None
 
     def test_triangle_case(self):
         tri = ConvexPolygon([(0, 0), (2, 0), (0.6, 1.7)])
@@ -332,13 +334,16 @@ class TestCaseMachine:
         assert rep.witness == tri
         assert len(rep.witness) == 3
         assert rep.empirical_ratio == 1.0
+        assert rep.normalizing_map is None and rep.contacts is None
         with pytest.raises(BadParams):
             normalize_to_square(tri, rep.witness)
 
     def test_disk_exceeds_octagon(self):
         rep = case_machine(regular_polygon(64))
         assert rep.case_id is CaseId.BODY_EXCEEDS_OCTAGON
-        assert rep.details["max_octagon_gap"] > 0.05
+        assert rep.max_octagon_gap > 0.05
+        assert rep.octagon_area == pytest.approx(rep.contacts.x + rep.contacts.y)
+        assert rep.lemma_branch is None and rep.cut_quad_area is None
 
     def test_factor_below_theorem_margin(self):
         for body in (
@@ -351,7 +356,7 @@ class TestCaseMachine:
     def test_report_has_witness_and_map(self):
         rep = case_machine(regular_polygon(7))
         assert isinstance(rep.witness, Quadrilateral)
-        assert "normalizing_map" in rep.details
+        assert isinstance(rep.normalizing_map, AffineMap)
 
 
 class TestClassifier:
@@ -363,25 +368,36 @@ class TestClassifier:
         cb = box(F(-ax), F(-ay), F(bx), F(by))
         return hull_with_square(cb).to_float()
 
+    def classify(self, body, consts=CONSTS):
+        return _classify_normalized(
+            body, consts, 1e-8, witness=body, empirical_ratio=1.0
+        )
+
     def test_skewed_box_case(self):
         # x = 2.9, y = 2.7: box area 7.83 <= 8*c1 but x > c2 * y.
         body = self.octagon_body(F(29, 20), F(27, 20), F(29, 20), F(27, 20))
-        case_id, factor, details = _classify_normalized(body, self.CONSTS, 1e-8)
-        assert case_id is CaseId.BOX_SKEWED
-        assert factor == pytest.approx(self.CONSTS.case_factors()[1])
+        rep = self.classify(body)
+        assert rep.case_id is CaseId.BOX_SKEWED
+        assert rep.certified_factor == pytest.approx(self.CONSTS.case_factors()[1])
+        assert (rep.contacts.x, rep.contacts.y) == pytest.approx((2.9, 2.7))
+        assert rep.octagon_area is None and rep.max_octagon_gap is None
 
     def test_octagon_improved_case(self):
         s = F(1414, 1000)
         body = self.octagon_body(s, s, s, s)
-        case_id, factor, details = _classify_normalized(body, self.CONSTS, 1e-8)
-        assert case_id is CaseId.OCTAGON_IMPROVED
-        assert details["lemma_branch"] is LemmaBranch.MIDPOINT_CASE
-        assert (1 + self.CONSTS.r_value()) ** 2 * details["cut_quad_area"] < 8
+        rep = self.classify(body)
+        assert rep.case_id is CaseId.OCTAGON_IMPROVED
+        assert rep.lemma_branch is LemmaBranch.MIDPOINT_CASE
+        assert rep.reflections == (False, False)
+        assert rep.max_octagon_gap == 0.0
+        assert (1 + self.CONSTS.r_value()) ** 2 * rep.cut_quad_area < 8
 
     def test_box_large_case(self):
         body = self.octagon_body(F(2), F(2), F(2), F(2))
-        case_id, _, _ = _classify_normalized(body, self.CONSTS, 1e-8)
-        assert case_id is CaseId.BOX_LARGE
+        rep = self.classify(body)
+        assert rep.case_id is CaseId.BOX_LARGE
+        assert rep.contacts.box_area == 16.0
+        assert rep.lemma_branch is None
 
     def test_inconsistent_case_raises_with_bloated_cut(self):
         # A legitimate hugging configuration but with c3 large enough that
@@ -390,4 +406,4 @@ class TestClassifier:
         body = self.octagon_body(s, s, s, s)
         bad = TheoremConstants(c3=F(7, 2))
         with pytest.raises(InconsistentCase):
-            _classify_normalized(body, bad, 1e-8)
+            self.classify(body, bad)
