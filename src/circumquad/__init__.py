@@ -36,7 +36,6 @@ from .intervals import Verdict
 from .minquad import (
     CircumscriptionCertificate,
     Quadrilateral,
-    SolverOptions,
     brute_force_min_quad,
     min_circumscribed_quadrilateral,
     varignon,
@@ -79,7 +78,6 @@ __all__ = [
     "Quadrilateral",
     "SingularMap",
     "SolverFailure",
-    "SolverOptions",
     "TheoremConstants",
     "Verdict",
     "brute_force_min_quad",

@@ -7,8 +7,7 @@ corpus), and ``gen`` (corpus body files).
 
 Exit codes: 0 success, 2 input error, 3 degenerate body, 4 certification
 failure, 5 internal error (any other library error, such as a solver
-failure or an inconsistent case).  ``--grid`` takes 8 to 1024 angles; a
-larger grid is an input error, since the scan's memory grows with its square.
+failure or an inconsistent case).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .geometry import AffineMap, ConvexPolygon, convex_hull
 from .intervals import Verdict
-from .minquad import SolverOptions, min_circumscribed_quadrilateral
+from .minquad import min_circumscribed_quadrilateral
 from .pipeline import CaseReport, case_machine
 
 _CSV_HEADER = (
@@ -110,18 +109,9 @@ def _map_to_json(m: Optional[AffineMap]):
     }
 
 
-def _solver_options(args) -> SolverOptions:
-    kwargs = {}
-    if getattr(args, "grid", None) is not None:
-        kwargs["coarse_grid"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
-    return SolverOptions(**kwargs)
-
-
 def cmd_solve(args) -> int:
     body = read_body(args.file)
-    quad, cert = min_circumscribed_quadrilateral(body, _solver_options(args))
+    quad, cert = min_circumscribed_quadrilateral(body)
     out = {
         "vertices": [[float(v.x), float(v.y)] for v in quad.vertices],
         "area": float(quad.area),
@@ -157,7 +147,7 @@ def _details_to_json(report: CaseReport) -> dict:
 
 def cmd_witness(args) -> int:
     body = read_body(args.file)
-    report = case_machine(body, options=_solver_options(args))
+    report = case_machine(body)
     out = {
         "case_id": report.case_id.value,
         "certified_factor": report.certified_factor,
@@ -293,18 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(sp):
-        sp.add_argument("--grid", type=int, default=None, help="coarse angle grid size (8 to 1024)")
-        sp.add_argument("--tol", type=float, default=None, help="solver tolerance")
-
     sp = sub.add_parser("solve", help="minimum circumscribed quadrilateral")
     sp.add_argument("file", help="body JSON file")
-    add_solver_flags(sp)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("witness", help="case report for the area bound")
     sp.add_argument("file", help="body JSON file")
-    add_solver_flags(sp)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("certify", help="certify the theorem constants")

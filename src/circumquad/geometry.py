@@ -213,13 +213,18 @@ class ConvexPolygon:
         return max(xmax - xmin, ymax - ymin)
 
     def to_float(self) -> "ConvexPolygon":
+        """The polygon in floats, validated like any polygon.
+
+        A vertex that rounding moves onto or inside the line through its
+        neighbours is dropped; DegenerateInput when the image is flat.
+        """
         if not self.is_exact:
             return self
-        # Rounding cannot un-order vertices for the polygons we build, but it
-        # can flatten nearly collinear triples, so skip re-validation.
-        return self._unchecked(
-            tuple(Point(float(v.x), float(v.y)) for v in self.vertices)
-        )
+        image = [(float(v.x), float(v.y)) for v in self.vertices]
+        try:
+            return type(self)(image)
+        except DegenerateInput:
+            return convex_hull(image)
 
 
 def _rebuild_polygon(cls, vertices):

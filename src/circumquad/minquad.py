@@ -5,22 +5,25 @@ A circumscribed quadrilateral is parametrized by four support directions
 body, and consecutive lines intersect in the corners.  A quadruple is feasible
 iff consecutive angle gaps stay below pi and every edge has positive length.
 
-Two entry points share the same parametrization deliberately kept dumb:
+Both entry points share one exhaustive scan over a sorted set of directions.
+It splits the doubled area into four corner terms, one per pair of
+consecutive lines, and minimizes their sum over 4-cycles of directions as a
+min-plus search: O(n^3) time and O(n^2) memory on n directions.  A side has
+zero length exactly when the contact vertex of its line lies on both
+neighbouring lines, so feasibility is a test on contact vertices, not on
+computed corners.
 
-* :func:`brute_force_min_quad` scans every feasible quadruple on a uniform
-  angle grid and returns the best one.  It is the reference oracle:
-  exhaustive, no refinement.  The scan splits the doubled area into four
-  corner terms, one per pair of consecutive lines, and minimizes their sum
-  over 4-cycles of grid directions as a min-plus search: O(n^3) time and
-  O(n^2) memory on an n-grid.  A side has zero length exactly when the
-  contact vertex of its line lies on both neighbouring lines, so feasibility
-  is a test on contact vertices, not on computed corners.
-* :func:`min_circumscribed_quadrilateral` runs the same scan on a coarser
-  grid, then refines the best few grid quadruples by exact cyclic coordinate
-  descent, each side moving in turn to its best angle by enumerating the body
-  vertices it can pivot about (Aggarwal, Chang and Yap, 1985).  At a local
-  minimum every side touches the body at the side's midpoint, which is
-  exactly the optimality condition the certificate measures.
+* :func:`brute_force_min_quad` scans a uniform angle grid and returns the
+  best quadruple.  It is the reference oracle: exhaustive, no refinement, and
+  its directions do not depend on the body.
+* :func:`min_circumscribed_quadrilateral` scans the body's own edge normals.
+  At every coordinatewise minimum two adjacent sides lie flush with body
+  edges (Aggarwal, Chang and Yap, 1985), so these are the natural starts.
+  It refines the best few quadruples by exact cyclic coordinate descent, each
+  side moving in turn to its best angle by enumerating the body vertices it
+  can pivot about.  At a local minimum every side touches the body at the
+  side's midpoint, which is exactly the optimality condition the certificate
+  measures.
 
 The solver never assumes success: its output is wrapped in a
 :class:`CircumscriptionCertificate` with containment re-checked geometrically.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,36 +55,26 @@ from .geometry import (
 )
 
 _TWO_PI = 2.0 * math.pi
-# Coordinate descent can stop in a local minimum that another grid start
-# beats.  6 is the smallest start count at which no acceptance-corpus body ends
-# above the former golden-section refiner's area (5 leaves one 4e-4 above).
+# Relative tolerance of the solver: descent stops once a cycle gains less than
+# this fraction of the area, and it is the relative slack of the containment
+# check.
+_TOL = 1e-9
+# Coordinate descent can stop in a local minimum that another start beats.
+# The starts are the best (anchor, opposite) pairs of the edge-normal scan.
+# On the acceptance and held-out corpora 4 starts leave no body above the
+# uniform 90-grid solver this scan replaced (3 leave one 5e-3 above); 6 keeps
+# a margin.
 _MAX_STARTS = 6
+# The solver scans about this many of the body's edge normals at most, so
+# that the O(n^3) scan stays under about 10 ms (2-core VM); see _scan_normals.
+_MAX_DIRECTIONS = 90
 # Descent cycles per start.  Refinement stops earlier once a cycle gains less
-# than ``tol``, which on the corpus families takes 2 to 4 cycles.
+# than ``_TOL``, which on the corpus families takes 2 to 4 cycles.
 _REFINE_CYCLES = 30
-# Largest angle grid a scan accepts.  The scan holds a few n-by-n float arrays
-# and takes O(n^3) time: at 1024 about 52 MB and 9 s for a 16-vertex body on a
-# 2-core VM, and the memory grows with n^2 beyond that.
+# Largest angle grid the oracle accepts.  The scan holds a few n-by-n float
+# arrays and takes O(n^3) time: at 1024 about 70 MB and 10 s for a 16-vertex
+# body on a 2-core VM, and the memory grows with n^2 beyond that.
 _MAX_GRID = 1024
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Settings of :func:`min_circumscribed_quadrilateral`.
-
-    coarse_grid: angles in the initial exhaustive scan (8 to 1024).
-    tol: relative stopping tolerance on the area; also the relative slack of
-        the containment check.
-    """
-
-    coarse_grid: int = 90
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 8 <= self.coarse_grid <= _MAX_GRID:
-            raise BadParams(f"coarse_grid must be between 8 and {_MAX_GRID}")
-        if not self.tol > 0:
-            raise BadParams("tol must be positive")
 
 
 class Quadrilateral(ConvexPolygon):
@@ -143,23 +136,27 @@ def midpoint_certificate(
 # --- support-direction machinery ---------------------------------------------
 
 
-def _scan_support_grid(poly: ConvexPolygon, n: int, count: int):
+def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int):
     """Exhaustive scan over feasible support-direction quadruples of a float body.
 
-    Returns the ``count`` best per-anchor minima as a sorted list of
-    (doubled_area, index_quadruple), the anchor being the smallest index.
+    ``angles`` are the outward normal angles of the candidate lines, sorted
+    in [0, 2*pi).  Returns the ``count`` best (anchor, opposite) pairs as a
+    sorted list of (doubled_area, index_quadruple): the anchor a is the
+    smallest index, the opposite index c the third, and b and d are the best
+    pair between them.
 
-    Line k has outward normal angle 2*pi*k/n and support value h_k, taken
-    about the vertex mean so that the squares below do not cancel.  The
-    doubled area is the sum of h_i times the length of side i; grouped by
+    Line k has outward normal angle ``angles[k]`` and support value h_k,
+    taken about the vertex mean so that the squares below do not cancel.
+    The doubled area is the sum of h_i times the length of side i; grouped by
     corner it is a sum of four corner terms
 
         2A(a, b, c, d) = W(a, b) + W(b, c) + W(c, d) + W(d, a),
         W(i, j) = (2 h_i h_j - (h_i^2 + h_j^2) cos g) / sin g,
 
-    g being the gap from line i to line j.  Each anchor a therefore needs
-    only min over c of (min_b [W(a,b) + W(b,c)] + min_d [W(c,d) + W(d,a)]):
-    O(n^2) per anchor and O(n^3) in all, with O(n^2) memory.
+    g being the gap from line i to line j; a pair with ``sin g <= 1e-12`` is
+    infeasible, as in :func:`_quad_from_lines`.  Each pair (a, c) therefore
+    needs only min_b [W(a,b) + W(b,c)] + min_d [W(c,d) + W(d,a)]: O(n^2) per
+    anchor and O(n^3) in all, with O(n^2) memory.
 
     Feasibility is exact and combinatorial.  With every gap in (0, pi), the
     contact vertex of line i lies on side i between its two corners: the
@@ -174,32 +171,33 @@ def _scan_support_grid(poly: ConvexPolygon, n: int, count: int):
     V = np.asarray(poly.vertices, dtype=float)
     tiny = 1e-12 * np.abs(V).max()
     V = V - V.mean(axis=0)
-    step = _TWO_PI / n
-    angles = step * np.arange(n)
-    P = V @ np.stack([np.cos(angles), np.sin(angles)])
+    n = len(angles)
+    cos, sin = np.cos(angles), np.sin(angles)
+    P = V @ np.stack([cos, sin])
     H = P.max(axis=0)
     # on[i, j]: the contact vertex of line i lies on line j.
     on = H[None, :] - P[P.argmax(axis=0)] <= 2.0 * tiny
 
-    g_max = (n - 1) // 2
-    idx = np.arange(n)
-    gap = (idx[None, :] - idx[:, None]) % n
-    inv_sin = np.zeros(n)
-    inv_sin[1 : g_max + 1] = 1.0 / np.sin(step * np.arange(1, g_max + 1))
+    # sin and cos of the gap from line i to line j
+    sin_g = np.outer(cos, sin) - np.outer(sin, cos)
+    cos_g = np.outer(cos, cos) + np.outer(sin, sin)
     Hi, Hj = H[:, None], H[None, :]
-    W = (2.0 * Hi * Hj - (Hi * Hi + Hj * Hj) * np.cos(step * gap)) * inv_sin[gap]
-    W[(gap == 0) | (gap > g_max)] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = (2.0 * Hi * Hj - (Hi * Hi + Hj * Hj) * cos_g) / sin_g
+    W[sin_g <= 1e-12] = np.inf
     onT = on.T
+    # Lines a+1..half[a]-1 lie less than pi after line a, lines half[a].. more.
+    half = np.searchsorted(angles, angles + math.pi)
 
     def pair_sums(a: int, c):
         """W(a,b)+W(b,c) over b and W(c,d)+W(d,a) over d, each with its tags.
 
-        Rows run over b = a+1.. and d = ..n-1, columns over ``c``; a pair
+        Rows run over the b and d windows of ``a``, columns over ``c``; a pair
         whose middle side has zero length is inf.  A line's tag has bit 2
         set when a's contact lies on it and bit 1 when c's contact does.
         """
-        b = slice(a + 1, a + g_max + 1)
-        d = slice(a + n - g_max, n)
+        b = slice(a + 1, half[a])
+        d = slice(half[a], n)
         F = W[a, b, None] + W[b, c]
         F[on[b, a, None] & on[b, c]] = np.inf
         G = W.T[d, c] + W[d, a, None]
@@ -216,14 +214,17 @@ def _scan_support_grid(poly: ConvexPolygon, n: int, count: int):
             for part in (off_c[~on_a], on_c[~on_a], off_c[on_a], on_c[on_a])
         ]
 
-    best = []
+    # total[a, c]: the best doubled area with anchor a and opposite line c.
+    total = np.full((n, n), np.inf)
     cols = np.arange(n)
-    for a in range(g_max):
+    for a in range(n - 3):
+        if half[a] == n:
+            break  # no line lies more than pi after a
         c = cols[a + 2 :]
         F, tag_b, G, tag_d = pair_sums(a, c)
         Fk, Gk = tag_minima(F, tag_b), tag_minima(G, tag_d)
         # A b and a d may pair only when their tags share no bit.
-        total = np.minimum.reduce(
+        total[a, c] = np.minimum.reduce(
             [
                 Fk[0] + np.minimum.reduce(Gk),
                 Gk[0] + np.minimum.reduce(Fk[1:]),
@@ -231,22 +232,21 @@ def _scan_support_grid(poly: ConvexPolygon, n: int, count: int):
                 Fk[2] + Gk[1],
             ]
         )
-        j = int(np.argmin(total))
-        if math.isfinite(total[j]):
-            best.append((float(total[j]), a, int(c[j])))
-    if not best:
-        raise NoFeasibleQuadruple(f"no proper quadrilateral on the {n}-grid")
-    best.sort()
+    total = total.ravel()
+    best = np.argsort(total, kind="stable")[:count]  # ties in (a, c) order
+    best = best[np.isfinite(total[best])]
+    if not len(best):
+        raise NoFeasibleQuadruple(f"no proper quadrilateral on {n} directions")
 
     minima: List[Tuple[float, Tuple[int, int, int, int]]] = []
-    for value, a, c in best[:count]:
+    for k in best:
+        a, c = divmod(int(k), n)
         F, tag_b, G, tag_d = pair_sums(a, np.array([c]))
         S = F[:, 0, None] + G[None, :, 0]
         S[(tag_b[:, 0, None] & tag_d[None, :, 0]) != 0] = np.inf
-        k = int(np.argmin(S))
-        b, d = divmod(k, S.shape[1])
-        minima.append((value, (a, a + 1 + b, c, a + n - g_max + d)))
-    minima.sort()
+        j = int(np.argmin(S))
+        b, d = divmod(j, S.shape[1])
+        minima.append((float(total[k]), (a, a + 1 + b, c, int(half[a]) + d)))
     return minima
 
 
@@ -276,10 +276,21 @@ class _Support:
         c, s = math.cos(theta), math.sin(theta)
         return c, s, px * c + py * s
 
-    def grid_lines(self, idx, n: int):
-        """Angles and supporting lines of the directions ``idx`` on the n-grid."""
-        angles = [_TWO_PI * k / n for k in idx]
-        return angles, [self.line(a) for a in angles]
+
+def _scan_normals(normals: List[float]) -> List[float]:
+    """The edge normals the solver scans: all of them up to 90 edges.
+
+    Beyond that every k-th one, k = ceil(edges / 90), except where two picks
+    would lie pi or more apart: every normal between them is kept there, for
+    no quadruple spans such a gap (a half-disk's flat side makes one).
+    """
+    step = math.ceil(len(normals) / _MAX_DIRECTIONS)
+    picked = []
+    for i in range(0, len(normals), step):
+        nxt = normals[i + step] if i + step < len(normals) else normals[0] + _TWO_PI
+        wide = math.sin(nxt - normals[i]) <= 1e-12  # the scan's infeasible gaps
+        picked += normals[i : i + step] if wide else [normals[i]]
+    return picked
 
 
 def _float_support(body: ConvexPolygon) -> Tuple[ConvexPolygon, _Support]:
@@ -358,8 +369,9 @@ def _side_candidates(support: _Support, angles: List[float], lines, i: int):
         start, k = end, k + 1
 
 
-def _refine(support: _Support, angles: List[float], lines, tol: float):
+def _refine(support: _Support, angles: List[float]):
     """Cyclic exact coordinate descent over the four side angles."""
+    lines = [support.line(theta) for theta in angles]
     area, _ = _quad_from_lines(lines, support.tiny)
     for _ in range(_REFINE_CYCLES):
         area_before = area
@@ -370,7 +382,7 @@ def _refine(support: _Support, angles: List[float], lines, tol: float):
                 value, _ = _quad_from_lines(cand, support.tiny)
                 if value < area:
                     area, angles[i], lines[i] = value, theta, line
-        if area_before - area <= tol * abs(area):
+        if area_before - area <= _TOL * abs(area):
             break
     return area, lines
 
@@ -384,8 +396,9 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
     if not 16 <= grid <= _MAX_GRID:
         raise BadParams(f"grid must be between 16 and {_MAX_GRID}")
     poly, support = _float_support(body)
-    _, idx = _scan_support_grid(poly, grid, 1)[0]
-    _, lines = support.grid_lines(idx, grid)
+    angles = [_TWO_PI * k / grid for k in range(grid)]
+    _, idx = _scan_support_directions(poly, np.array(angles), 1)[0]
+    lines = [support.line(angles[k]) for k in idx]
     _, corners = _quad_from_lines(lines, support.tiny)
     if corners is None:
         raise NoFeasibleQuadruple(f"the best quadruple on the {grid}-grid is degenerate")
@@ -393,32 +406,32 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
 
 
 def min_circumscribed_quadrilateral(
-    body: ConvexPolygon, options: Optional[SolverOptions] = None
+    body: ConvexPolygon,
 ) -> Tuple[ConvexPolygon, CircumscriptionCertificate]:
     """Minimum-area quadrilateral containing ``body``, with certificate.
 
-    Grid scan for global structure, then local refinement from the best few
-    distinct starts.  The result never exceeds the best grid candidate.  A
-    triangular body is its own witness: the result is then the body's
-    3-vertex polygon (no strictly smaller quadrilateral exists), otherwise a
-    :class:`Quadrilateral`.
+    Scans quadruples of the body's own edge normals (every k-th one on a body
+    of more than 90 edges) for global structure, then refines the best few
+    distinct starts locally.  The result never exceeds the best scanned
+    candidate.  A triangular body is its own witness: the result is then the
+    body's 3-vertex polygon (no strictly smaller quadrilateral exists),
+    otherwise a :class:`Quadrilateral`.
     """
-    opts = options or SolverOptions()
     poly, support = _float_support(body)
     if len(poly) == 3:
-        return poly, midpoint_certificate(poly, poly, opts.tol)
+        return poly, midpoint_certificate(poly, poly, _TOL)
 
-    n = opts.coarse_grid
+    normals = _scan_normals(support.normals)
     area, lines = min(
-        _refine(support, *support.grid_lines(quad_idx, n), opts.tol)
-        for _, quad_idx in _scan_support_grid(poly, n, _MAX_STARTS)
+        _refine(support, [normals[k] for k in idx])
+        for _, idx in _scan_support_directions(poly, np.array(normals), _MAX_STARTS)
     )
     if not math.isfinite(area):
         raise NoFeasibleQuadruple("refinement lost every candidate")
 
     _, corners = _quad_from_lines(lines, support.tiny)
     quad = Quadrilateral(corners)
-    cert = midpoint_certificate(poly, quad, opts.tol)
+    cert = midpoint_certificate(poly, quad, _TOL)
     if not cert.contains_body:
         raise SolverFailure("refined quadrilateral fails the containment check")
     return quad, cert

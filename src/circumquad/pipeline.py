@@ -44,8 +44,8 @@ from .geometry import (
     linf_distance_to_polygon,
 )
 from .minquad import (
+    _TOL,
     Quadrilateral,
-    SolverOptions,
     min_circumscribed_quadrilateral,
     varignon,
 )
@@ -459,7 +459,6 @@ _DEFAULT_CONSTS = TheoremConstants()
 def case_machine(
     body: ConvexPolygon,
     consts: Optional[TheoremConstants] = None,
-    options: Optional[SolverOptions] = None,
 ) -> CaseReport:
     """Classify a body into a certified case of the improved area bound.
 
@@ -480,10 +479,9 @@ def case_machine(
     1/sqrt(2).
     """
     consts = consts or _DEFAULT_CONSTS
-    opts = options or SolverOptions()
-    slack = 10 * opts.tol
+    slack = 10 * _TOL
 
-    quad, cert = min_circumscribed_quadrilateral(body, opts)
+    quad, cert = min_circumscribed_quadrilateral(body)
     ratio = float(cert.area_ratio)
     if len(quad) == 3:
         return CaseReport(

@@ -87,6 +87,14 @@ class TestConvexPolygon:
         assert back.is_exact
         assert back.vertices[1:] == poly.vertices[1:]
 
+    def test_to_float_revalidates(self):
+        # The float image of (2**60 + 1, 1) lies on the line through its
+        # neighbours, so the image keeps only the other three vertices.
+        poly = ConvexPolygon([(0, 0), (2**60 + 1, 1), (2**61, 2), (0, 2**61)])
+        f = poly.to_float()
+        assert f.vertices == ConvexPolygon(f.vertices).vertices
+        assert sorted(f.vertices) == [(0.0, 0.0), (0.0, 2.0**61), (2.0**61, 2.0)]
+
     def test_bounding_box_and_diameter(self):
         poly = ConvexPolygon([(-2, -1), (3, -1), (0, 4)])
         assert poly.bounding_box() == (-2, -1, 3, 4)

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from circumquad import (
@@ -13,9 +14,9 @@ from circumquad import (
     ConvexPolygon,
     DegenerateBody,
     DegenerateInput,
+    NoFeasibleQuadruple,
     Point,
     Quadrilateral,
-    SolverOptions,
     brute_force_min_quad,
     case_machine,
     convex_hull,
@@ -26,7 +27,7 @@ from circumquad import (
     varignon,
 )
 from circumquad.geometry import AffineMap, apply_affine
-from circumquad.minquad import _scan_support_grid, midpoint_certificate
+from circumquad.minquad import _scan_support_directions, midpoint_certificate
 
 
 def random_rational_quad(rng):
@@ -42,6 +43,13 @@ def random_rational_quad(rng):
             continue
         if len(hull) == 4:
             return Quadrilateral(tuple(hull.vertices))
+
+
+def half_disk(n):
+    """Hull of n + 1 points on a half circle: n - 1 arc edges and a flat side."""
+    return convex_hull(
+        [(math.cos(math.pi * k / n), math.sin(math.pi * k / n)) for k in range(n + 1)]
+    )
 
 
 class TestQuadrilateral:
@@ -157,11 +165,23 @@ class TestSolver:
         assert q1.vertices == q2.vertices
 
     def test_matches_brute_force(self):
-        for seed in (1, 2, 3):
-            body = gen_corpus("random", 1, seed=seed, vertices=16)[0]
+        bodies = [gen_corpus("random", 1, seed=s, vertices=16)[0] for s in (1, 2, 3)]
+        # Over 90 edges the solver scans every k-th edge normal only.
+        bodies += [gen_corpus("ellipse", 1, seed=s, vertices=200)[0] for s in (1, 2, 3)]
+        # Every 3rd of the half-disk's 201 normals skips its flat side's, and
+        # the picks around that lie more than pi apart.
+        bodies += [regular_polygon(91), half_disk(200)]
+        for body in bodies:
             quad, _ = min_circumscribed_quadrilateral(body)
             oracle = brute_force_min_quad(body, grid=96)
             assert float(quad.area) <= float(oracle.area) + 1e-6 * float(body.area)
+
+    def test_start_rule(self):
+        # An 8-gon whose best start pair is not the best pair of its anchor:
+        # the best start per anchor ends at 1.2949025243.
+        body = gen_corpus("random", 150, seed=777002, vertices=16)[129]
+        _, cert = min_circumscribed_quadrilateral(body)
+        assert cert.area_ratio <= 1.2899173432438256 + 1e-12
 
     def test_affine_invariance_of_ratio(self):
         body = gen_corpus("random", 1, seed=8, vertices=24)[0]
@@ -179,21 +199,14 @@ class TestSolver:
 
     def test_bad_options(self):
         with pytest.raises(BadParams):
-            SolverOptions(coarse_grid=4)
-        with pytest.raises(BadParams):
-            SolverOptions(tol=0)
-        with pytest.raises(BadParams):
             brute_force_min_quad(
                 ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), grid=8
             )
 
     def test_grid_cap(self):
         square = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert SolverOptions(coarse_grid=1024).coarse_grid == 1024
         tracemalloc.start()
         try:
-            with pytest.raises(BadParams):
-                SolverOptions(coarse_grid=100_000)
             with pytest.raises(BadParams):
                 brute_force_min_quad(square, grid=100_000)
             _, peak = tracemalloc.get_traced_memory()
@@ -202,19 +215,12 @@ class TestSolver:
         # A scan at that grid would need about 80 GB per n-by-n array.
         assert peak < 1_000_000
 
-    def test_options_accepted(self):
-        body = gen_corpus("random", 1, seed=2, vertices=12)[0]
-        quad, cert = min_circumscribed_quadrilateral(
-            body, SolverOptions(coarse_grid=48, tol=1e-7)
-        )
-        assert cert.contains_body
 
-
-def grid_corners(poly, n, quad):
-    """Corners of the quadrilateral cut out by the support lines of ``quad``."""
+def support_corners(poly, angles, quad):
+    """Corners of the quadrilateral cut out by the support lines ``angles[quad]``."""
     lines = []
     for k in quad:
-        c, s = math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)
+        c, s = math.cos(angles[k]), math.sin(angles[k])
         lines.append((c, s, max(v.x * c + v.y * s for v in poly.vertices)))
     corners = []
     for (c1, s1, h1), (c2, s2, h2) in zip(lines, lines[1:] + lines[:1]):
@@ -227,37 +233,50 @@ def shortest_side(corners):
     return min(math.dist(corners[i - 1], corners[i]) for i in range(4))
 
 
-def enumerate_grid_quads(poly, n):
-    """Per-anchor minimum doubled area by direct enumeration of the n-grid.
+def enumerate_quads(poly, angles):
+    """Minimum doubled area per (a, c) by direct enumeration of the directions.
 
-    Visits every a < b < c < d whose four cyclic gaps lie in (0, pi),
-    intersects the support lines, takes the shoelace sum of the corners and
-    skips any quadrilateral with a side of zero length.  Keyed by anchor a.
+    Visits every a < b < c < d whose four cyclic gaps g have sin g > 1e-12
+    (a gap of pi or more leaves no quadrilateral), intersects the support
+    lines, takes the shoelace sum of the corners and skips any quadrilateral
+    with a side of zero length.  Keyed by (a, c), the first and third index.
     """
     # A collapsed side comes out of rounding far shorter than this.
     zero = 1e-9 * poly.linf_diameter()
-    best = {}
-    for quad in itertools.combinations(range(n), 4):
-        gaps = [(quad[(i + 1) % 4] - quad[i]) % n for i in range(4)]
-        if max(gaps) * 2 >= n:
-            continue
-        corners = grid_corners(poly, n, quad)
-        if shortest_side(corners) <= zero:
-            continue
-        twice = sum(
-            x1 * y2 - x2 * y1
-            for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1])
-        )
-        best[quad[0]] = min(best.get(quad[0], math.inf), twice)
-    return best
+    A = np.asarray(angles)
+    cos, sin = np.cos(A), np.sin(A)
+    h = (np.array(poly.vertices, dtype=float) @ np.stack([cos, sin])).max(axis=0)
+    quads = np.array(list(itertools.combinations(range(len(A)), 4)), dtype=int)
+    quads = quads.reshape(-1, 4)
+    nxt = np.roll(quads, -1, axis=1)
+    quads = quads[(np.sin((A[nxt] - A[quads]) % (2 * math.pi)) > 1e-12).all(axis=1)]
+    i, j = quads, np.roll(quads, -1, axis=1)
+    det = cos[i] * sin[j] - cos[j] * sin[i]
+    x = (h[i] * sin[j] - h[j] * sin[i]) / det
+    y = (cos[i] * h[j] - cos[j] * h[i]) / det
+    sides = np.hypot(x - np.roll(x, 1, axis=1), y - np.roll(y, 1, axis=1))
+    twice = (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
+    keep = sides.min(axis=1) > zero
+    best = np.full((len(A), len(A)), np.inf)
+    np.minimum.at(best, (quads[keep, 0], quads[keep, 2]), twice[keep])
+    return {(a, c): best[a, c] for a, c in zip(*np.nonzero(np.isfinite(best)))}
+
+
+def edge_normals(poly):
+    return sorted(
+        math.atan2(a.x - b.x, b.y - a.y) % (2 * math.pi) for a, b in poly.edges()
+    )
 
 
 SCAN_BODIES = {
     "random-8": gen_corpus("random", 1, seed=4, vertices=8)[0],
     "random-16": gen_corpus("random", 1, seed=4, vertices=16)[0],
+    "random-64": gen_corpus("random", 1, seed=4, vertices=64)[0],
+    "ellipse-40": gen_corpus("ellipse", 1, seed=4, vertices=40)[0],
     "ellipse-64": gen_corpus("ellipse", 1, seed=4, vertices=64)[0],
     "affine_pentagon": gen_corpus("affine_pentagon", 1, seed=4)[0],
     # Edge normals at multiples of pi/6 fall on the 24-grid: contact ties.
+    # Its own normals come in antiparallel pairs, exactly pi apart.
     "hexagon": regular_polygon(6),
     # Quadruples with a side of zero length are triangles and would win.
     "triangle": regular_polygon(3),
@@ -266,21 +285,31 @@ SCAN_BODIES = {
 
 
 class TestGridScan:
-    @pytest.mark.parametrize("n", [16, 17, 24])
+    @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
     @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
-    def test_matches_direct_enumeration(self, name, n):
+    def test_matches_direct_enumeration(self, name, directions):
         # 17 has no antiparallel directions; on 16 and 24 opposite sides of
-        # a quadruple can be exactly parallel.
+        # a quadruple can be exactly parallel.  "edges" is the body's own
+        # edge normals, the solver's direction set.
         poly = SCAN_BODIES[name].to_float()
-        expected = enumerate_grid_quads(poly, n)
-        minima = _scan_support_grid(poly, n, n)
-        assert sorted(quad[0] for _, quad in minima) == sorted(expected)
+        if directions == "edges":
+            angles = edge_normals(poly)
+        else:
+            angles = [2 * math.pi * k / directions for k in range(directions)]
+        expected = enumerate_quads(poly, angles)
+        if not expected:  # a triangle's three normals
+            with pytest.raises(NoFeasibleQuadruple):
+                _scan_support_directions(poly, np.array(angles), 1)
+            return
+        minima = _scan_support_directions(poly, np.array(angles), len(angles) ** 2)
+        assert sorted((quad[0], quad[2]) for _, quad in minima) == sorted(expected)
         for value, quad in minima:
-            assert value == pytest.approx(expected[quad[0]], rel=1e-12, abs=0)
+            assert value == pytest.approx(expected[quad[0], quad[2]], rel=1e-12, abs=0)
             assert all(0 < quad[i + 1] - quad[i] for i in range(3))
+        assert [value for value, _ in minima] == sorted(value for value, _ in minima)
         zero = 1e-9 * poly.linf_diameter()
         for _, quad in minima:
-            assert shortest_side(grid_corners(poly, n, quad)) > zero
+            assert shortest_side(support_corners(poly, angles, quad)) > zero
 
     @pytest.mark.parametrize("grid", [90, 96, 180])
     @pytest.mark.parametrize("k", range(3, 9))

@@ -358,6 +358,30 @@ class TestCaseMachine:
         assert isinstance(rep.witness, Quadrilateral)
         assert isinstance(rep.normalizing_map, AffineMap)
 
+    @pytest.mark.parametrize("k", range(4, 40))
+    def test_regular_polygons(self, k):
+        # The only bodies known to reach the skewed-box rung.
+        if k % 4 == 2 and k >= 10:
+            expected = CaseId.BOX_SKEWED
+        elif k in (8, 16, 24, 32):
+            expected = CaseId.BODY_EXCEEDS_OCTAGON
+        else:
+            expected = CaseId.BOX_LARGE
+        assert case_machine(regular_polygon(k)).case_id is expected
+
+    def test_body_whose_float_image_is_a_triangle(self):
+        # Rounding puts (2**60 + 1, 1) on the line through its neighbours.
+        body = ConvexPolygon([(0, 0), (2**60 + 1, 1), (2**61, 2), (0, 2**61)])
+        rep = case_machine(body)
+        assert rep.case_id is CaseId.DEGENERATE_TRIANGLE
+        assert len(rep.witness) == 3
+
+    def test_body_with_a_vertex_lost_to_rounding(self):
+        body = ConvexPolygon(
+            [(0, 0), (2**60 + 1, 1), (2**61, 2), (2**60, 2**61), (0, 2**61)]
+        )
+        assert case_machine(body).case_id is CaseId.BOX_LARGE
+
 
 class TestClassifier:
     """Drive the case ladder directly with synthetic normalized bodies."""
