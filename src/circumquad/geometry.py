@@ -161,9 +161,9 @@ class ConvexPolygon:
 
     @classmethod
     def _unchecked(cls, vertices: Tuple[Point, ...]) -> "ConvexPolygon":
-        # Escape hatch for callers that construct degenerate-by-design values
-        # (e.g. a zero-radius ball); such objects support vertex iteration and
-        # containment queries but not every polygon operation.
+        # Skips validation, for vertices already known to be strictly convex
+        # and ccw: a finished hull, a polygon being unpickled, or a test body
+        # that must reach the solver as given.
         obj = object.__new__(cls)
         obj.vertices = tuple(vertices)
         return obj
@@ -302,48 +302,42 @@ def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(imgs)
 
 
-def _linf_point_segment(p: Point, a: Point, b: Point) -> Scalar:
-    # Minimize max(|w.x - t*u.x|, |w.y - t*u.y|) over t in [0, 1].  The
-    # objective is piecewise linear in t, so the minimum sits at an endpoint
-    # or where two pieces cross: dx = 0, dy = 0, dx = +-dy.
-    u = b - a
-    w = p - a
-    ts = [0, 1]
-    for num, den in (
-        (w.x, u.x),
-        (w.y, u.y),
-        (w.x - w.y, u.x - u.y),
-        (w.x + w.y, u.x + u.y),
-    ):
-        if den != 0:
-            t = _div(num, den)
-            if 0 < t < 1:
-                ts.append(t)
-    return min(max(abs(w.x - t * u.x), abs(w.y - t * u.y)) for t in ts)
-
-
 def linf_distance_to_polygon(p: Sequence[Scalar], poly: ConvexPolygon) -> Scalar:
     """Max-norm distance from ``p`` to the polygon (0 when inside).
 
-    Exact for rational inputs.
+    The distance is the least ``t >= 0`` with ``p`` in ``poly + t*[-1, 1]^2``
+    (Minkowski sum).  Support functions add under Minkowski sums, and the
+    sum's outward edge normals are those of ``poly`` and the four axis
+    directions, so ``t`` is the largest excess of ``<n, p>`` over the sum's
+    support value in one of those directions:
+
+        max(0, xmin - p.x, p.x - xmax, ymin - p.y, p.y - ymax,
+            max over edges (a, b) of -cross3(a, b, p) / (|b.x - a.x| + |b.y - a.y|))
+
+    where ``-cross3(a, b, p) = <n, p - a>`` for the outward normal
+    ``n = (b.y - a.y, a.x - b.x)`` and ``|n.x| + |n.y|`` is the square's
+    support value at ``n``.  Exact for rational inputs.
     """
     q = Point(p[0], p[1])
-    if contains_point(poly, q):
-        return 0 if not isinstance(q.x, float) else 0.0
-    return min(_linf_point_segment(q, a, b) for a, b in poly.edges())
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    dist = max(xmin - q.x, q.x - xmax, ymin - q.y, q.y - ymax)
+    for a, b in poly.edges():
+        excess = -cross3(a, b, q)
+        if excess > 0:
+            dist = max(dist, _div(excess, abs(b.x - a.x) + abs(b.y - a.y)))
+    if dist > 0:
+        return dist
+    return 0 if not isinstance(q.x, float) else 0.0
 
 
 def linf_ball(center: Sequence[Scalar], radius: Scalar) -> ConvexPolygon:
     """Axis-aligned square ``{q : |q - center|_inf <= radius}``.
 
-    A zero radius yields a single-point degenerate polygon (unchecked).
+    DegenerateInput unless ``radius > 0``.
     """
     c = Point(center[0], center[1])
-    if radius == 0:
-        (pt,) = _coerce_points([c])
-        return ConvexPolygon._unchecked((pt,))
-    if radius < 0:
-        raise DegenerateInput("negative radius")
+    if not radius > 0:
+        raise DegenerateInput(f"ball radius must be positive, got {radius}")
     return ConvexPolygon(
         [
             (c.x + radius, c.y + radius),

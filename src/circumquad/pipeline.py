@@ -396,7 +396,7 @@ def inner_ball_inclusion(
 ) -> Tuple[ConvexPolygon, ConvexPolygon, ConvexPolygon]:
     """Witness polygons for the shrunken-ball inclusion around a far vertex.
 
-    For a point v with sup-norm at most R and radii 0 <= r <= R + 1, the
+    For a point v with sup-norm at most R and radii 0 < r <= R + 1, the
     square of radius lam = r / (R + 1) centered at (1 - lam) v sits inside
     both hull([-1,1]^2, v) and the square of radius r around v.  Returns
     (small square, hull, ball around v); callers verify containment.
@@ -404,16 +404,13 @@ def inner_ball_inclusion(
     v = Point(*v)
     if v.linf() > R:
         raise DomainError("vertex lies outside the stated sup-norm bound")
-    if r < 0 or r > R + 1:
-        raise DomainError("radius must lie in [0, R + 1]")
+    if not 0 < r <= R + 1:
+        raise DomainError("radius must lie in (0, R + 1]")
     lam = _div(r, R + 1)
     center = Point((1 - lam) * v.x, (1 - lam) * v.y)
     small = linf_ball(center, lam)
-    one = 1 if isinstance(v.x, (int, Fraction)) and isinstance(
-        v.y, (int, Fraction)
-    ) else 1.0
-    corners = [(-one, -one), (one, -one), (one, one), (-one, one)]
-    hull = convex_hull(corners + [(v.x, v.y)])
+    exact = not isinstance(v.x, float) and not isinstance(v.y, float)
+    hull = convex_hull(list(unit_square(exact).vertices) + [v])
     ball = linf_ball(v, r)
     return small, hull, ball
 
@@ -456,10 +453,7 @@ class CaseReport:
 _DEFAULT_CONSTS = TheoremConstants()
 
 
-def case_machine(
-    body: ConvexPolygon,
-    consts: Optional[TheoremConstants] = None,
-) -> CaseReport:
+def case_machine(body: ConvexPolygon) -> CaseReport:
     """Classify a body into a certified case of the improved area bound.
 
     Solves for the minimum circumscribed quadrilateral, normalizes the
@@ -478,7 +472,6 @@ def case_machine(
     Triangle-degenerate minimizers short-circuit to the exact factor
     1/sqrt(2).
     """
-    consts = consts or _DEFAULT_CONSTS
     slack = 10 * _TOL
 
     quad, cert = min_circumscribed_quadrilateral(body)
@@ -489,7 +482,9 @@ def case_machine(
         )
 
     scene, norm_map = normalize_to_square(body.to_float(), quad)
-    return _classify_normalized(scene.body, consts, slack, quad, ratio, norm_map)
+    return _classify_normalized(
+        scene.body, _DEFAULT_CONSTS, slack, quad, ratio, norm_map
+    )
 
 
 def _classify_normalized(

@@ -233,13 +233,40 @@ class TestLinfDistance:
         tri = ConvexPolygon([(0, 0), (2, 0), (0, 2)])
         assert linf_distance_to_polygon((F(3), F(0)), tri) == 1
 
+    def test_axis_term(self):
+        # The diamond's edge terms alone give 1; the bounding box gives 2.
+        diamond = ConvexPolygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
+        assert linf_distance_to_polygon((3, 0), diamond) == 2
+
     def test_linf_ball(self):
         ball = linf_ball((0, 0), F(2))
         assert ball.area == 16
-        point = linf_ball((F(1), F(2)), 0)
-        assert len(point) == 1
+        with pytest.raises(DegenerateInput):
+            linf_ball((F(1), F(2)), 0)
         with pytest.raises(DegenerateInput):
             linf_ball((0, 0), -1)
+
+
+def _dilated_hull(poly, t):
+    return convex_hull(
+        [(v.x + sx * t, v.y + sy * t) for v in poly.vertices
+         for sx in (-1, 1) for sy in (-1, 1)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coord, min_size=3, max_size=12), coord)
+def test_linf_distance_is_least_dilation(pts, p):
+    """d is the least t with p in hull(K + t*[-1, 1]^2), checked exactly."""
+    try:
+        poly = convex_hull(pts)
+    except DegenerateInput:
+        return
+    d = linf_distance_to_polygon(p, poly)
+    assert (d == 0) == contains_point(poly, p)
+    assert contains_point(_dilated_hull(poly, d), p, tol=0)
+    if d > 0:
+        assert not contains_point(_dilated_hull(poly, d * (1 - F(1, 2**20))), p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -307,9 +307,8 @@ class TestBalls:
         assert contains_polygon(ball, small)
 
     def test_inner_ball_zero_radius(self):
-        small, hull, ball = inner_ball_inclusion(Point(F(2), F(1)), F(2), F(0))
-        assert len(small) == 1
-        assert len(ball) == 1
+        with pytest.raises(DomainError):
+            inner_ball_inclusion(Point(F(2), F(1)), F(2), F(0))
 
     def test_inner_ball_domain(self):
         with pytest.raises(DomainError):
