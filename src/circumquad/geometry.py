@@ -4,9 +4,15 @@ Everything here is a pure function on immutable values.  Coordinates may be
 ints, :class:`fractions.Fraction`, or floats.  Containers coerce their
 coordinates to a single backend on construction: if any coordinate is a float
 the whole object is float, otherwise everything becomes Fraction and all
-operations are exact.  The same code paths serve both backends; division goes
+operations are exact.  Most code paths serve both backends; division goes
 through :func:`_div` so that integer inputs never silently truncate or turn
 into floats.
+
+The sign-and-area predicates (the polygon constructor's convexity check,
+:func:`convex_hull`, :attr:`ConvexPolygon.area` and containment at
+``tol = 0``) are the exception: on exact inputs they run on one integer image
+of their points, see :func:`_int_image`, and only float inputs take the
+generic arithmetic.
 
 Orientation convention: polygon vertices are counterclockwise and strictly
 convex (no repeated or collinear consecutive vertices).  Lines are written
@@ -15,8 +21,9 @@ convex (no repeated or collinear consecutive vertices).  Lines are written
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateInput, ParallelLines, SingularMap
 
@@ -123,6 +130,23 @@ class AffineMap(NamedTuple):
         )
 
 
+def _int_image(points: Sequence[Point]) -> Tuple[Sequence[Point], Optional[int]]:
+    """The points times ``L``, the lcm of their denominators, as int Points.
+
+    Returns ``(image, L)``.  A positive scale keeps the sign of every
+    orientation test and the order of every coordinate, so an exact predicate
+    evaluated on the image gives the exact answer in plain int arithmetic,
+    with no gcd per operation.  When any coordinate is a float the points
+    come back unchanged with ``L = None``, and keep their float arithmetic.
+    """
+    if any(isinstance(c, float) for p in points for c in p):
+        return points, None
+    ratios = [(c.numerator, c.denominator) for p in points for c in p]
+    scale = math.lcm(*[d for _, d in ratios])
+    ints = iter([n * (scale // d) for n, d in ratios])
+    return [Point(x, y) for x, y in zip(ints, ints)], scale
+
+
 def _coerce_points(points: Iterable[Sequence[Scalar]]) -> Tuple[Point, ...]:
     pts = [Point(p[0], p[1]) for p in points]
     if any(isinstance(p.x, float) or isinstance(p.y, float) for p in pts):
@@ -152,8 +176,9 @@ class ConvexPolygon:
         n = len(vs)
         if n < 3:
             raise DegenerateInput(f"polygon needs at least 3 vertices, got {n}")
+        img, _ = _int_image(vs)
         for i in range(n):
-            if cross3(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
+            if cross3(img[i], img[(i + 1) % n], img[(i + 2) % n]) <= 0:
                 raise DegenerateInput(
                     f"vertices are not strictly convex ccw at index {i}"
                 )
@@ -191,10 +216,10 @@ class ConvexPolygon:
 
     @property
     def area(self) -> Scalar:
-        vs = self.vertices
-        n = len(vs)
-        twice = sum(vs[i].cross(vs[(i + 1) % n]) for i in range(n))
-        return _half(twice)
+        img, scale = _int_image(self.vertices)
+        n = len(img)
+        twice = sum(img[i].cross(img[(i + 1) % n]) for i in range(n))
+        return _half(twice) if scale is None else Fraction(twice, 2 * scale * scale)
 
     def edges(self):
         vs = self.vertices
@@ -236,8 +261,14 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
 
     Raises DegenerateInput when the hull has empty interior.
     """
-    pts = sorted(set(_coerce_points(points)))
-    if len(pts) < 3:
+    pts = _coerce_points(points)
+    img, _ = _int_image(pts)
+    # Deduplicate and sort the image, where an int hashes and compares in C
+    # and a Fraction in Python; ``first`` maps each image point back to the
+    # first input point with that image.
+    first = dict(zip(reversed(img), reversed(pts)))
+    img = sorted(first)
+    if len(img) < 3:
         raise DegenerateInput("hull needs at least 3 distinct points")
 
     def build(seq):
@@ -248,8 +279,8 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
             chain.append(p)
         return chain
 
-    lower = build(pts)
-    upper = build(reversed(pts))
+    lower = build(img)
+    upper = build(reversed(img))
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInput("points are collinear")
@@ -259,7 +290,7 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
         cross3(upper[-2], lower[0], lower[1]) <= 0
     ):
         raise DegenerateInput("hull is not strictly convex where its chains meet")
-    return ConvexPolygon._unchecked(tuple(hull))
+    return ConvexPolygon._unchecked(tuple(first[q] for q in hull))
 
 
 def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) -> bool:
@@ -272,7 +303,7 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     """
     q = Point(p[0], p[1])
     if tol == 0:
-        return all(cross3(a, b, q) >= 0 for a, b in poly.edges())
+        return _encloses(poly.vertices + (q,), len(poly))
     diam = poly.linf_diameter()
     budget = tol * tol * diam * diam
     for a, b in poly.edges():
@@ -286,9 +317,22 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     return True
 
 
+def _encloses(points: Sequence[Point], n: int) -> bool:
+    """Whether ``points[n:]`` all lie in the ccw polygon ``points[:n]``.
+
+    Boundary points count as inside; one integer image serves every test.
+    """
+    img, _ = _int_image(points)
+    ring = img[:n]
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    return all(cross3(a, b, q) >= 0 for q in img[n:] for a, b in edges)
+
+
 def contains_polygon(
     outer: ConvexPolygon, inner: ConvexPolygon, tol: Scalar = 0
 ) -> bool:
+    if tol == 0:
+        return _encloses(outer.vertices + inner.vertices, len(outer))
     return all(contains_point(outer, v, tol) for v in inner.vertices)
 
 

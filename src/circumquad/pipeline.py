@@ -54,12 +54,17 @@ from .zeta import cut_domain_violation
 HALF = Fraction(1, 2)
 
 
+_EXACT_SQUARE = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+_FLOAT_SQUARE = _EXACT_SQUARE.to_float()
+
+
 def unit_square(exact: bool = True) -> ConvexPolygon:
-    """The square [-1, 1]^2, counterclockwise from the bottom-left corner."""
-    one = 1 if exact else 1.0
-    return ConvexPolygon(
-        [(-one, -one), (one, -one), (one, one), (-one, one)]
-    )
+    """The square [-1, 1]^2, counterclockwise from the bottom-left corner.
+
+    Polygons are immutable, so every call returns one of two instances built
+    at import.
+    """
+    return _EXACT_SQUARE if exact else _FLOAT_SQUARE
 
 
 @dataclass(frozen=True)

@@ -278,3 +278,133 @@ def test_hull_area_matches_independent_shoelace(pts):
         return
     assert hull.area == shoelace([(v.x, v.y) for v in hull.vertices])
     assert hull.area > 0
+
+
+# --- exact predicates against a plain Fraction reference ----------------------
+
+# Denominators 1, large primes and powers of two, and the exact values of
+# floats from subnormal to near the largest, so that clouds mix images of
+# very different scales.
+WIDE_DENOMINATORS = (1, 3, 7, 10**9 + 7, 2**61 - 1, 2**31, 2**64, 2**200)
+wide = st.one_of(
+    st.builds(
+        F,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from(WIDE_DENOMINATORS),
+    ),
+    st.builds(F, st.floats(allow_nan=False, allow_infinity=False)),
+)
+
+
+@st.composite
+def clouds(draw):
+    """Points with repeats and with points on segments between them."""
+    base = draw(st.lists(st.tuples(wide, wide), min_size=1, max_size=8))
+    ts = st.one_of(st.sampled_from([F(0), F(1), F(1, 2)]), st.fractions(0, 1))
+    picks = draw(
+        st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base), ts), max_size=6)
+    )
+    on_segments = [(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])) for p, q, t in picks]
+    return draw(st.permutations(base + on_segments))
+
+
+def _ref_cross(o, a, b):
+    return cross3(Point(F(o[0]), F(o[1])), Point(F(a[0]), F(a[1])), Point(F(b[0]), F(b[1])))
+
+
+def _ref_monotone_chain(pts):
+    pts = sorted(set((F(x), F(y)) for x, y in pts))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _ref_cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def _ref_strictly_convex(vs):
+    n = len(vs)
+    return n >= 3 and all(
+        _ref_cross(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) > 0 for i in range(n)
+    )
+
+
+def _ref_contains(vs, q):
+    n = len(vs)
+    return all(_ref_cross(vs[i], vs[(i + 1) % n], q) >= 0 for i in range(n))
+
+
+def _accepts(vs):
+    try:
+        ConvexPolygon(vs)
+    except DegenerateInput:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds(), st.lists(st.tuples(wide, wide), max_size=4), st.fractions(0, 1))
+def test_exact_predicates_match_fraction_reference(pts, others, t):
+    assert _accepts(pts) == _ref_strictly_convex(pts)
+    ref = _ref_monotone_chain(pts)
+    if len(ref) < 3:
+        with pytest.raises(DegenerateInput):
+            convex_hull(pts)
+        return
+    hull = convex_hull(pts)
+    assert [tuple(v) for v in hull.vertices] == ref
+    assert all(type(c) is F for v in hull.vertices for c in v)
+
+    # The constructor on the hull, its rotations and reversals, a repeated
+    # vertex and a vertex inserted mid-edge.
+    n = len(ref)
+    mid = tuple((a + b) / 2 for a, b in zip(ref[0], ref[1]))
+    for vs in (ref, ref[1:] + ref[:1], ref[::-1], ref + ref[-1:], ref[:1] + [mid] + ref[1:]):
+        assert _accepts(vs) == _ref_strictly_convex(vs)
+
+    area = hull.area
+    assert type(area) is F and area == shoelace(ref) > 0
+
+    # Queries: every cloud point, every vertex, points on every edge, others.
+    on_edges = [
+        tuple(a + t * (b - a) for a, b in zip(ref[i], ref[(i + 1) % n]))
+        for i in range(n)
+    ]
+    queries = list(pts) + ref + on_edges + [tuple(map(F, q)) for q in others]
+    for q in queries:
+        assert contains_point(hull, q) == _ref_contains(ref, q)
+    for group in (pts, on_edges, others):
+        try:
+            inner = convex_hull(group)
+        except DegenerateInput:
+            continue
+        assert contains_polygon(hull, inner) == all(
+            _ref_contains(ref, v) for v in inner.vertices
+        )
+        assert contains_polygon(inner, hull) == all(
+            _ref_contains(list(inner.vertices), v) for v in ref
+        )
+
+
+class TestMixedBackends:
+    def test_int_query_against_exact_polygon_is_exact(self):
+        # In floats, 2**53 + 1 rounds onto the vertex (2**53, 0).
+        tri = ConvexPolygon([(0, 0), (2**53, 0), (0, 1)])
+        assert not contains_point(tri, (2**53 + 1, 0))
+        assert contains_point(tri, (2**53, 0))
+        assert contains_point(tri, (float(2**53 + 1), 0.0))
+
+    def test_float_query_against_exact_polygon_keeps_float_arithmetic(self):
+        sq = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+        assert not contains_point(sq, (1.0000000000000002, 0.0))
+        # The float 1/3 lies below the exact 1/3, but a float query is
+        # compared in floats, where the vertex rounds to the same float.
+        slab = ConvexPolygon([(F(1, 3), 0), (1, 0), (1, 1), (F(1, 3), 1)])
+        assert contains_point(slab, (1 / 3, 0.5))
+        assert not contains_point(slab, (F(1 / 3), F(1, 2)))
+        assert contains_polygon(slab, slab.to_float())
+        assert contains_polygon(slab.to_float(), slab)

@@ -132,6 +132,13 @@ class TestBuildOctagon:
         assert scene.octagon_area == cb.x + cb.y
         assert contains_polygon(body, scene.octagon)
 
+    def test_unit_square_is_built_once(self):
+        assert unit_square() is unit_square(exact=True)
+        assert unit_square(exact=False) is unit_square(exact=False)
+        assert unit_square(exact=False).vertices == tuple(
+            (float(v.x), float(v.y)) for v in unit_square().vertices
+        )
+
     def test_contacts_on_square_edges_degenerate_to_square(self):
         cb = box(F(-1), F(-1), F(1), F(1))
         body = unit_square()
