@@ -32,9 +32,9 @@ Scalar = Union[int, float, Fraction]
 
 def _div(num: Scalar, den: Scalar) -> Scalar:
     """Exact division for rational operands, float division otherwise."""
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num) / Fraction(den)
+    if isinstance(num, (float, Fraction)) or isinstance(den, (float, Fraction)):
+        return num / den  # a Fraction operand keeps int over Fraction exact
+    return Fraction(num, den)
 
 
 def _half(value: Scalar) -> Scalar:
@@ -331,9 +331,20 @@ def _encloses(points: Sequence[Point], n: int) -> bool:
 def contains_polygon(
     outer: ConvexPolygon, inner: ConvexPolygon, tol: Scalar = 0
 ) -> bool:
+    """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``."""
     if tol == 0:
         return _encloses(outer.vertices + inner.vertices, len(outer))
-    return all(contains_point(outer, v, tol) for v in inner.vertices)
+    # The tolerant test of contains_point, with its per-edge bound computed
+    # once for all vertices.
+    diam = outer.linf_diameter()
+    budget = tol * tol * diam * diam
+    edges = [(a, b, budget * (b - a).dot(b - a)) for a, b in outer.edges()]
+    for q in inner.vertices:
+        for a, b, bound in edges:
+            c = cross3(a, b, q)
+            if c < 0 and c * c > bound:
+                return False
+    return True
 
 
 def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Tuple
 
 import numpy as np
@@ -66,14 +67,15 @@ _TOL = 1e-9
 # a margin.
 _MAX_STARTS = 6
 # The solver scans about this many of the body's edge normals at most, so
-# that the O(n^3) scan stays under about 10 ms (2-core VM); see _scan_normals.
+# that the O(n^3) scan stays under about 7 ms (the 86 it keeps of an ellipse
+# 1024-gon, 2-core VM); see _scan_normals.
 _MAX_DIRECTIONS = 90
 # Descent cycles per start.  Refinement stops earlier once a cycle gains less
 # than ``_TOL``, which on the corpus families takes 2 to 4 cycles.
 _REFINE_CYCLES = 30
 # Largest angle grid the oracle accepts.  The scan holds a few n-by-n float
-# arrays and takes O(n^3) time: at 1024 about 70 MB and 10 s for a 16-vertex
-# body on a 2-core VM, and the memory grows with n^2 beyond that.
+# arrays and takes O(n^3) time: at 1024 a 42 MB tracemalloc peak and 4 s for
+# a 16-vertex body on a 2-core VM, and the memory grows with n^2 beyond that.
 _MAX_GRID = 1024
 
 
@@ -177,6 +179,7 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     H = P.max(axis=0)
     # on[i, j]: the contact vertex of line i lies on line j.
     on = H[None, :] - P[P.argmax(axis=0)] <= 2.0 * tiny
+    del P
 
     # sin and cos of the gap from line i to line j
     sin_g = np.outer(cos, sin) - np.outer(sin, cos)
@@ -185,53 +188,65 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     with np.errstate(divide="ignore", invalid="ignore"):
         W = (2.0 * Hi * Hj - (Hi * Hi + Hj * Hj) * cos_g) / sin_g
     W[sin_g <= 1e-12] = np.inf
-    onT = on.T
+    del sin_g, cos_g
+    # Contiguous transposes, so that every block read below is a view.
+    WT, onT = np.ascontiguousarray(W.T), np.ascontiguousarray(on.T)
     # Lines a+1..half[a]-1 lie less than pi after line a, lines half[a].. more.
     half = np.searchsorted(angles, angles + math.pi)
 
-    def pair_sums(a: int, c):
+    def pair_sums(a: int, c: slice):
         """W(a,b)+W(b,c) over b and W(c,d)+W(d,a) over d, each with its tags.
 
         Rows run over the b and d windows of ``a``, columns over ``c``; a pair
-        whose middle side has zero length is inf.  A line's tag has bit 2
-        set when a's contact lies on it and bit 1 when c's contact does.
+        whose middle side has zero length is inf.  Each sum comes with its
+        tag flags: per row whether a's contact lies on the row's line, per
+        entry whether c's contact does.
         """
-        b = slice(a + 1, half[a])
-        d = slice(half[a], n)
-        F = W[a, b, None] + W[b, c]
-        F[on[b, a, None] & on[b, c]] = np.inf
-        G = W.T[d, c] + W[d, a, None]
-        G[on[d, a, None] & on[d, c]] = np.inf
-        return F, 2 * on[a, b, None] + onT[b, c], G, 2 * on[a, d, None] + onT[d, c]
+        b, d = slice(a + 1, half[a]), slice(half[a], n)
+        sums = []
+        for rows, S in ((b, W[a, b, None] + W[b, c]), (d, WT[d, c] + W[d, a, None])):
+            # The rows whose contact lies on line a: usually none or one.
+            for r in onT[a, rows].nonzero()[0]:
+                S[r, on[rows.start + r, c]] = np.inf
+            sums.append((S, on[a, rows], onT[rows, c]))
+        return sums
 
-    def tag_minima(S, tag):
-        """Column minima of S over the rows of each tag 0..3."""
-        off_c = np.where(tag & 1, np.inf, S)
-        on_c = np.where(tag & 1, S, np.inf)
-        on_a = tag[:, 0] >= 2  # bit 2 is the same in every column
-        return [
-            part.min(axis=0, initial=np.inf)
-            for part in (off_c[~on_a], on_c[~on_a], off_c[on_a], on_c[on_a])
-        ]
+    def tag_minima(S, on_a, on_c):
+        """Column minima of S over the rows of each tag; None for an empty tag.
+
+        The tags run (neither, c's, a's, both).  Overwrites S.  On edge normals
+        each line's contact lies on one neighbour besides itself, so the tags
+        other than "neither" hold a few entries or none.
+        """
+        parts = [None] * 4
+        S_c = None
+        if on_c.any():
+            S_c = np.where(on_c, S, np.inf)
+            np.copyto(S, np.inf, where=on_c)
+        rows = on_a.nonzero()[0]
+        if len(rows):
+            parts[2] = S[rows].min(axis=0)
+            S[rows] = np.inf
+            if S_c is not None:
+                parts[3] = S_c[rows].min(axis=0)
+                S_c[rows] = np.inf
+        parts[0] = S.min(axis=0, initial=np.inf)
+        if S_c is not None:
+            parts[1] = S_c.min(axis=0, initial=np.inf)
+        return parts
 
     # total[a, c]: the best doubled area with anchor a and opposite line c.
     total = np.full((n, n), np.inf)
-    cols = np.arange(n)
     for a in range(n - 3):
         if half[a] == n:
             break  # no line lies more than pi after a
-        c = cols[a + 2 :]
-        F, tag_b, G, tag_d = pair_sums(a, c)
-        Fk, Gk = tag_minima(F, tag_b), tag_minima(G, tag_d)
-        # A b and a d may pair only when their tags share no bit.
-        total[a, c] = np.minimum.reduce(
-            [
-                Fk[0] + np.minimum.reduce(Gk),
-                Gk[0] + np.minimum.reduce(Fk[1:]),
-                Fk[1] + Gk[2],
-                Fk[2] + Gk[1],
-            ]
-        )
+        c = slice(a + 2, n)
+        Fk, Gk = (tag_minima(*sums) for sums in pair_sums(a, c))
+        # A b and a d may pair only when their tags share no flag.
+        pairs = [(Fk[0], _lowest(Gk)), (_lowest(Fk[1:]), Gk[0])]
+        pairs += [(Fk[1], Gk[2]), (Fk[2], Gk[1])]
+        candidates = [f + g for f, g in pairs if f is not None and g is not None]
+        total[a, c] = _lowest(candidates)
     total = total.ravel()
     best = np.argsort(total, kind="stable")[:count]  # ties in (a, c) order
     best = best[np.isfinite(total[best])]
@@ -241,13 +256,19 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     minima: List[Tuple[float, Tuple[int, int, int, int]]] = []
     for k in best:
         a, c = divmod(int(k), n)
-        F, tag_b, G, tag_d = pair_sums(a, np.array([c]))
+        (F, a_b, c_b), (G, a_d, c_d) = pair_sums(a, slice(c, c + 1))
         S = F[:, 0, None] + G[None, :, 0]
-        S[(tag_b[:, 0, None] & tag_d[None, :, 0]) != 0] = np.inf
+        S[(a_b[:, None] & a_d) | (c_b & c_d[:, 0])] = np.inf
         j = int(np.argmin(S))
         b, d = divmod(j, S.shape[1])
         minima.append((float(total[k]), (a, a + 1 + b, c, int(half[a]) + d)))
     return minima
+
+
+def _lowest(parts):
+    """Elementwise minimum of the arrays in ``parts`` that are not None, or None."""
+    parts = [p for p in parts if p is not None]
+    return reduce(np.minimum, parts) if parts else None
 
 
 class _Support:

@@ -408,3 +408,34 @@ class TestMixedBackends:
         assert not contains_point(slab, (F(1 / 3), F(1, 2)))
         assert contains_polygon(slab, slab.to_float())
         assert contains_polygon(slab.to_float(), slab)
+
+
+# --- tolerant containment ----------------------------------------------------
+
+
+@st.composite
+def near_hulls(draw):
+    """(outer, inner) rational hulls; inner is outer dilated a little, plus points."""
+    outer = draw(st.lists(coord, min_size=3, max_size=10))
+    t = draw(st.sampled_from([F(0), F(1, 10**10), F(1, 10**7), F(1, 10**4), F(1, 100)]))
+    ox = sum(x for x, _ in outer) / len(outer)
+    oy = sum(y for _, y in outer) / len(outer)
+    inner = [(x + t * (x - ox), y + t * (y - oy)) for x, y in outer]
+    return outer, inner + draw(st.lists(coord, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    near_hulls(),
+    st.sampled_from([1e-9, 1e-3, F(1, 10**6)]),
+    st.sampled_from([(False, False), (True, True), (True, False), (False, True)]),
+)
+def test_tolerant_contains_polygon_matches_contains_point(pts, tol, floats):
+    try:
+        outer, inner = convex_hull(pts[0]), convex_hull(pts[1])
+    except DegenerateInput:
+        return
+    outer, inner = (p.to_float() if f else p for p, f in zip((outer, inner), floats))
+    assert contains_polygon(outer, inner, tol) == all(
+        contains_point(outer, v, tol) for v in inner.vertices
+    )

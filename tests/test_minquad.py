@@ -321,6 +321,40 @@ class TestGridScan:
         assert isinstance(quad, Quadrilateral)
         assert contains_polygon(quad, body.to_float(), tol=1e-9)
 
+    def test_edge_normal_scan_is_pinned(self):
+        # Literal minima of the scan as first written: a faster scan must
+        # return the same floats and quadruples in the same order.
+        poly = SCAN_BODIES["ellipse-64"].to_float()
+        minima = _scan_support_directions(poly, np.array(edge_normals(poly)), 6)
+        area = 41.32040106791186
+        assert minima == [
+            (area, (1, 17, 33, 49)),
+            (area, (5, 21, 37, 53)),
+            (area, (6, 22, 38, 54)),
+            (area, (9, 25, 41, 57)),
+            (area, (10, 26, 42, 58)),
+            (area, (12, 28, 44, 60)),
+        ]
+
+    def test_oracle_scan_is_pinned(self):
+        poly = SCAN_BODIES["random-16"].to_float()
+        angles = np.array([2 * math.pi * k / 180 for k in range(180)])
+        minima = _scan_support_directions(poly, angles, 1)
+        assert minima == [(3.4349440331939896, (4, 43, 73, 122))]
+
+    def test_solver_scan_memory(self):
+        # The scan holds three n-by-n float arrays, 32 kB each at 64
+        # directions, and one anchor's pair sums at a time.
+        poly = SCAN_BODIES["ellipse-64"].to_float()
+        angles = np.array(edge_normals(poly))
+        tracemalloc.start()
+        try:
+            _scan_support_directions(poly, angles, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.30e6
+
     def test_oracle_memory_stays_quadratic(self):
         # Arrays indexed by three grid directions take about 100 MB at 180.
         body = gen_corpus("random", 1, seed=1, vertices=16)[0]
