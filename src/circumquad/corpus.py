@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import BadParams, DegenerateInput
+from .errors import BadParams, DegenerateInput, _as_int
 from .geometry import ConvexPolygon, convex_hull
 
 KINDS = ("random", "regular_k_gon", "ellipse", "affine_pentagon")
@@ -44,6 +44,7 @@ def regular_polygon(k: int, exact: bool = True) -> ConvexPolygon:
     1e12, which keeps the cycle strictly convex for every supported k while
     staying on the exact arithmetic path.
     """
+    k = _as_int(k, "k")
     if k < 3:
         raise BadParams("regular polygon needs k >= 3")
     if k > 4096:
@@ -118,9 +119,9 @@ def gen_corpus(
         kind = "affine_pentagon"
     if kind not in KINDS:
         raise BadParams(f"unknown corpus kind {kind!r}; expected one of {KINDS}")
-    if count < 1:
+    if _as_int(count, "count") < 1:
         raise BadParams("count must be positive")
-    if vertices is not None and vertices < 3:
+    if vertices is not None and _as_int(vertices, "vertices") < 3:
         raise BadParams("vertices must be at least 3")
     # String seeds hash deterministically across processes (unlike tuples,
     # whose hash depends on PYTHONHASHSEED).

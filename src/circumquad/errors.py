@@ -6,6 +6,8 @@ deliberately fine-grained: the CLI maps them to exit codes, and tests assert
 on them directly.
 """
 
+import operator
+
 
 class CircumquadError(Exception):
     """Base class for all circumquad errors."""
@@ -13,6 +15,14 @@ class CircumquadError(Exception):
 
 class BadParams(CircumquadError):
     """User-supplied parameters are malformed or out of range."""
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int (Python and numpy ints pass); BadParams otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParams(f"{name} must be an integer, got {value!r}") from None
 
 
 # --- geometry ---------------------------------------------------------------

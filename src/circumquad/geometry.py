@@ -8,6 +8,10 @@ operations are exact.  Most code paths serve both backends; division goes
 through :func:`_div` so that integer inputs never silently truncate or turn
 into floats.
 
+Functions above the geometric predicates take no tolerance: they derive it
+from their input with :func:`_slack`, which gives :data:`FLOAT_SLACK` when a
+value is a float and 0 otherwise, so exact input is checked exactly.
+
 The sign-and-area predicates (the polygon constructor's convexity check,
 :func:`convex_hull`, :attr:`ConvexPolygon.area` and containment at
 ``tol = 0``) are the exception: on exact inputs they run on one integer image
@@ -28,6 +32,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 from .errors import DegenerateInput, ParallelLines, SingularMap
 
 Scalar = Union[int, float, Fraction]
+
+# Slack of the checks on float input, relative to quantities of order 1.
+FLOAT_SLACK = 1e-8
+
+
+def _slack(*values: Scalar) -> Scalar:
+    """FLOAT_SLACK when any value is a float, else 0 (checked exactly)."""
+    return FLOAT_SLACK if any(isinstance(v, float) for v in values) else 0
 
 
 def _div(num: Scalar, den: Scalar) -> Scalar:

@@ -46,10 +46,12 @@ from .errors import (
     DegenerateInput,
     NoFeasibleQuadruple,
     SolverFailure,
+    _as_int,
 )
 from .geometry import (
     ConvexPolygon,
     Scalar,
+    _slack,
     contains_polygon,
     linf_distance_to_polygon,
     midpoint,
@@ -58,7 +60,7 @@ from .geometry import (
 _TWO_PI = 2.0 * math.pi
 # Relative tolerance of the solver: descent stops once a cycle gains less than
 # this fraction of the area, and it is the relative slack of the containment
-# check.
+# check on float input.
 _TOL = 1e-9
 # Coordinate descent can stop in a local minimum that another start beats.
 # The starts are the best (anchor, opposite) pairs of the edge-normal scan.
@@ -123,13 +125,14 @@ def varignon(quad: Quadrilateral) -> ConvexPolygon:
 
 
 def midpoint_certificate(
-    body: ConvexPolygon, quad: ConvexPolygon, tol: Scalar = 0
+    body: ConvexPolygon, quad: ConvexPolygon
 ) -> CircumscriptionCertificate:
-    """Check containment and measure the midpoint optimality residuals."""
+    """Containment (slack ``_TOL`` on float input) and midpoint optimality residuals."""
     diam = body.linf_diameter()
     residuals = tuple(
         linf_distance_to_polygon(midpoint(a, b), body) / diam for a, b in quad.edges()
     )
+    tol = _TOL if _slack(*body.vertices[0], *quad.vertices[0]) else 0
     contains = contains_polygon(quad, body, tol)
     ratio = quad.area / body.area
     return CircumscriptionCertificate(contains, residuals, ratio)
@@ -414,6 +417,7 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
     Exhaustive over all feasible direction quadruples; no refinement.  Serves
     as the independent oracle for the solver.  ``grid`` runs from 16 to 1024.
     """
+    grid = _as_int(grid, "grid")
     if not 16 <= grid <= _MAX_GRID:
         raise BadParams(f"grid must be between 16 and {_MAX_GRID}")
     poly, support = _float_support(body)
@@ -440,7 +444,7 @@ def min_circumscribed_quadrilateral(
     """
     poly, support = _float_support(body)
     if len(poly) == 3:
-        return poly, midpoint_certificate(poly, poly, _TOL)
+        return poly, midpoint_certificate(poly, poly)
 
     normals = _scan_normals(support.normals)
     area, lines = min(
@@ -452,7 +456,7 @@ def min_circumscribed_quadrilateral(
 
     _, corners = _quad_from_lines(lines, support.tiny)
     quad = Quadrilateral(corners)
-    cert = midpoint_certificate(poly, quad, _TOL)
+    cert = midpoint_certificate(poly, quad)
     if not cert.contains_body:
         raise SolverFailure("refined quadrilateral fails the containment check")
     return quad, cert

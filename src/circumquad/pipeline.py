@@ -7,8 +7,9 @@ axis-aligned bounding box and a contact octagon are available, and the body
 falls into one of a handful of certified cases, each yielding a factor
 strictly below 1 for the ratio |Q| / (sqrt(2) |K|).
 
-Everything here works on either numeric backend: exact Fractions flow
-through untouched, floats get tolerance-aware comparisons.
+Everything here works on either numeric backend, and no function takes a
+tolerance: each check allows slack 1e-8 when its input holds a float and
+none on exact input (see :func:`geometry._slack`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .geometry import (
     Point,
     Scalar,
     _div,
+    _slack,
     apply_affine,
     contains_polygon,
     convex_hull,
@@ -43,12 +45,7 @@ from .geometry import (
     linf_ball,
     linf_distance_to_polygon,
 )
-from .minquad import (
-    _TOL,
-    Quadrilateral,
-    min_circumscribed_quadrilateral,
-    varignon,
-)
+from .minquad import Quadrilateral, min_circumscribed_quadrilateral, varignon
 from .zeta import cut_domain_violation
 
 HALF = Fraction(1, 2)
@@ -74,7 +71,7 @@ class ContactBox:
     The box is [a1, b1] x [a2, b2]; v1 and v2 realize the left and bottom
     extremes, w1 and w2 the right and top ones.  For a body normalized to
     touch all four edges of [-1, 1]^2 the invariants a1, a2 <= -1 and
-    b1, b2 >= 1 hold (up to solver tolerance); the dataclass itself only
+    b1, b2 >= 1 hold (up to the float slack); the dataclass itself only
     enforces the structural ties between extremes and contact coordinates.
     """
 
@@ -170,12 +167,10 @@ def normalize_to_square(
     return NormalizedScene(body=norm_body, quad=norm_quad), inv
 
 
-def axis_box_with_contacts(
-    body: ConvexPolygon, tol: Scalar = 0
-) -> ContactBox:
+def axis_box_with_contacts(body: ConvexPolygon) -> ContactBox:
     """Bounding box and contact points of a body normalized to [-1,1]^2.
 
-    Requires the box to cover the unit square up to ``tol`` per side; raises
+    Requires the box to cover the unit square up to the input's slack; raises
     :class:`NormalizationViolated` otherwise.  When several vertices attain
     an extreme, the contact with the smallest absolute value of the other
     coordinate is chosen (ties broken toward the smaller signed value), so
@@ -186,6 +181,7 @@ def axis_box_with_contacts(
     b1 = max(v.x for v in vs)
     a2 = min(v.y for v in vs)
     b2 = max(v.y for v in vs)
+    tol = _slack(a1)
     if a1 > -1 + tol or a2 > -1 + tol or b1 < 1 - tol or b2 < 1 - tol:
         raise NormalizationViolated(
             "bounding box does not cover the unit square: "
@@ -202,31 +198,20 @@ def axis_box_with_contacts(
     return ContactBox(a1=a1, a2=a2, b1=b1, b2=b2, v1=v1, v2=v2, w1=w1, w2=w2)
 
 
-def build_octagon(
-    body: ConvexPolygon, contacts: ContactBox, tol: Scalar = 0
-) -> OctagonScene:
+def build_octagon(body: ConvexPolygon, contacts: ContactBox) -> OctagonScene:
     """Convex hull of the unit square and the four box contacts.
 
     Checks the area identity |octagon| = x + y (box extents) and, when the
-    contacts genuinely come from ``body``, that the octagon sits inside it.
-    Exact inputs are checked exactly; float inputs up to ``tol``.
+    contacts genuinely come from ``body``, that the octagon sits inside it,
+    both up to the input's slack.
     """
-    pts = list(unit_square(body.is_exact).vertices) + list(contacts.contacts)
-    octagon = convex_hull(pts)
+    octagon = convex_hull(list(unit_square().vertices) + list(contacts.contacts))
     area = octagon.area
     ident = contacts.x + contacts.y
-    if octagon.is_exact:
-        if area != ident:
-            raise AreaIdentityViolated(
-                f"octagon area {area} != box half-perimeter {ident}"
-            )
-    else:
-        scale = max(1.0, abs(float(ident)))
-        if abs(float(area) - float(ident)) > max(float(tol), 1e-9) * scale:
-            raise AreaIdentityViolated(
-                f"octagon area {area} != box half-perimeter {ident}"
-            )
-    if not contains_polygon(body, octagon, tol):
+    slack = _slack(ident, *body.vertices[0])
+    if abs(area - ident) > slack * max(1, abs(ident)):
+        raise AreaIdentityViolated(f"octagon area {area} != box half-perimeter {ident}")
+    if not contains_polygon(body, octagon, slack):
         raise NormalizationViolated("contact octagon escapes the body")
     return OctagonScene(octagon=octagon, octagon_area=area)
 
@@ -309,10 +294,7 @@ def _ccw(vertices: Sequence[Tuple[Scalar, Scalar]]) -> ConvexPolygon:
 
 
 def lemma_octagon_quad(
-    contacts: ContactBox,
-    c: Scalar,
-    delta: Scalar,
-    tol: Scalar = 0,
+    contacts: ContactBox, c: Scalar, delta: Scalar
 ) -> Tuple[ConvexPolygon, LemmaBranch]:
     """Small quadrilateral containing hull(square corners, contacts).
 
@@ -320,7 +302,7 @@ def lemma_octagon_quad(
     extents both fit in a c-by-c square anchored at the deep corner
     (b1 - a1 <= c and b2 - a2 <= c with the anchor at (a1, a2)); the off-axis
     coordinates of the contacts must lie in [-1, 1] and the extremes beyond
-    the square edges.  Hypotheses are checked up to ``tol`` and violations
+    the square edges.  Hypotheses get the input's slack, and violations
     raise :class:`HypothesisViolated` naming the failed inequality.
 
     Returns the covering quadrilateral and the branch taken.  In every
@@ -329,7 +311,8 @@ def lemma_octagon_quad(
     """
     x1, y2 = contacts.a1, contacts.a2
     v1, v2, w1, w2 = contacts.v1, contacts.v2, contacts.w1, contacts.w2
-    problem = cut_domain_violation(c, delta, tol)
+    tol = _slack(c, delta, x1, y2, contacts.b1, contacts.b2, *v1, *v2, *w1, *w2)
+    problem = cut_domain_violation(c, delta)
     if problem:
         raise DomainError(problem)
 
@@ -414,8 +397,7 @@ def inner_ball_inclusion(
     lam = _div(r, R + 1)
     center = Point((1 - lam) * v.x, (1 - lam) * v.y)
     small = linf_ball(center, lam)
-    exact = not isinstance(v.x, float) and not isinstance(v.y, float)
-    hull = convex_hull(list(unit_square(exact).vertices) + [v])
+    hull = convex_hull(list(unit_square().vertices) + [v])
     ball = linf_ball(v, r)
     return small, hull, ball
 
@@ -472,13 +454,13 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
        below 8 directly; the consistency guard (1+r)^2 |cut quad| < 8
        must hold, else :class:`InconsistentCase`.
 
-    Thresholds are tested with a slack of 10 * solver tolerance so that
-    borderline bodies fall into the case whose certificate is robust.
+    The ladder runs on the body in floats, so every threshold and hypothesis
+    is tested with slack 1e-8 (``geometry.FLOAT_SLACK``) and borderline
+    bodies fall into the case whose certificate is robust.
     Triangle-degenerate minimizers short-circuit to the exact factor
     1/sqrt(2).
     """
-    slack = 10 * _TOL
-
+    body = body.to_float()
     quad, cert = min_circumscribed_quadrilateral(body)
     ratio = float(cert.area_ratio)
     if len(quad) == 3:
@@ -486,16 +468,13 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
             CaseId.DEGENERATE_TRIANGLE, 1.0 / math.sqrt(2.0), quad, ratio
         )
 
-    scene, norm_map = normalize_to_square(body.to_float(), quad)
-    return _classify_normalized(
-        scene.body, _DEFAULT_CONSTS, slack, quad, ratio, norm_map
-    )
+    scene, norm_map = normalize_to_square(body, quad)
+    return _classify_normalized(scene.body, _DEFAULT_CONSTS, quad, ratio, norm_map)
 
 
 def _classify_normalized(
     norm_body: ConvexPolygon,
     consts: TheoremConstants,
-    slack: float,
     witness: ConvexPolygon,
     empirical_ratio: float,
     normalizing_map: Optional[AffineMap] = None,
@@ -506,7 +485,7 @@ def _classify_normalized(
     through to the report; the ladder adds the evidence of each rung it
     reaches.
     """
-    contacts = axis_box_with_contacts(norm_body, tol=slack)
+    contacts = axis_box_with_contacts(norm_body)
     report = partial(
         CaseReport,
         witness=witness,
@@ -519,13 +498,14 @@ def _classify_normalized(
     c2 = consts.c2_value()
     r = consts.r_value()
     x, y = float(contacts.x), float(contacts.y)
+    slack = _slack(contacts.x)
 
     if x * y > 8 * c1 + slack:
         return report(CaseId.BOX_LARGE, f1)
     if x > c2 * y + slack or y > c2 * x + slack:
         return report(CaseId.BOX_SKEWED, f2)
 
-    scene8 = build_octagon(norm_body, contacts, tol=slack)
+    scene8 = build_octagon(norm_body, contacts)
     gap = max(
         float(linf_distance_to_polygon(v, scene8.octagon))
         for v in norm_body.vertices
@@ -543,9 +523,7 @@ def _classify_normalized(
     # The cut construction then beats area 8, which contradicts minimality
     # of the normalizing quadrilateral; reachable only through slack.
     normed, flips = reflection_normalize(contacts)
-    cut_quad, branch = lemma_octagon_quad(
-        normed, c=float(consts.c3), delta=float(consts.delta), tol=slack
-    )
+    cut_quad, branch = lemma_octagon_quad(normed, float(consts.c3), float(consts.delta))
     cut_area = float(cut_quad.area)
     if (1 + r) ** 2 * cut_area >= 8:
         raise InconsistentCase(

@@ -16,20 +16,19 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .geometry import Scalar
+from .geometry import Scalar, _slack
 
 _C_MIN = Fraction(14, 5)
 _DELTA_MAX = Fraction(1, 10)
 
 
-def cut_domain_violation(
-    c: Scalar, delta: Scalar, slack: Scalar = 0
-) -> Optional[str]:
+def cut_domain_violation(c: Scalar, delta: Scalar) -> Optional[str]:
     """Name the bound that ``(c, delta)`` breaks, or None inside the domain.
 
     The domain of the cut parameters is c >= 14/5 and 0 <= delta <= 1/10;
-    ``slack`` widens every bound by that much, for float callers.
+    for float input every bound is widened by the float slack 1e-8.
     """
+    slack = _slack(c, delta)
     if not c >= _C_MIN - slack:
         return f"cut size c = {c} must be at least 14/5"
     if not (-slack <= delta <= _DELTA_MAX + slack):

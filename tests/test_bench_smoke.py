@@ -94,7 +94,7 @@ def test_classify_spans_stay_on_the_call_path(monkeypatch):
     square = pipeline.unit_square().vertices
     body = convex_hull(list(square) + list(contacts.contacts)).to_float()
     report = pipeline._classify_normalized(
-        body, TheoremConstants(), 1e-8, witness=body, empirical_ratio=1.0
+        body, TheoremConstants(), witness=body, empirical_ratio=1.0
     )
     assert report.case_id is pipeline.CaseId.OCTAGON_IMPROVED
     assert entered["lemma_octagon_quad"] == 1

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from circumquad import (
     BadParams,
+    brute_force_min_quad,
     gen_corpus,
     min_circumscribed_quadrilateral,
     regular_polygon,
@@ -88,3 +90,30 @@ def test_affine_pentagon_ratio_is_affine_invariant():
         quad, _ = min_circumscribed_quadrilateral(body)
         ratio = quad.area / body.area
         assert ratio == pytest.approx(3 / math.sqrt(5), abs=1e-5)
+
+
+_BODY = regular_polygon(6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: brute_force_min_quad(_BODY, grid=90.5),
+        lambda: brute_force_min_quad(_BODY, grid="90"),
+        lambda: gen_corpus("random", 2.5),
+        lambda: gen_corpus("ellipse", 1, vertices=8.5),
+        lambda: regular_polygon(5.5),
+        lambda: regular_polygon("5"),
+    ],
+    ids=["grid-float", "grid-str", "count-float", "vertices-float", "k-float", "k-str"],
+)
+def test_integer_size_parameters_reject_non_integers(call):
+    with pytest.raises(BadParams, match="must be an integer"):
+        call()
+
+
+def test_integer_size_parameters_accept_numpy_ints():
+    bodies = gen_corpus("ellipse", np.int64(2), seed=1, vertices=np.int32(8))
+    assert [len(b) for b in bodies] == [8, 8]
+    assert len(regular_polygon(np.int64(7))) == 7
+    assert len(brute_force_min_quad(_BODY, grid=np.int16(32))) == 4

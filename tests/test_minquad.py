@@ -378,3 +378,11 @@ class TestMidpointCertificate:
         assert cert.contains_body
         assert all(r == 0 for r in cert.midpoint_residuals)
         assert cert.area_ratio == 2
+
+    @pytest.mark.parametrize("eps, contained", [(1e-12, True), (F(1, 10**30), False)])
+    def test_containment_slack_follows_number_type(self, eps, contained):
+        # The diamond's bottom vertex pokes eps below the square.
+        half = 0.5 if isinstance(eps, float) else F(1, 2)
+        body = ConvexPolygon([(half, -eps), (1, half), (half, 1), (0, half)])
+        quad = Quadrilateral(((0, 0), (1, 0), (1, 1), (0, 1)))
+        assert midpoint_certificate(body, quad).contains_body is contained

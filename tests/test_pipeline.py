@@ -2,6 +2,7 @@
 
 import math
 import random
+from contextlib import nullcontext
 from fractions import Fraction as F
 
 import pytest
@@ -258,8 +259,48 @@ class TestLemma:
 
     def test_tolerance_admits_slightly_violating_floats(self):
         cb = box(-1.5, -1.5, 1.5, 1.5 + 1e-12)
-        quad, _ = lemma_octagon_quad(cb, 3.0, 0.1, tol=1e-9)
+        quad, _ = lemma_octagon_quad(cb, 3.0, 0.1)
         assert quad.area == pytest.approx(float(F(5451, 580)), rel=1e-9)
+
+
+def _miss(exact):
+    """Number type and miss: Fractions off by 1e-30, or floats off by 1e-12."""
+    return (F, F(1, 10**30)) if exact else (float, 1e-12)
+
+
+def _expect(exact, error):
+    return pytest.raises(error) if exact else nullcontext()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float-passes", "exact-fails"])
+class TestSlackFollowsNumberType:
+    """No tolerance argument: float input gets slack 1e-8, exact input none."""
+
+    def test_axis_box_with_contacts(self, exact):
+        num, eps = _miss(exact)
+        top = num(1) - eps
+        body = ConvexPolygon([(-1, -1), (1, -1), (1, top), (-1, top)])
+        with _expect(exact, NormalizationViolated):
+            assert axis_box_with_contacts(body).b2 == top
+
+    def test_build_octagon(self, exact):
+        # The square's corner (1, 1) lies just outside the body.
+        num, eps = _miss(exact)
+        h, corner = num(3) / 2, num(1) - eps
+        body = ConvexPolygon([
+            (-1, -1), (0, -h), (1, -1), (h, 0),
+            (corner, corner), (0, h), (-1, 1), (-h, 0),
+        ])
+        contacts = axis_box_with_contacts(body)
+        with _expect(exact, NormalizationViolated):
+            assert build_octagon(body, contacts).octagon_area == 6
+
+    def test_lemma_octagon_quad(self, exact):
+        num, eps = _miss(exact)
+        h, z = num(3) / 2, num(0)
+        cb = box(-h, -h, h, h + eps, z, z, z, z)
+        with _expect(exact, HypothesisViolated):
+            lemma_octagon_quad(cb, num(3), num(1) / 10)
 
 
 class TestNormalization:
@@ -272,7 +313,7 @@ class TestNormalization:
             Quadrilateral(tuple(m.apply(v) for v in quad.vertices)).area
         )
         assert norm_quad_area == pytest.approx(8.0, rel=1e-9)
-        cb = axis_box_with_contacts(scene.body, tol=1e-8)
+        cb = axis_box_with_contacts(scene.body)
         assert float(cb.x) == pytest.approx(4.0, rel=1e-9)
         assert float(cb.y) == pytest.approx(4.0, rel=1e-9)
 
@@ -400,7 +441,7 @@ class TestClassifier:
 
     def classify(self, body, consts=CONSTS):
         return _classify_normalized(
-            body, consts, 1e-8, witness=body, empirical_ratio=1.0
+            body, consts, witness=body, empirical_ratio=1.0
         )
 
     def test_skewed_box_case(self):

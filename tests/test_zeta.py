@@ -60,12 +60,33 @@ class TestDomain:
         assert "14/5" in cut_domain_violation(c_min - eps, F(0))
         assert "delta" in cut_domain_violation(c_min, delta_max + eps)
         assert "delta" in cut_domain_violation(c_min, -eps)
-        assert cut_domain_violation(2.8 - 1e-12, 0.1 + 1e-12, slack=1e-9) is None
+        assert cut_domain_violation(2.8 - 1e-12, 0.1 + 1e-12) is None
         # Callers keep their own error class for the shared domain.
         with pytest.raises(DomainError):
             zeta_bound(F(5, 2), F(0))
         with pytest.raises(BadParams):
             TheoremConstants(c3=F(5, 2))
+
+    def test_cut_domain_slack_follows_number_type(self):
+        assert cut_domain_violation(2.8 - 1e-12, -1e-12) is None
+        assert cut_domain_violation(3.0, 0.1 + 1e-12) is None
+        tiny = F(1, 10**30)
+        assert "14/5" in cut_domain_violation(F(14, 5) - tiny, F(0))
+        assert "delta" in cut_domain_violation(F(3), F(1, 10) + tiny)
+        assert "delta" in cut_domain_violation(F(3), -tiny)
+
+    def test_float_domain_corners_track_exact(self):
+        # The float 2.8 lies below 14/5 and the float 0.1 above 1/10.
+        for t, exact_t in ((-1.4, F(-7, 5)), (0.0, F(0)), (0.5, F(1, 2))):
+            exact = zeta(F(14, 5), F(1, 10), exact_t)
+            assert zeta(2.8, 0.1, t) == pytest.approx(float(exact), rel=1e-12)
+        exact = zeta_bound(F(14, 5), F(1, 20))
+        assert zeta_bound(2.8, 0.05) == pytest.approx(float(exact), rel=1e-12)
+        roots = zeta_derivative_roots(3.0, 0.1)
+        exact_roots = zeta_derivative_roots(F(3), F(1, 10))
+        assert roots == pytest.approx([float(r) for r in exact_roots], rel=1e-12)
+        with pytest.raises(DomainError):
+            zeta_bound(2.8 - 1e-6, 0.05)
 
 
 class TestIdentities:
