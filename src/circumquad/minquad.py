@@ -20,10 +20,10 @@ computed corners.
   At every coordinatewise minimum two adjacent sides lie flush with body
   edges (Aggarwal, Chang and Yap, 1985), so these are the natural starts.
   It refines the best few quadruples by exact cyclic coordinate descent, each
-  side moving in turn to its best angle by enumerating the body vertices it
-  can pivot about.  At a local minimum every side touches the body at the
-  side's midpoint, which is exactly the optimality condition the certificate
-  measures.
+  side moving in turn to its best angle by bisection over the body vertices
+  it can pivot about, with the other two corners held fixed.  At a local
+  minimum every side touches the body at the side's midpoint, which is
+  exactly the optimality condition the certificate measures.
 
 The solver never assumes success: its output is wrapped in a
 :class:`CircumscriptionCertificate` with containment re-checked geometrically.
@@ -32,9 +32,11 @@ The solver never assumes success: its output is wrapped in a
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 from typing import List, Tuple
 
 import numpy as np
@@ -75,6 +77,11 @@ _MAX_DIRECTIONS = 90
 # Descent cycles per start.  Refinement stops earlier once a cycle gains less
 # than ``_TOL``, which on the corpus families takes 2 to 4 cycles.
 _REFINE_CYCLES = 30
+# Largest sup-norm diameter of a body the solver accepts.  The scan's support
+# values about the vertex mean are at most sqrt(2) times the diameter, so each
+# feasible corner term is below 8 * diam**2 / 1e-12, and the scan's sums of
+# four such terms stay finite up to here (about 2.4e147).
+_MAX_DIAMETER = math.sqrt(sys.float_info.max * 1e-12 / 32.0)
 # Largest angle grid the oracle accepts.  The scan holds a few n-by-n float
 # arrays and takes O(n^3) time: at 1024 a 42 MB tracemalloc peak and 4 s for
 # a 16-vertex body on a 2-core VM, and the memory grows with n^2 beyond that.
@@ -188,7 +195,8 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     sin_g = np.outer(cos, sin) - np.outer(sin, cos)
     cos_g = np.outer(cos, cos) + np.outer(sin, sin)
     Hi, Hj = H[:, None], H[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # The pairs with sin_g <= 1e-12 may overflow; they are masked next.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         W = (2.0 * Hi * Hj - (Hi * Hi + Hj * Hj) * cos_g) / sin_g
     W[sin_g <= 1e-12] = np.inf
     del sin_g, cos_g
@@ -318,9 +326,14 @@ def _scan_normals(normals: List[float]) -> List[float]:
 
 
 def _float_support(body: ConvexPolygon) -> Tuple[ConvexPolygon, _Support]:
-    """The body in floats and its support function; rejects a flat body."""
+    """The body in floats and its support function; rejects a flat or huge body."""
     poly = body.to_float()
     diam = poly.linf_diameter()
+    if not diam <= _MAX_DIAMETER:
+        raise BadParams(
+            f"body too large: its sup-norm diameter {diam:.3g} exceeds {_MAX_DIAMETER:.3g}, "
+            "beyond which the solver's sums of corner terms may overflow"
+        )
     if poly.area <= 1e-12 * diam * diam:
         raise DegenerateBody("body area is numerically zero")
     return poly, _Support(poly)
@@ -353,30 +366,110 @@ def _quad_from_lines(lines, tiny: float):
     return twice / 2.0, corners
 
 
-def _side_candidates(support: _Support, angles: List[float], lines, i: int):
-    """(angle, line) of side i's area minimum on each piece of its range.
+def _side_evaluator(lines, i: int, tiny: float):
+    """Area of the quadrilateral ``lines`` as a function of side i's line alone.
 
-    On a piece side i pivots about one contact p, and the area is a constant
-    plus or minus the triangle that side i cuts from its neighbouring lines;
-    that triangle is smallest where p bisects the side.  If the neighbours'
-    normals are over pi apart it adds, and the minimum is the bisecting angle
-    clipped to the piece; else it subtracts, and the minimum is a piece end.
-    A minimum at the piece start is skipped: the previous piece's is no higher.
+    A move of side i changes only the two corners on it.  The other two
+    corners, the side between them and its shoelace term are computed once
+    here; the returned ``area(c, s, h)`` then needs two intersections, three
+    side checks and the four shoelace terms, added in the order of
+    :func:`_quad_from_lines`, whose value it equals bit for bit.  Returns
+    None when the fixed part is infeasible, so that every position of side i
+    is.
+    """
+    cp, sp, hp = lines[i - 1]
+    cn, sn, hn = lines[(i + 1) % 4]
+    co, so, ho = lines[(i + 2) % 4]
+    det = cn * so - co * sn
+    if det <= 1e-12:
+        return None
+    x1, y1 = (hn * so - ho * sn) / det, (cn * ho - co * hn) / det  # corner i+1
+    det = co * sp - cp * so
+    if det <= 1e-12:
+        return None
+    x2, y2 = (ho * sp - hp * so) / det, (co * hp - cp * ho) / det  # corner i+2
+    if co * (y2 - y1) - so * (x2 - x1) <= tiny:
+        return None
+    fixed = x1 * y2 - y1 * x2
+
+    def area(c: float, s: float, h: float) -> float:
+        det = cp * s - c * sp
+        if det <= 1e-12:
+            return math.inf
+        xa, ya = (hp * s - h * sp) / det, (cp * h - c * hp) / det  # corner i-1
+        det = c * sn - cn * s
+        if det <= 1e-12:
+            return math.inf
+        xb, yb = (h * sn - hn * s) / det, (c * hn - cn * h) / det  # corner i
+        if (
+            cp * (ya - y2) - sp * (xa - x2) <= tiny
+            or c * (yb - ya) - s * (xb - xa) <= tiny
+            or cn * (y1 - yb) - sn * (x1 - xb) <= tiny
+        ):
+            return math.inf
+        ta, tb, tc = xa * yb - ya * xb, xb * y1 - yb * x1, x2 * ya - y2 * xa
+        if i == 0:
+            return (tb + fixed + tc + ta) / 2.0
+        if i == 1:
+            return (ta + tb + fixed + tc) / 2.0
+        if i == 2:
+            return (tc + ta + tb + fixed) / 2.0
+        return (fixed + tc + ta + tb) / 2.0
+
+    return area
+
+
+def _side_move(support: _Support, angles: List[float], lines, i: int):
+    """(area, angle, line) of side i's best position, or None if it has none.
+
+    Side i may turn between its neighbours' angles, up to pi from either.  On
+    each piece of that range between two edge normals it pivots about one
+    contact p, and the area is a constant plus or minus the triangle that
+    side i cuts from its neighbouring lines; that triangle is smallest where
+    p bisects the side.  If the neighbours' normals are over pi apart it
+    adds, and the piece's candidate is the bisecting angle clipped to the
+    piece; else it subtracts, and the candidate is the piece end.  A
+    candidate at the piece start is none: the previous piece's is no higher.
+    Piece j has contact ``contacts[(k0 + j) % m]`` and ends at the matching
+    normal, unrolled past 2*pi, so any candidate costs O(1).
+
+    The best position is the first candidate of least area, as a walk over
+    every piece finds it; the range is bisected for it (see :func:`_refine`).
     """
     prev = angles[i - 1] - (_TWO_PI if i == 0 else 0.0)
     nxt = angles[(i + 1) % 4] + (_TWO_PI if i == 3 else 0.0)
     lo, hi = max(prev, nxt - math.pi), min(prev + math.pi, nxt)
+    area_of = _side_evaluator(lines, i, support.tiny)
+    if area_of is None or not lo < hi:
+        return None
+    normals, contacts = support.normals, support.contacts
+    m = len(normals)
+    k0 = bisect_right(normals, lo % _TWO_PI)
+    base = lo - lo % _TWO_PI
+    # The normals past 2*pi end their pieces at wrapped + normal, summed in
+    # this order: another rounding picks another of a regular hexagon's equal
+    # minima, and with it another case.
+    wrapped = base + _TWO_PI
+    # The last piece is the first whose normal lies at or past hi.
+    last = bisect_left(normals, hi, k0, m, key=lambda phi: base + phi) - k0
+    if k0 + last == m:
+        last += bisect_left(normals, hi, 0, m, key=lambda phi: wrapped + phi)
+
     cp, sp, hp = lines[i - 1]
     cn, sn, hn = lines[(i + 1) % 4]
     det = cp * sn - cn * sp  # sin(nxt - prev)
-    k = bisect_right(support.normals, lo % _TWO_PI)
-    base = lo - lo % _TWO_PI
-    start = lo
-    while start < hi:
-        if k == len(support.normals):
-            k, base = 0, base + _TWO_PI
-        end = min(base + support.normals[k], hi)
-        px, py = support.contacts[k]
+
+    def candidate(j: int):
+        """(area, angle, line) of piece j's candidate; (inf, None, None) if none."""
+        k = k0 + j
+        if j == 0:
+            start = lo
+        else:
+            start = base + normals[k - 1] if k <= m else wrapped + normals[k - 1 - m]
+        end = base + normals[k] if k < m else wrapped + normals[k - m]
+        if end > hi:
+            end = hi
+        px, py = contacts[k % m]
         theta = end
         if det < 0.0:
             b1 = hp - (cp * px + sp * py)
@@ -386,26 +479,67 @@ def _side_candidates(support: _Support, angles: List[float], lines, i: int):
             sy = (cp * b2 - cn * b1) / det
             mid = 0.5 * (start + end)
             theta = mid + math.remainder(math.atan2(sx, -sy) - mid, _TWO_PI)
-            theta = min(max(theta, start), end)
-        if theta > start:
-            c, s = math.cos(theta), math.sin(theta)
-            yield theta, (c, s, px * c + py * s)
-        start, k = end, k + 1
+            theta = start if theta < start else end if theta > end else theta
+        if theta <= start:
+            return math.inf, None, None
+        c, s = math.cos(theta), math.sin(theta)
+        h = px * c + py * s
+        return area_of(c, s, h), theta, (c, s, h)
+
+    found = [None] * (last + 1)
+
+    def value(j: int) -> float:
+        if found[j] is None:
+            found[j] = candidate(j)
+        return found[j][0]
+
+    a, b = 0, last
+    while a < b:
+        j = (a + b) // 2
+        if value(j + 1) >= value(j):
+            b = j
+        else:
+            a = j + 1
+    # Widen to the near-flat stretch around the bisection's piece; an
+    # infeasible piece widens it to the whole range.
+    near = value(a)
+    near += 1e-12 * abs(near)
+    b = a
+    while a > 0 and value(a - 1) <= near:
+        a -= 1
+    while b < last and value(b + 1) <= near:
+        b += 1
+    area, theta, line = min(found[a : b + 1], key=itemgetter(0))  # the first of least area
+    return None if line is None else (area, theta, line)
 
 
 def _refine(support: _Support, angles: List[float]):
-    """Cyclic exact coordinate descent over the four side angles."""
+    """Cyclic exact coordinate descent over the four side angles.
+
+    Each side in turn moves to its best position if that lowers the area.
+    Its candidates, one per piece of its range (:func:`_side_move`), are
+    taken to have areas that fall and then rise along the range, as the
+    area's derivative has the sign of the contact's offset from the side's
+    midpoint.  That is unproven; where it fails, the move takes a worse
+    candidate than a walk over every piece would, and
+    ``TestSideMove::test_bisection_is_the_walk`` pins it on the test bodies.
+    With it a bisection finds the first piece whose successor is not lower
+    in O(log m) area evaluations.  Rounding makes equal minima (of a pentagon, a hexagon
+    or an ellipse) unequal, so the move then takes the first least area over
+    the stretch around that piece within 1e-12 of it, as a walk over every
+    piece would; if the bisection ends on an infeasible piece, that stretch
+    is the whole range.  Each evaluation holds the two corners off side i
+    fixed (:func:`_side_evaluator`), and equals the full shoelace sum bit for
+    bit.
+    """
     lines = [support.line(theta) for theta in angles]
     area, _ = _quad_from_lines(lines, support.tiny)
     for _ in range(_REFINE_CYCLES):
         area_before = area
         for i in range(4):
-            cand = list(lines)
-            for theta, line in _side_candidates(support, angles, lines, i):
-                cand[i] = line
-                value, _ = _quad_from_lines(cand, support.tiny)
-                if value < area:
-                    area, angles[i], lines[i] = value, theta, line
+            move = _side_move(support, angles, lines, i)
+            if move is not None and move[0] < area:
+                area, angles[i], lines[i] = move
         if area_before - area <= _TOL * abs(area):
             break
     return area, lines

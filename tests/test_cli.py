@@ -173,6 +173,14 @@ class TestInputErrors:
         assert main(["solve", path]) == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", [1e150, 1e160])
+    def test_too_large_body(self, tmp_path, capsys, s):
+        path = write_body(
+            tmp_path, "big.json", {"vertices": [[s, 0], [0, s], [-s, 0], [0, -s]]}
+        )
+        assert main(["solve", path]) == 2
+        assert "diameter" in capsys.readouterr().err
+
     def test_bad_bench_kind(self, capsys):
         assert main(["bench", "--kind", "blobs", "--count", "1"]) == 2
 

@@ -1,5 +1,6 @@
 """Minimum circumscribed quadrilateral solver and the midpoint identity."""
 
+import bisect
 import itertools
 import math
 import random
@@ -8,6 +9,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circumquad import (
     BadParams,
@@ -26,8 +29,17 @@ from circumquad import (
     regular_polygon,
     varignon,
 )
+from circumquad import minquad
 from circumquad.geometry import AffineMap, apply_affine
-from circumquad.minquad import _scan_support_directions, midpoint_certificate
+from circumquad.minquad import (
+    _float_support,
+    _quad_from_lines,
+    _refine,
+    _scan_normals,
+    _scan_support_directions,
+    _side_evaluator,
+    midpoint_certificate,
+)
 
 
 def random_rational_quad(rng):
@@ -386,3 +398,173 @@ class TestMidpointCertificate:
         body = ConvexPolygon([(half, -eps), (1, half), (half, 1), (0, half)])
         quad = Quadrilateral(((0, 0), (1, 0), (1, 1), (0, 1)))
         assert midpoint_certificate(body, quad).contains_body is contained
+
+
+TWO_PI = 2 * math.pi
+
+
+@st.composite
+def four_lines(draw):
+    """Four (cos, sin, h) lines at ascending angles.
+
+    Most are support lines of a few points, at gaps that mostly lie in
+    (0, pi): feasible quadrilaterals.  The others have free support values,
+    which cross edges; three lines through one point, which leave a side of
+    zero length; or gaps from below 0 to above pi.
+    """
+    kind = draw(st.sampled_from(["support"] * 3 + ["free", "pinched", "wide"]))
+    if kind == "wide":
+        gaps = draw(st.lists(st.floats(-0.5, 3.6), min_size=3, max_size=3))
+    else:
+        weights = draw(st.lists(st.floats(0.3, 1.0), min_size=4, max_size=4))
+        gaps = [TWO_PI * w / sum(weights) for w in weights[:3]]
+    angles = [draw(st.floats(0, TWO_PI))]
+    for g in gaps:
+        angles.append(angles[-1] + g)
+    cs = [(math.cos(a), math.sin(a)) for a in angles]
+    if kind in ("support", "wide"):
+        point = st.tuples(st.floats(-5, 5), st.floats(-5, 5))
+        pts = draw(st.lists(point, min_size=3, max_size=6))
+        hs = [max(x * c + y * s for x, y in pts) for c, s in cs]
+    else:
+        hs = draw(st.lists(st.floats(-3, 3), min_size=4, max_size=4))
+    if kind == "pinched":
+        x, y = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+        j = draw(st.integers(0, 3))
+        for k in (j - 1, j, (j + 1) % 4):
+            hs[k] = x * cs[k][0] + y * cs[k][1]
+    return [(c, s, h) for (c, s), h in zip(cs, hs)]
+
+
+class TestSideMove:
+    @settings(max_examples=400, deadline=None)
+    @given(four_lines(), st.sampled_from([0.0, 1e-12, 1e-3]))
+    def test_side_evaluation_is_bit_for_bit(self, lines, tiny):
+        # The area with three lines held fixed equals the full shoelace sum
+        # exactly, so that descent takes the same steps either way.
+        expected, _ = _quad_from_lines(lines, tiny)
+        for i in range(4):
+            area = _side_evaluator(lines, i, tiny)
+            if area is None:
+                assert expected == math.inf
+            else:
+                assert area(*lines[i]) == expected
+
+    @staticmethod
+    def walk_candidates(support, angles, lines, i):
+        """(angle, line) of side i's candidate on every piece of its range, in order."""
+        prev = angles[i - 1] - (TWO_PI if i == 0 else 0.0)
+        nxt = angles[(i + 1) % 4] + (TWO_PI if i == 3 else 0.0)
+        lo, hi = max(prev, nxt - math.pi), min(prev + math.pi, nxt)
+        cp, sp, hp = lines[i - 1]
+        cn, sn, hn = lines[(i + 1) % 4]
+        det = cp * sn - cn * sp
+        k = bisect.bisect_right(support.normals, lo % TWO_PI)
+        base = lo - lo % TWO_PI
+        start = lo
+        while start < hi:
+            if k == len(support.normals):
+                k, base = 0, base + TWO_PI
+            end = min(base + support.normals[k], hi)
+            px, py = support.contacts[k]
+            theta = end
+            if det < 0.0:
+                b1 = hp - (cp * px + sp * py)
+                b2 = (cn * px + sn * py) - hn
+                sx = (b1 * sn - b2 * sp) / det
+                sy = (cp * b2 - cn * b1) / det
+                mid = 0.5 * (start + end)
+                theta = mid + math.remainder(math.atan2(sx, -sy) - mid, TWO_PI)
+                theta = min(max(theta, start), end)
+            if theta > start:
+                c, s = math.cos(theta), math.sin(theta)
+                yield theta, (c, s, px * c + py * s)
+            start, k = end, k + 1
+
+    def walk_refine(self, support, angles):
+        """Coordinate descent that evaluates every piece and keeps the first least area."""
+        lines = [support.line(theta) for theta in angles]
+        area, _ = _quad_from_lines(lines, support.tiny)
+        for _ in range(minquad._REFINE_CYCLES):
+            area_before = area
+            for i in range(4):
+                cand = list(lines)
+                for theta, line in self.walk_candidates(support, angles, lines, i):
+                    cand[i] = line
+                    value, _ = _quad_from_lines(cand, support.tiny)
+                    if value < area:
+                        area, angles[i], lines[i] = value, theta, line
+            if area_before - area <= minquad._TOL * abs(area):
+                break
+        return area, lines
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"regular-{k}" for k in range(4, 13)]
+        + sorted(n for n in SCAN_BODIES if "triangle" not in n)
+        + ["ellipse-1024", "half-disk-201"],
+    )
+    def test_bisection_is_the_walk(self, name):
+        # Triangles have no starts: the scan finds no quadruple on 3 normals.
+        if name.startswith("regular-"):
+            body = regular_polygon(int(name.split("-")[1]))
+        elif name == "ellipse-1024":
+            body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
+        elif name == "half-disk-201":
+            body = half_disk(200)
+        else:
+            body = SCAN_BODIES[name]
+        poly, support = _float_support(body)
+        normals = _scan_normals(support.normals)
+        starts = _scan_support_directions(poly, np.array(normals), minquad._MAX_STARTS)
+        for _, idx in starts:
+            angles = [normals[k] for k in idx]
+            assert _refine(support, list(angles)) == self.walk_refine(support, list(angles))
+
+    def test_evaluation_count(self, monkeypatch):
+        # The walk makes 33,472 area evaluations on this body; the bisection
+        # about 1,300.
+        calls = [0]
+        quad_from_lines, side_evaluator = _quad_from_lines, _side_evaluator
+
+        def counted_quad(*args):
+            calls[0] += 1
+            return quad_from_lines(*args)
+
+        def counted_side(*args):
+            area = side_evaluator(*args)
+            if area is None:
+                return None
+
+            def counted(*line):
+                calls[0] += 1
+                return area(*line)
+
+            return counted
+
+        monkeypatch.setattr(minquad, "_quad_from_lines", counted_quad)
+        monkeypatch.setattr(minquad, "_side_evaluator", counted_side)
+        body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
+        min_circumscribed_quadrilateral(body)
+        assert 0 < calls[0] <= 33_472 // 2
+
+
+class TestHugeBodies:
+    @staticmethod
+    def diamond(s):
+        return ConvexPolygon([(s, 0.0), (0.0, s), (-s, 0.0), (0.0, -s)])
+
+    @pytest.mark.parametrize("s", [1e150, 1e160])
+    def test_too_large_raises_bad_params(self, s):
+        # Beyond the limit the scan's sums of corner terms may overflow: the
+        # body used to fail as NoFeasibleQuadruple or, once its float area
+        # overflowed, as DegenerateBody.
+        with pytest.raises(BadParams, match="diameter"):
+            min_circumscribed_quadrilateral(self.diamond(s))
+
+    # 1e147 lies just under the limit: its scan warns (and so fails) if a
+    # sum of corner terms overflows.
+    @pytest.mark.parametrize("s", [1e100, 1e147])
+    def test_large_body_still_solves(self, s):
+        _, cert = min_circumscribed_quadrilateral(self.diamond(s))
+        assert cert.area_ratio == pytest.approx(1.0, abs=1e-12)
