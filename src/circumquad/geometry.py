@@ -310,23 +310,39 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
 
     ``tol`` is relative to the polygon's max-norm diameter, so the predicate
     is invariant under scaling.  With ``tol = 0`` the test is a pure sign
-    check and exact for rational inputs.  The tolerant branch compares squared
-    quantities, so it is exact for rational inputs as well.
+    check and exact for rational inputs; so is the tolerant test, see
+    :func:`_tolerant_edges`.
     """
     q = Point(p[0], p[1])
     if tol == 0:
         return _encloses(poly.vertices + (q,), len(poly))
-    diam = poly.linf_diameter()
-    budget = tol * tol * diam * diam
-    for a, b in poly.edges():
+    edges, exact = _tolerant_edges(poly, tol, q)
+    for a, b, bound in edges:
         c = cross3(a, b, q)
-        if c >= 0:
-            continue
-        e = b - a
-        # distance to edge line is |c| / |e|; compare squares to avoid sqrt
-        if c * c > budget * e.dot(e):
+        if c < 0 and (c * c if exact else -c) > bound:
             return False
     return True
+
+
+def _tolerant_edges(poly: ConvexPolygon, tol: Scalar, q: Point):
+    """Per edge (a, b) of ``poly``, the bound of the tolerant containment test.
+
+    A point q lies beyond edge (a, b) when c = cross3(a, b, q) < 0 and its
+    distance -c / |b - a| exceeds ``tol * diam``.  When ``poly`` and ``q``
+    are rational, both sides are squared, which keeps the test exact (the
+    second value returned is True).  Otherwise the bound is
+    ``tol * diam * |b - a|`` in floats: squares of coordinates above about
+    1e77 would overflow to inf on both sides and pass every point.
+    """
+    diam = poly.linf_diameter()
+    exact = not _slack(*poly.vertices[0], *q)
+    if exact:
+        budget = tol * tol * diam * diam
+        return [(a, b, budget * (b - a).dot(b - a)) for a, b in poly.edges()], True
+    budget = float(tol) * float(diam)
+    return [
+        (a, b, budget * math.hypot(b.x - a.x, b.y - a.y)) for a, b in poly.edges()
+    ], False
 
 
 def _encloses(points: Sequence[Point], n: int) -> bool:
@@ -348,13 +364,11 @@ def contains_polygon(
         return _encloses(outer.vertices + inner.vertices, len(outer))
     # The tolerant test of contains_point, with its per-edge bound computed
     # once for all vertices.
-    diam = outer.linf_diameter()
-    budget = tol * tol * diam * diam
-    edges = [(a, b, budget * (b - a).dot(b - a)) for a, b in outer.edges()]
+    edges, exact = _tolerant_edges(outer, tol, inner.vertices[0])
     for q in inner.vertices:
         for a, b, bound in edges:
             c = cross3(a, b, q)
-            if c < 0 and c * c > bound:
+            if c < 0 and (c * c if exact else -c) > bound:
                 return False
     return True
 

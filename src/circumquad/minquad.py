@@ -7,11 +7,12 @@ iff consecutive angle gaps stay below pi and every edge has positive length.
 
 Both entry points share one exhaustive scan over a sorted set of directions.
 It splits the doubled area into four corner terms, one per pair of
-consecutive lines, and minimizes their sum over 4-cycles of directions as a
-min-plus search: O(n^3) time and O(n^2) memory on n directions.  A side has
-zero length exactly when the contact vertex of its line lies on both
-neighbouring lines, so feasibility is a test on contact vertices, not on
-computed corners.
+consecutive lines, and minimizes their sum over 4-cycles of directions with
+one min-plus product of the corner-term matrix with itself, a loop over the
+middle line: O(n^3) time and O(n^2) memory on n directions.  A side has zero
+length exactly when the contact vertex of its line lies on both neighbouring
+lines, so feasibility is a test on contact vertices, not on computed
+corners.
 
 * :func:`brute_force_min_quad` scans a uniform angle grid and returns the
   best quadruple.  It is the reference oracle: exhaustive, no refinement, and
@@ -35,7 +36,6 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from operator import itemgetter
 from typing import List, Tuple
 
@@ -71,8 +71,8 @@ _TOL = 1e-9
 # a margin.
 _MAX_STARTS = 6
 # The solver scans about this many of the body's edge normals at most, so
-# that the O(n^3) scan stays under about 7 ms (the 86 it keeps of an ellipse
-# 1024-gon, 2-core VM); see _scan_normals.
+# that the O(n^3) scan stays under about 2.3 ms (the 86 it keeps of an
+# ellipse 1024-gon, 2-core VM); see _scan_normals.
 _MAX_DIRECTIONS = 90
 # Descent cycles per start.  Refinement stops earlier once a cycle gains less
 # than ``_TOL``, which on the corpus families takes 2 to 4 cycles.
@@ -83,8 +83,9 @@ _REFINE_CYCLES = 30
 # four such terms stay finite up to here (about 2.4e147).
 _MAX_DIAMETER = math.sqrt(sys.float_info.max * 1e-12 / 32.0)
 # Largest angle grid the oracle accepts.  The scan holds a few n-by-n float
-# arrays and takes O(n^3) time: at 1024 a 42 MB tracemalloc peak and 4 s for
-# a 16-vertex body on a 2-core VM, and the memory grows with n^2 beyond that.
+# arrays and takes O(n^3) time: at 1024 a 56 MB tracemalloc peak and 3 s for
+# the 8-vertex hull of 16 random points on a 2-core VM, and the memory grows
+# with n^2 beyond that.
 _MAX_GRID = 1024
 
 
@@ -166,19 +167,31 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
         W(i, j) = (2 h_i h_j - (h_i^2 + h_j^2) cos g) / sin g,
 
     g being the gap from line i to line j; a pair with ``sin g <= 1e-12`` is
-    infeasible, as in :func:`_quad_from_lines`.  Each pair (a, c) therefore
-    needs only min_b [W(a,b) + W(b,c)] + min_d [W(c,d) + W(d,a)]: O(n^2) per
-    anchor and O(n^3) in all, with O(n^2) memory.
+    infeasible, as in :func:`_quad_from_lines`.  Both halves come from one
+    min-plus product, M[x, y] = min over m > x of W(x, m) + W(m, y): the best
+    b gives M[a, c] and the best d gives M[c, a], since W's infinite entries
+    keep m between x and y, going round past 2*pi where y < x.  The product
+    is one loop over the middle line m: O(n^3) time, O(n^2) memory.
 
     Feasibility is exact and combinatorial.  With every gap in (0, pi), the
     contact vertex of line i lies on side i between its two corners: the
     piece towards line j has length (h_j - <u_j, v_i>) / sin g >= 0.  So
     side i has zero length exactly when its contact lies on both neighbouring
-    lines.  Sides b and d only restrict the pairs (b, c) and (c, d); sides a
-    and c couple b with d, so each b and each d is tagged by whether a's
-    contact and c's contact lie on it, and pairs sharing a tag are excluded.
-    "Lies on" allows the rounding level ``2 * tiny`` of
+    lines.  A zero middle side m drops the triple (x, m, y).  Sides a and c
+    couple b with d, so the product keeps one minimum per class of m: whether
+    x's contact lies on m, whether y's does, neither, or any; pairs sharing a
+    flag are excluded.  "Lies on" allows the rounding level ``2 * tiny`` of
     :class:`_Support`, so every accepted side is longer than ``tiny``.
+
+    A pair of lines is flagged when one line's contact lies on the other.
+    Triples of plain pairs fill M0 in the loop over m (:func:`_plain_product`).
+    The flagged pairs lie on a few diagonals of the n-by-n pair matrix, read
+    off ``on``: one or two on edge normals, as many as a fan of lines sharing
+    a contact is wide on a uniform grid.  Triples with one flagged pair take
+    one masked step per such diagonal (:func:`_one_flag_steps`); the few
+    with two are gathered (:func:`_twice_flagged`).  b and d are recovered
+    for the returned pairs only (:func:`_middles`).  The sums, their minima
+    and the stable order on ties are those of a search over every quadruple.
     """
     V = np.asarray(poly.vertices, dtype=float)
     tiny = 1e-12 * np.abs(V).max()
@@ -191,95 +204,247 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     on = H[None, :] - P[P.argmax(axis=0)] <= 2.0 * tiny
     del P
 
-    # sin and cos of the gap from line i to line j
-    sin_g = np.outer(cos, sin) - np.outer(sin, cos)
-    cos_g = np.outer(cos, cos) + np.outer(sin, sin)
-    Hi, Hj = H[:, None], H[None, :]
-    # The pairs with sin_g <= 1e-12 may overflow; they are masked next.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        W = (2.0 * Hi * Hj - (Hi * Hi + Hj * Hj) * cos_g) / sin_g
+    idx = np.arange(n)
+    W, sin_g = _corner_quotients(cos[:, None], sin[:, None], H[:, None], cos, sin, H)
     W[sin_g <= 1e-12] = np.inf
-    del sin_g, cos_g
-    # Contiguous transposes, so that every block read below is a view.
-    WT, onT = np.ascontiguousarray(W.T), np.ascontiguousarray(on.T)
-    # Lines a+1..half[a]-1 lie less than pi after line a, lines half[a].. more.
-    half = np.searchsorted(angles, angles + math.pi)
+    del sin_g
+    # flagged[i, j]: the contact of line i lies on line j, or that of j on i.
+    flagged = on | on.T
+    below = idx[:, None] >= idx  # x >= m: no triple
+    upper = flagged & ~below
+    twice = _twice_flagged(W, on, flagged, upper)
+    diagonals = _flagged_diagonals(W, on, upper)
+    del upper
+    np.copyto(W, np.inf, where=flagged)  # W keeps the plain pairs only
+    del flagged
 
-    def pair_sums(a: int, c: slice):
-        """W(a,b)+W(b,c) over b and W(c,d)+W(d,a) over d, each with its tags.
-
-        Rows run over the b and d windows of ``a``, columns over ``c``; a pair
-        whose middle side has zero length is inf.  Each sum comes with its
-        tag flags: per row whether a's contact lies on the row's line, per
-        entry whether c's contact does.
-        """
-        b, d = slice(a + 1, half[a]), slice(half[a], n)
-        sums = []
-        for rows, S in ((b, W[a, b, None] + W[b, c]), (d, WT[d, c] + W[d, a, None])):
-            # The rows whose contact lies on line a: usually none or one.
-            for r in onT[a, rows].nonzero()[0]:
-                S[r, on[rows.start + r, c]] = np.inf
-            sums.append((S, on[a, rows], onT[rows, c]))
-        return sums
-
-    def tag_minima(S, on_a, on_c):
-        """Column minima of S over the rows of each tag; None for an empty tag.
-
-        The tags run (neither, c's, a's, both).  Overwrites S.  On edge normals
-        each line's contact lies on one neighbour besides itself, so the tags
-        other than "neither" hold a few entries or none.
-        """
-        parts = [None] * 4
-        S_c = None
-        if on_c.any():
-            S_c = np.where(on_c, S, np.inf)
-            np.copyto(S, np.inf, where=on_c)
-        rows = on_a.nonzero()[0]
-        if len(rows):
-            parts[2] = S[rows].min(axis=0)
-            S[rows] = np.inf
-            if S_c is not None:
-                parts[3] = S_c[rows].min(axis=0)
-                S_c[rows] = np.inf
-        parts[0] = S.min(axis=0, initial=np.inf)
-        if S_c is not None:
-            parts[1] = S_c.min(axis=0, initial=np.inf)
-        return parts
-
+    M0 = _plain_product(W)
+    Mxy = _one_flag_steps(W, M0, below, *diagonals)
+    del W, diagonals
     # total[a, c]: the best doubled area with anchor a and opposite line c.
-    total = np.full((n, n), np.inf)
-    for a in range(n - 3):
-        if half[a] == n:
-            break  # no line lies more than pi after a
-        c = slice(a + 2, n)
-        Fk, Gk = (tag_minima(*sums) for sums in pair_sums(a, c))
-        # A b and a d may pair only when their tags share no flag.
-        pairs = [(Fk[0], _lowest(Gk)), (_lowest(Fk[1:]), Gk[0])]
-        pairs += [(Fk[1], Gk[2]), (Fk[2], Gk[1])]
-        candidates = [f + g for f, g in pairs if f is not None and g is not None]
-        total[a, c] = _lowest(candidates)
+    total = _pair_minima(M0, Mxy, *twice)
+    del M0, Mxy
+    np.copyto(total, np.inf, where=below)
     total = total.ravel()
     best = np.argsort(total, kind="stable")[:count]  # ties in (a, c) order
     best = best[np.isfinite(total[best])]
     if not len(best):
         raise NoFeasibleQuadruple(f"no proper quadrilateral on {n} directions")
-
-    minima: List[Tuple[float, Tuple[int, int, int, int]]] = []
-    for k in best:
-        a, c = divmod(int(k), n)
-        (F, a_b, c_b), (G, a_d, c_d) = pair_sums(a, slice(c, c + 1))
-        S = F[:, 0, None] + G[None, :, 0]
-        S[(a_b[:, None] & a_d) | (c_b & c_d[:, 0])] = np.inf
-        j = int(np.argmin(S))
-        b, d = divmod(j, S.shape[1])
-        minima.append((float(total[k]), (a, a + 1 + b, c, int(half[a]) + d)))
-    return minima
+    a, c = np.divmod(best, n)
+    area = total[best]
+    b, d = _middles(cos, sin, H, on, a, c, area)
+    return [
+        (v, (a_, b_, c_, d_))
+        for v, a_, b_, c_, d_ in zip(area.tolist(), a.tolist(), b, c.tolist(), d)
+    ]
 
 
-def _lowest(parts):
-    """Elementwise minimum of the arrays in ``parts`` that are not None, or None."""
-    parts = [p for p in parts if p is not None]
-    return reduce(np.minimum, parts) if parts else None
+def _corner_quotients(ci, si, hi, cj, sj, hj):
+    """Corner terms W(i, j) of :func:`_scan_support_directions`, unmasked.
+
+    Takes cos, sin and support value of lines i and j as broadcast arrays and
+    returns W and sin g; W(i, j) is inf where ``sin g <= 1e-12``.  Swapping i
+    and j negates both exactly, in every rounding step.
+    """
+    # The pairs with sin_g <= 1e-12 may overflow; they are masked later.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sin_g = ci * sj
+        sin_g -= si * cj
+        cos_g = ci * cj
+        cos_g += si * sj
+        W = hi * hi + hj * hj
+        W *= cos_g
+        del cos_g
+        np.subtract(2.0 * hi * hj, W, out=W)
+        W /= sin_g
+    return W, sin_g
+
+
+def _twice_flagged(W, on, flagged, upper):
+    """Triples (x, m, y), x < m, whose pairs (x, m) and (m, y) are both flagged.
+
+    Side m has zero length when m's contact lies on x and on y, so every
+    other such triple has x's contact on m but not m's on x, or y's contact
+    on m but not m's on y; these are gathered.  Returns sorted distinct keys
+    ``(class * n + x) * n + y`` and the least W(x, m) + W(m, y) of each; the
+    class counts 1 for x's contact on m and 2 for y's.
+    """
+    n = len(W)
+    x1, m1 = (upper & ~on.T).nonzero()
+    i1, y1 = flagged[m1].nonzero()
+    m2, y2 = (flagged & ~on).nonzero()
+    i2, x2 = upper.T[m2].nonzero()
+    x = np.concatenate([x1[i1], x2])
+    m = np.concatenate([m1[i1], m2[i2]])
+    y = np.concatenate([y1, y2[i2]])
+    if not len(x):
+        return x, W[x, x]
+    value = W[x, m] + W[m, y]
+    keys = np.ravel_multi_index((on[x, m] + 2 * on[y, m], x, y), (4, n, n))
+    order = keys.argsort()
+    keys, value = keys[order], value[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    heads = head.nonzero()[0]
+    return keys[heads], np.minimum.reduceat(value, heads)
+
+
+def _flagged_diagonals(W, on, upper):
+    """The diagonals k that hold a flagged pair (i, i + k), row t for the t-th.
+
+    Returns the offsets k, the masks of :func:`_one_flag_steps`' six kinds of
+    step (i in range, and the flags that set each step's class) and the
+    values W(i, i + k), W(i + k, i).
+    """
+    n = len(W)
+    i, j = upper.nonzero()
+    offsets = np.flatnonzero(np.bincount(j - i, minlength=1))
+    idx = np.arange(n)
+    cyclic = (idx + offsets[:, None]) % n
+    inside = cyclic > idx
+    U = on[idx, cyclic] & inside  # i's contact on line i + k
+    V = on[cyclic, idx] & inside  # that of i + k on line i
+    only_U, only_V = U & ~V, V & ~U
+    masks = np.array([U, only_V, V, only_U, U, only_V])
+    return offsets.tolist(), masks, np.array([W[idx, cyclic], W[cyclic, idx]])
+
+
+def _plain_product(W: np.ndarray) -> np.ndarray:
+    """M0[x, y] = min over m > x of W(x, m) + W(m, y), one step per line m."""
+    n = len(W)
+    M0 = np.full((n, n), np.inf)
+    # Rows above the first finite entry of column m pair with no m.
+    first = np.isfinite(W).argmax(axis=0).tolist()
+    for m in range(1, n):
+        lo = first[m]
+        if lo < m:
+            np.minimum(M0[lo:m], W[lo:m, m, None] + W[m], out=M0[lo:m])
+    return M0
+
+
+def _one_flag_steps(W, M0, below, offsets, masks, values) -> np.ndarray:
+    """The triples with one flagged pair, one masked n-by-n step per diagonal.
+
+    Their class is set by the flagged pair: x's contact on m (Mx), y's on m
+    (My), or neither when m's contact lies on x or y (M0, updated in place).
+    ``W`` holds the plain pairs only.  The steps run on flat views, where
+    numpy needs no iteration buffers.  Returns (Mx, My).
+    """
+    n = len(W)
+    inf = np.inf
+    Mxy = np.full((2, n, n), inf)
+    Mx, My = Mxy
+    Wf, Bf = W.ravel(), below.ravel()
+    targets = (Mx, M0, My, M0, My, M0)
+    present = masks.any(axis=2).T.tolist()
+    for t, k in enumerate(offsets):
+        r = n - k
+        # One flagged pair per entry of each row, inf elsewhere: (x, m) =
+        # (i, i + k) for x's or m's contact, (m, y) = (i, i + k) for y's or
+        # m's, (m, y) = (i + k, i) for y's or m's.
+        vectors = np.where(masks[:, t], values[_STEP_SIDES, t], inf)
+        for step, has in enumerate(present[t]):
+            if not has:
+                continue
+            T, vector = targets[step], vectors[step]
+            if step < 2:  # row x of T from row m = x + k of W
+                S = vector[:r].repeat(n)
+                np.add(S, Wf[k * n :], out=S)
+                Tf = T.ravel()[: r * n]
+                np.minimum(Tf, S, out=Tf)
+            elif step < 4 and r > 1:  # x < m from column m; row x shifts by k
+                S = vector[None].repeat(r, axis=0).ravel()
+                np.add(S, Wf[: r * n], out=S)
+                np.copyto(S, inf, where=Bf[: r * n])
+                Tf = T.ravel()[k : k + r * n]
+                np.minimum(Tf, S, out=Tf)
+            elif step >= 4 and k > 1:  # x strictly between y = i and m = i + k
+                S = _band(T, k, 0)
+                np.minimum(S, _band(W, k, k) + vector[:r, None], out=S)
+            S = None  # one step's array at a time
+    return Mxy
+
+
+# Which of W(i, i + k) and W(i + k, i) each kind of one-flag step adds.
+_STEP_SIDES = np.array([0, 0, 0, 0, 1, 1])
+
+
+def _pair_minima(M0, Mxy, keys, value) -> np.ndarray:
+    """total[a, c] for a < c, from the class minima and the twice-flagged keys.
+
+    A b and a d may pair when no contact lies on both: the least of
+    M0[a, c] + Mall[c, a], its mirror, Mx[a, c] + Mx[c, a] and the same for
+    My, with Mall over every class.  Computed in the class minima's arrays.
+    """
+    n = len(M0)
+    Mx, My = Mxy
+    cut = np.searchsorted(keys, [n * n, 3 * n * n]).tolist()
+    _scatter_min(M0, keys[: cut[0]], value[: cut[0]])
+    _scatter_min(Mxy, keys[cut[0] : cut[1]] - n * n, value[cut[0] : cut[1]])
+    # Both contacts on m, the last class, joins only the minima over any m.
+    Mall = np.minimum(M0, Mx)
+    np.minimum(Mall, My, out=Mall)
+    _scatter_min(Mall, keys[cut[1] :] - 3 * n * n, value[cut[1] :])
+    np.add(M0, Mall.T, out=M0)
+    np.add(Mx, Mx.T, out=Mall)
+    np.minimum(M0, Mall, out=M0)
+    np.add(My, My.T, out=Mall)
+    np.minimum(M0, Mall, out=M0)
+    return np.minimum(M0, M0.T, out=Mall)
+
+
+def _scatter_min(T: np.ndarray, at: np.ndarray, value: np.ndarray) -> None:
+    """T.flat[at] = min(T.flat[at], value) for distinct flat indices ``at``."""
+    if len(at):
+        flat = T.ravel()
+        flat[at] = np.minimum(flat[at], value)
+
+
+def _band(X: np.ndarray, k: int, shift: int) -> np.ndarray:
+    """Writable view of X[i + s, i + shift] over i < n - k and 0 < s < k."""
+    n, step = len(X), X.itemsize
+    strides = ((n + 1) * step, n * step)
+    return np.ndarray((n - k, k - 1), X.dtype, X, (n + shift) * step, strides)
+
+
+def _middles(cos, sin, H, on, a, c, area):
+    """b and d of each (anchor a, opposite c) pair whose best doubled area is ``area``.
+
+    As an argmin over every b-by-d sum would: the first b that some
+    compatible d completes to ``area``, then the first such d.  Lines are
+    flagged 1 where a's contact lies on them and 2 where c's does; a b and a
+    d sharing a flag do not pair.
+    """
+    inf = np.inf
+    n, p = len(H), len(a)
+    idx = np.arange(n)
+    ends = np.concatenate([a, c])
+    e = ends[:, None]
+    W, sin_g = _corner_quotients(cos[e], sin[e], H[e], cos, sin, H)
+    to_end = np.where(sin_g < -1e-12, -W, inf)  # W(j, e)
+    W[sin_g <= 1e-12] = inf  # W(e, j)
+    F = W[:p] + to_end[p:]  # W(a, b) + W(b, c); inf unless a < b < c
+    G = W[p:] + to_end[:p]  # W(c, d) + W(d, a)
+    on_end = on[:, ends].T  # line j's contact on a, then on c
+    zero = on_end[:p] & on_end[p:]  # side b or d of zero length
+    F[zero] = inf
+    G[zero | (idx <= c[:, None])] = inf
+    flags = on[ends].view(np.int8)
+    flags = flags[:p] + 2 * flags[p:]
+    # The least G over each flag class, then over the classes each b admits.
+    G_of = np.where(flags[:, None, :] == _CLASSES[:, None], G[:, None, :], inf).min(axis=2)
+    best_G = np.where(_ADMITS[flags], G_of[:, None, :], inf).min(axis=2)
+    b = (F + best_G == area[:, None]).argmax(axis=1)
+    t = np.arange(p)
+    fits = _ADMITS[flags[t, b][:, None], flags]
+    d = ((F[t, b][:, None] + G == area[:, None]) & fits).argmax(axis=1)
+    return b.tolist(), d.tolist()
+
+
+# Flag classes of a line (1: a's contact on it, 2: c's), and which pair.
+_CLASSES = np.arange(4)
+_ADMITS = (_CLASSES[:, None] & _CLASSES) == 0
 
 
 class _Support:

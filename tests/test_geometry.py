@@ -218,6 +218,17 @@ class TestContainment:
         assert contains_polygon(outer, inner)
         assert not contains_polygon(inner, outer)
 
+    @pytest.mark.parametrize("s", [1e100, 1e140])
+    def test_tolerance_on_huge_floats(self, s):
+        # Squared cross products of coordinates above about 1e77 overflow to
+        # inf on both sides of the test, which then passes every point.
+        def diamond(h):
+            return ConvexPolygon([(h, 0.0), (0.0, h), (-h, 0.0), (0.0, -h)])
+
+        assert not contains_polygon(diamond(s), diamond(2 * s), tol=1e-9)
+        assert not contains_point(diamond(s), (2 * s, 0.0), tol=1e-9)
+        assert contains_polygon(diamond(2 * s), diamond(s), tol=1e-9)
+
 
 class TestLinfDistance:
     def test_outside_axis(self):

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circumquad import (
@@ -274,6 +274,44 @@ def enumerate_quads(poly, angles):
     return {(a, c): best[a, c] for a, c in zip(*np.nonzero(np.isfinite(best)))}
 
 
+def reference_scan(poly, angles):
+    """Every (anchor, opposite) pair's best quadruple, searched over all b and d.
+
+    Uses the scan's corner terms W and contact test, so its sums round as
+    the scan's do, and the scan must return a prefix of this list exactly:
+    the least sum per pair over every b and d whose sides all have length,
+    sorted by sum with ties in (a, c) order, b and d the first of least sum.
+    """
+    A = np.asarray(angles)
+    n = len(A)
+    V = np.asarray(poly.vertices, dtype=float)
+    tiny = 1e-12 * np.abs(V).max()
+    V = V - V.mean(axis=0)
+    cos, sin = np.cos(A), np.sin(A)
+    P = V @ np.stack([cos, sin])
+    H = P.max(axis=0)
+    on = H[None, :] - P[P.argmax(axis=0)] <= 2.0 * tiny  # i's contact on line j
+    Hi, Hj = H[:, None], H[None, :]
+    sin_g = np.outer(cos, sin) - np.outer(sin, cos)
+    cos_g = np.outer(cos, cos) + np.outer(sin, sin)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        W = (2.0 * Hi * Hj - (Hi * Hi + Hj * Hj) * cos_g) / sin_g
+    W[sin_g <= 1e-12] = np.inf
+    found = []
+    for a in range(n):
+        for c in range(a + 2, n - 1):
+            b, d = np.arange(a + 1, c), np.arange(c + 1, n)
+            F, G = W[a, b] + W[b, c], W[c, d] + W[d, a]
+            F[on[b, a] & on[b, c]] = np.inf  # side b of zero length
+            G[on[d, c] & on[d, a]] = np.inf  # side d
+            S = F[:, None] + G
+            S[(on[a, b][:, None] & on[a, d]) | (on[c, b][:, None] & on[c, d])] = np.inf
+            k = int(S.argmin())
+            if np.isfinite(S.flat[k]):
+                found.append((float(S.flat[k]), (a, b[k // len(d)], c, d[k % len(d)])))
+    return sorted(found, key=lambda f: f[0])
+
+
 def edge_normals(poly):
     return sorted(
         math.atan2(a.x - b.x, b.y - a.y) % (2 * math.pi) for a, b in poly.edges()
@@ -294,6 +332,36 @@ SCAN_BODIES = {
     "triangle": regular_polygon(3),
     "skew-triangle": ConvexPolygon([(0.0, 0.0), (3.0, 0.4), (1.1, 2.3)]),
 }
+
+
+@st.composite
+def scan_cases(draw):
+    """A random hull of up to 12 points with 6 to 14 sorted directions.
+
+    The directions mix the hull's edge normals, a 72-grid, antiparallel
+    partners of some of them and a fan of lines inside one vertex's normal
+    cone, which all share that vertex as their contact.
+    """
+    pts = draw(st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+        min_size=3, max_size=12, unique=True,
+    ))
+    try:
+        poly = convex_hull(pts).to_float()
+    except DegenerateInput:
+        assume(False)
+    normals = edge_normals(poly)
+    grid = [2 * math.pi * k / 72 for k in range(72)]
+    picks = draw(st.lists(st.sampled_from(normals + grid), min_size=2, max_size=10, unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    angles = picks + [(a + math.pi) % (2 * math.pi) for a, flip in zip(picks, flips) if flip]
+    i = draw(st.integers(0, len(normals) - 1))
+    lo = normals[i - 1] - (2 * math.pi if i == 0 else 0.0)
+    fan = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), max_size=3, unique=True))
+    angles += [(lo + t * (normals[i] - lo)) % (2 * math.pi) for t in fan]
+    angles = sorted(set(angles))
+    assume(6 <= len(angles) <= 14)
+    return poly, angles
 
 
 class TestGridScan:
@@ -322,6 +390,48 @@ class TestGridScan:
         zero = 1e-9 * poly.linf_diameter()
         for _, quad in minima:
             assert shortest_side(support_corners(poly, angles, quad)) > zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_random_directions_match_direct_enumeration(self, case):
+        poly, angles = case
+        expected = enumerate_quads(poly, angles)
+        if not expected:
+            with pytest.raises(NoFeasibleQuadruple):
+                _scan_support_directions(poly, np.array(angles), 1)
+            return
+        minima = _scan_support_directions(poly, np.array(angles), len(angles) ** 2)
+        assert sorted((quad[0], quad[2]) for _, quad in minima) == sorted(expected)
+        for value, quad in minima:
+            assert value == pytest.approx(expected[quad[0], quad[2]], rel=1e-12, abs=0)
+        zero = 1e-9 * poly.linf_diameter()
+        for _, quad in minima:
+            assert shortest_side(support_corners(poly, angles, quad)) > zero
+        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
+
+    @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
+    @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
+    def test_equals_reference_search(self, name, directions):
+        # Bit for bit: the same sums, the same quadruples, the same order.
+        poly = SCAN_BODIES[name].to_float()
+        if directions == "edges":
+            angles = edge_normals(poly)
+        else:
+            angles = [2 * math.pi * k / directions for k in range(directions)]
+        expected = [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
+        if expected:
+            for count in (1, 6, len(angles) ** 2):
+                found = _scan_support_directions(poly, np.array(angles), count)
+                assert found == expected[:count]
+
+    def test_middles_skip_incompatible_ties(self):
+        # Pair (1, 11): the first d completing b = 8 to the pair's least sum,
+        # d = 13, shares a contact with b; the scan must take d = 15.
+        poly = convex_hull([(0, 4), (1, 2), (0, 1)]).to_float()
+        angles = [2 * math.pi * k / 16 for k in range(16)]
+        minima = _scan_support_directions(poly, np.array(angles), 256)
+        assert (4.121320343559644, (1, 8, 11, 15)) in minima
+        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
 
     @pytest.mark.parametrize("grid", [90, 96, 180])
     @pytest.mark.parametrize("k", range(3, 9))
@@ -355,8 +465,9 @@ class TestGridScan:
         assert minima == [(3.4349440331939896, (4, 43, 73, 122))]
 
     def test_solver_scan_memory(self):
-        # The scan holds three n-by-n float arrays, 32 kB each at 64
-        # directions, and one anchor's pair sums at a time.
+        # The scan holds W and three class minima, 32 kB each at 64
+        # directions, plus one step's sums or numpy's iteration buffers for a
+        # broadcast sum: about 0.19 MB.
         poly = SCAN_BODIES["ellipse-64"].to_float()
         angles = np.array(edge_normals(poly))
         tracemalloc.start()
@@ -368,7 +479,8 @@ class TestGridScan:
         assert peak < 0.30e6
 
     def test_oracle_memory_stays_quadratic(self):
-        # Arrays indexed by three grid directions take about 100 MB at 180.
+        # Arrays indexed by three grid directions would take about 47 MB at
+        # 180; the scan holds a few n-by-n arrays of 0.26 MB each.
         body = gen_corpus("random", 1, seed=1, vertices=16)[0]
         tracemalloc.start()
         try:
@@ -376,7 +488,7 @@ class TestGridScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 50e6
+        assert peak < 4e6
 
 
 class TestMidpointCertificate:
