@@ -46,9 +46,10 @@ class TheoremConstants:
     """The constant bundle driving the case machine.
 
     c2 and r default to their defining radicals in terms of c1 and are kept
-    as expressions; rational overrides are allowed (the certifier then
-    re-checks every inequality, including the factor coincidence, against
-    the overridden values).  The float view the case machine reads
+    as expressions; rational overrides in the ranges of those radicals,
+    c2 >= 1 and r >= 0, are allowed (the certifier then re-checks every
+    inequality, including the factor coincidence, against the overridden
+    values).  The float view the case machine reads
     (:meth:`c2_value`, :meth:`r_value`, :meth:`case_factors`) is derived
     once per instance, on first use.
     """
@@ -68,6 +69,10 @@ class TheoremConstants:
                 object.__setattr__(self, name, Fraction(value))
         if not self.c1 > 1:
             raise BadParams("c1 must exceed 1")
+        if self.c2 is not None and not self.c2 >= 1:
+            raise BadParams("c2 must be at least 1")
+        if self.r is not None and not self.r >= 0:
+            raise BadParams("r must be at least 0")
         problem = cut_domain_violation(self.c3, self.delta)
         if problem:
             raise BadParams(f"c3 and delta: {problem}")

@@ -47,7 +47,7 @@ class DegenerateBody(CircumquadError):
 
 
 class NoFeasibleQuadruple(CircumquadError):
-    """No grid quadruple of support directions bounds a proper quadrilateral."""
+    """No quadruple of support directions cuts out a circumscribed polygon."""
 
 
 class SolverFailure(CircumquadError):

@@ -3,20 +3,19 @@
 A circumscribed quadrilateral is parametrized by four support directions
 (angles on the circle): each direction contributes the supporting line of the
 body, and consecutive lines intersect in the corners.  A quadruple is feasible
-iff consecutive angle gaps stay below pi and every edge has positive length.
+iff consecutive angle gaps stay below pi; a side may then have zero length,
+and the quadruple is a circumscribed triangle.
 
 Both entry points share one exhaustive scan over a sorted set of directions.
 It splits the doubled area into four corner terms, one per pair of
 consecutive lines, and minimizes their sum over 4-cycles of directions with
 one min-plus product of the corner-term matrix with itself, a loop over the
-middle line: O(n^3) time and O(n^2) memory on n directions.  A side has zero
-length exactly when the contact vertex of its line lies on both neighbouring
-lines, so feasibility is a test on contact vertices, not on computed
-corners.
+middle line: O(n^3) time and O(n^2) memory on n directions.
 
 * :func:`brute_force_min_quad` scans a uniform angle grid and returns the
-  best quadruple.  It is the reference oracle: exhaustive, no refinement, and
-  its directions do not depend on the body.
+  best quadruple, or the triangle it is when a side has collapsed.  It is
+  the reference oracle: exhaustive, no refinement, and its directions do not
+  depend on the body.
 * :func:`min_circumscribed_quadrilateral` scans the body's own edge normals.
   At every coordinatewise minimum two adjacent sides lie flush with body
   edges (Aggarwal, Chang and Yap, 1985), so these are the natural starts.
@@ -71,8 +70,8 @@ _TOL = 1e-9
 # a margin.
 _MAX_STARTS = 6
 # The solver scans about this many of the body's edge normals at most, so
-# that the O(n^3) scan stays under about 2.3 ms (the 86 it keeps of an
-# ellipse 1024-gon, 2-core VM); see _scan_normals.
+# that the O(n^3) scan stays under about 2 ms (1.6-1.9 ms for the 86 it
+# keeps of an ellipse 1024-gon, 2-core VM); see _scan_normals.
 _MAX_DIRECTIONS = 90
 # Descent cycles per start.  Refinement stops earlier once a cycle gains less
 # than ``_TOL``, which on the corpus families takes 2 to 4 cycles.
@@ -83,9 +82,9 @@ _REFINE_CYCLES = 30
 # four such terms stay finite up to here (about 2.4e147).
 _MAX_DIAMETER = math.sqrt(sys.float_info.max * 1e-12 / 32.0)
 # Largest angle grid the oracle accepts.  The scan holds a few n-by-n float
-# arrays and takes O(n^3) time: at 1024 a 56 MB tracemalloc peak and 3 s for
-# the 8-vertex hull of 16 random points on a 2-core VM, and the memory grows
-# with n^2 beyond that.
+# arrays and takes O(n^3) time: at 1024 a 25 MB tracemalloc peak and 1.2 s
+# for the 8-vertex hull of 16 random points on a 2-core VM, and the memory
+# grows with n^2 beyond that.
 _MAX_GRID = 1024
 
 
@@ -150,7 +149,7 @@ def midpoint_certificate(
 
 
 def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int):
-    """Exhaustive scan over feasible support-direction quadruples of a float body.
+    """Exhaustive scan over the support-direction quadruples of a float body.
 
     ``angles`` are the outward normal angles of the candidate lines, sorted
     in [0, 2*pi).  Returns the ``count`` best (anchor, opposite) pairs as a
@@ -171,68 +170,44 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     min-plus product, M[x, y] = min over m > x of W(x, m) + W(m, y): the best
     b gives M[a, c] and the best d gives M[c, a], since W's infinite entries
     keep m between x and y, going round past 2*pi where y < x.  The product
-    is one loop over the middle line m: O(n^3) time, O(n^2) memory.
+    is one loop over the middle line m (:func:`_min_plus_product`): O(n^3)
+    time, O(n^2) memory.
 
-    Feasibility is exact and combinatorial.  With every gap in (0, pi), the
-    contact vertex of line i lies on side i between its two corners: the
-    piece towards line j has length (h_j - <u_j, v_i>) / sin g >= 0.  So
-    side i has zero length exactly when its contact lies on both neighbouring
-    lines.  A zero middle side m drops the triple (x, m, y).  Sides a and c
-    couple b with d, so the product keeps one minimum per class of m: whether
-    x's contact lies on m, whether y's does, neither, or any; pairs sharing a
-    flag are excluded.  "Lies on" allows the rounding level ``2 * tiny`` of
-    :class:`_Support`, so every accepted side is longer than ``tiny``.
-
-    A pair of lines is flagged when one line's contact lies on the other.
-    Triples of plain pairs fill M0 in the loop over m (:func:`_plain_product`).
-    The flagged pairs lie on a few diagonals of the n-by-n pair matrix, read
-    off ``on``: one or two on edge normals, as many as a fan of lines sharing
-    a contact is wide on a uniform grid.  Triples with one flagged pair take
-    one masked step per such diagonal (:func:`_one_flag_steps`); the few
-    with two are gathered (:func:`_twice_flagged`).  b and d are recovered
-    for the returned pairs only (:func:`_middles`).  The sums, their minima
-    and the stable order on ties are those of a search over every quadruple.
+    With every gap in (0, pi) the contact vertex of each line lies on its
+    side, so every quadruple circumscribes the body, but a side may have
+    zero length: three consecutive lines through one contact.  That
+    quadruple is a circumscribed triangle with a fourth line through a
+    corner, and its area is the triangle's.  On edge normals no side
+    collapses, as each line holds a body edge and its side holds the edge;
+    on a uniform grid one can, and :func:`brute_force_min_quad` then returns
+    the triangle.  b and d are recovered for the returned pairs only
+    (:func:`_middles`).  The sums, their minima and the stable order on ties
+    are those of a search over every quadruple.
     """
     V = np.asarray(poly.vertices, dtype=float)
-    tiny = 1e-12 * np.abs(V).max()
     V = V - V.mean(axis=0)
     n = len(angles)
     cos, sin = np.cos(angles), np.sin(angles)
-    P = V @ np.stack([cos, sin])
-    H = P.max(axis=0)
-    # on[i, j]: the contact vertex of line i lies on line j.
-    on = H[None, :] - P[P.argmax(axis=0)] <= 2.0 * tiny
-    del P
-
-    idx = np.arange(n)
+    H = (V @ np.stack([cos, sin])).max(axis=0)
     W, sin_g = _corner_quotients(cos[:, None], sin[:, None], H[:, None], cos, sin, H)
     W[sin_g <= 1e-12] = np.inf
     del sin_g
-    # flagged[i, j]: the contact of line i lies on line j, or that of j on i.
-    flagged = on | on.T
-    below = idx[:, None] >= idx  # x >= m: no triple
-    upper = flagged & ~below
-    twice = _twice_flagged(W, on, flagged, upper)
-    diagonals = _flagged_diagonals(W, on, upper)
-    del upper
-    np.copyto(W, np.inf, where=flagged)  # W keeps the plain pairs only
-    del flagged
-
-    M0 = _plain_product(W)
-    Mxy = _one_flag_steps(W, M0, below, *diagonals)
-    del W, diagonals
+    M = _min_plus_product(W)
+    del W
     # total[a, c]: the best doubled area with anchor a and opposite line c.
-    total = _pair_minima(M0, Mxy, *twice)
-    del M0, Mxy
-    np.copyto(total, np.inf, where=below)
+    total = M + M.T
+    del M
+    np.copyto(total, np.inf, where=np.tri(n, dtype=bool))  # a >= c
     total = total.ravel()
     best = np.argsort(total, kind="stable")[:count]  # ties in (a, c) order
     best = best[np.isfinite(total[best])]
     if not len(best):
-        raise NoFeasibleQuadruple(f"no proper quadrilateral on {n} directions")
+        raise NoFeasibleQuadruple(
+            f"no four of the {n} directions have consecutive gaps below pi"
+        )
     a, c = np.divmod(best, n)
     area = total[best]
-    b, d = _middles(cos, sin, H, on, a, c, area)
+    b, d = _middles(cos, sin, H, a, c, area)
     return [
         (v, (a_, b_, c_, d_))
         for v, a_, b_, c_, d_ in zip(area.tolist(), a.tolist(), b, c.tolist(), d)
@@ -260,165 +235,27 @@ def _corner_quotients(ci, si, hi, cj, sj, hj):
     return W, sin_g
 
 
-def _twice_flagged(W, on, flagged, upper):
-    """Triples (x, m, y), x < m, whose pairs (x, m) and (m, y) are both flagged.
-
-    Side m has zero length when m's contact lies on x and on y, so every
-    other such triple has x's contact on m but not m's on x, or y's contact
-    on m but not m's on y; these are gathered.  Returns sorted distinct keys
-    ``(class * n + x) * n + y`` and the least W(x, m) + W(m, y) of each; the
-    class counts 1 for x's contact on m and 2 for y's.
-    """
+def _min_plus_product(W: np.ndarray) -> np.ndarray:
+    """M[x, y] = min over m > x of W(x, m) + W(m, y), one step per line m."""
     n = len(W)
-    x1, m1 = (upper & ~on.T).nonzero()
-    i1, y1 = flagged[m1].nonzero()
-    m2, y2 = (flagged & ~on).nonzero()
-    i2, x2 = upper.T[m2].nonzero()
-    x = np.concatenate([x1[i1], x2])
-    m = np.concatenate([m1[i1], m2[i2]])
-    y = np.concatenate([y1, y2[i2]])
-    if not len(x):
-        return x, W[x, x]
-    value = W[x, m] + W[m, y]
-    keys = np.ravel_multi_index((on[x, m] + 2 * on[y, m], x, y), (4, n, n))
-    order = keys.argsort()
-    keys, value = keys[order], value[order]
-    head = np.empty(len(keys), dtype=bool)
-    head[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    heads = head.nonzero()[0]
-    return keys[heads], np.minimum.reduceat(value, heads)
-
-
-def _flagged_diagonals(W, on, upper):
-    """The diagonals k that hold a flagged pair (i, i + k), row t for the t-th.
-
-    Returns the offsets k, the masks of :func:`_one_flag_steps`' six kinds of
-    step (i in range, and the flags that set each step's class) and the
-    values W(i, i + k), W(i + k, i).
-    """
-    n = len(W)
-    i, j = upper.nonzero()
-    offsets = np.flatnonzero(np.bincount(j - i, minlength=1))
-    idx = np.arange(n)
-    cyclic = (idx + offsets[:, None]) % n
-    inside = cyclic > idx
-    U = on[idx, cyclic] & inside  # i's contact on line i + k
-    V = on[cyclic, idx] & inside  # that of i + k on line i
-    only_U, only_V = U & ~V, V & ~U
-    masks = np.array([U, only_V, V, only_U, U, only_V])
-    return offsets.tolist(), masks, np.array([W[idx, cyclic], W[cyclic, idx]])
-
-
-def _plain_product(W: np.ndarray) -> np.ndarray:
-    """M0[x, y] = min over m > x of W(x, m) + W(m, y), one step per line m."""
-    n = len(W)
-    M0 = np.full((n, n), np.inf)
+    M = np.full((n, n), np.inf)
     # Rows above the first finite entry of column m pair with no m.
     first = np.isfinite(W).argmax(axis=0).tolist()
     for m in range(1, n):
         lo = first[m]
         if lo < m:
-            np.minimum(M0[lo:m], W[lo:m, m, None] + W[m], out=M0[lo:m])
-    return M0
+            np.minimum(M[lo:m], W[lo:m, m, None] + W[m], out=M[lo:m])
+    return M
 
 
-def _one_flag_steps(W, M0, below, offsets, masks, values) -> np.ndarray:
-    """The triples with one flagged pair, one masked n-by-n step per diagonal.
-
-    Their class is set by the flagged pair: x's contact on m (Mx), y's on m
-    (My), or neither when m's contact lies on x or y (M0, updated in place).
-    ``W`` holds the plain pairs only.  The steps run on flat views, where
-    numpy needs no iteration buffers.  Returns (Mx, My).
-    """
-    n = len(W)
-    inf = np.inf
-    Mxy = np.full((2, n, n), inf)
-    Mx, My = Mxy
-    Wf, Bf = W.ravel(), below.ravel()
-    targets = (Mx, M0, My, M0, My, M0)
-    present = masks.any(axis=2).T.tolist()
-    for t, k in enumerate(offsets):
-        r = n - k
-        # One flagged pair per entry of each row, inf elsewhere: (x, m) =
-        # (i, i + k) for x's or m's contact, (m, y) = (i, i + k) for y's or
-        # m's, (m, y) = (i + k, i) for y's or m's.
-        vectors = np.where(masks[:, t], values[_STEP_SIDES, t], inf)
-        for step, has in enumerate(present[t]):
-            if not has:
-                continue
-            T, vector = targets[step], vectors[step]
-            if step < 2:  # row x of T from row m = x + k of W
-                S = vector[:r].repeat(n)
-                np.add(S, Wf[k * n :], out=S)
-                Tf = T.ravel()[: r * n]
-                np.minimum(Tf, S, out=Tf)
-            elif step < 4 and r > 1:  # x < m from column m; row x shifts by k
-                S = vector[None].repeat(r, axis=0).ravel()
-                np.add(S, Wf[: r * n], out=S)
-                np.copyto(S, inf, where=Bf[: r * n])
-                Tf = T.ravel()[k : k + r * n]
-                np.minimum(Tf, S, out=Tf)
-            elif step >= 4 and k > 1:  # x strictly between y = i and m = i + k
-                S = _band(T, k, 0)
-                np.minimum(S, _band(W, k, k) + vector[:r, None], out=S)
-            S = None  # one step's array at a time
-    return Mxy
-
-
-# Which of W(i, i + k) and W(i + k, i) each kind of one-flag step adds.
-_STEP_SIDES = np.array([0, 0, 0, 0, 1, 1])
-
-
-def _pair_minima(M0, Mxy, keys, value) -> np.ndarray:
-    """total[a, c] for a < c, from the class minima and the twice-flagged keys.
-
-    A b and a d may pair when no contact lies on both: the least of
-    M0[a, c] + Mall[c, a], its mirror, Mx[a, c] + Mx[c, a] and the same for
-    My, with Mall over every class.  Computed in the class minima's arrays.
-    """
-    n = len(M0)
-    Mx, My = Mxy
-    cut = np.searchsorted(keys, [n * n, 3 * n * n]).tolist()
-    _scatter_min(M0, keys[: cut[0]], value[: cut[0]])
-    _scatter_min(Mxy, keys[cut[0] : cut[1]] - n * n, value[cut[0] : cut[1]])
-    # Both contacts on m, the last class, joins only the minima over any m.
-    Mall = np.minimum(M0, Mx)
-    np.minimum(Mall, My, out=Mall)
-    _scatter_min(Mall, keys[cut[1] :] - 3 * n * n, value[cut[1] :])
-    np.add(M0, Mall.T, out=M0)
-    np.add(Mx, Mx.T, out=Mall)
-    np.minimum(M0, Mall, out=M0)
-    np.add(My, My.T, out=Mall)
-    np.minimum(M0, Mall, out=M0)
-    return np.minimum(M0, M0.T, out=Mall)
-
-
-def _scatter_min(T: np.ndarray, at: np.ndarray, value: np.ndarray) -> None:
-    """T.flat[at] = min(T.flat[at], value) for distinct flat indices ``at``."""
-    if len(at):
-        flat = T.ravel()
-        flat[at] = np.minimum(flat[at], value)
-
-
-def _band(X: np.ndarray, k: int, shift: int) -> np.ndarray:
-    """Writable view of X[i + s, i + shift] over i < n - k and 0 < s < k."""
-    n, step = len(X), X.itemsize
-    strides = ((n + 1) * step, n * step)
-    return np.ndarray((n - k, k - 1), X.dtype, X, (n + shift) * step, strides)
-
-
-def _middles(cos, sin, H, on, a, c, area):
+def _middles(cos, sin, H, a, c, area):
     """b and d of each (anchor a, opposite c) pair whose best doubled area is ``area``.
 
-    As an argmin over every b-by-d sum would: the first b that some
-    compatible d completes to ``area``, then the first such d.  Lines are
-    flagged 1 where a's contact lies on them and 2 where c's does; a b and a
-    d sharing a flag do not pair.
+    As an argmin over every b-by-d sum would: the first b that some d
+    completes to ``area``, then the first such d.
     """
     inf = np.inf
     n, p = len(H), len(a)
-    idx = np.arange(n)
     ends = np.concatenate([a, c])
     e = ends[:, None]
     W, sin_g = _corner_quotients(cos[e], sin[e], H[e], cos, sin, H)
@@ -426,25 +263,10 @@ def _middles(cos, sin, H, on, a, c, area):
     W[sin_g <= 1e-12] = inf  # W(e, j)
     F = W[:p] + to_end[p:]  # W(a, b) + W(b, c); inf unless a < b < c
     G = W[p:] + to_end[:p]  # W(c, d) + W(d, a)
-    on_end = on[:, ends].T  # line j's contact on a, then on c
-    zero = on_end[:p] & on_end[p:]  # side b or d of zero length
-    F[zero] = inf
-    G[zero | (idx <= c[:, None])] = inf
-    flags = on[ends].view(np.int8)
-    flags = flags[:p] + 2 * flags[p:]
-    # The least G over each flag class, then over the classes each b admits.
-    G_of = np.where(flags[:, None, :] == _CLASSES[:, None], G[:, None, :], inf).min(axis=2)
-    best_G = np.where(_ADMITS[flags], G_of[:, None, :], inf).min(axis=2)
-    b = (F + best_G == area[:, None]).argmax(axis=1)
-    t = np.arange(p)
-    fits = _ADMITS[flags[t, b][:, None], flags]
-    d = ((F[t, b][:, None] + G == area[:, None]) & fits).argmax(axis=1)
+    G[np.arange(n) <= c[:, None]] = inf  # a d below a would be the anchor
+    b = (F + G.min(axis=1, keepdims=True) == area[:, None]).argmax(axis=1)
+    d = (F[np.arange(p), b][:, None] + G == area[:, None]).argmax(axis=1)
     return b.tolist(), d.tolist()
-
-
-# Flag classes of a line (1: a's contact on it, 2: c's), and which pair.
-_CLASSES = np.arange(4)
-_ADMITS = (_CLASSES[:, None] & _CLASSES) == 0
 
 
 class _Support:
@@ -508,22 +330,24 @@ def _quad_from_lines(lines, tiny: float):
     """Area and corners of the quadrilateral cut out by four support lines.
 
     ``lines`` holds (cos, sin, h) per side, at ascending angles that span
-    less than 2*pi.  Returns (inf, None) for infeasible configurations: a gap
-    outside (0, pi), a crossed edge, or an edge no longer than ``tiny``, which
-    has collapsed into a corner and leaves a triangle no side move can leave.
+    less than 2*pi; three lines give a triangle.  Returns (inf, None) for
+    infeasible configurations: a gap outside (0, pi), a crossed edge, or an
+    edge no longer than ``tiny``, which has collapsed into a corner and
+    leaves a triangle no side move can leave.
     """
+    k = len(lines)
     corners = []
-    for i in range(4):
+    for i in range(k):
         ci, si, hi = lines[i]
-        cj, sj, hj = lines[(i + 1) % 4]
+        cj, sj, hj = lines[(i + 1) % k]
         det = ci * sj - cj * si  # sin of the gap
         if det <= 1e-12:
             return math.inf, None
         corners.append(((hi * sj - hj * si) / det, (ci * hj - cj * hi) / det))
     twice = 0.0
-    for i in range(4):
-        cj, sj, _ = lines[(i + 1) % 4]
-        (xi, yi), (xj, yj) = corners[i], corners[(i + 1) % 4]
+    for i in range(k):
+        cj, sj, _ = lines[(i + 1) % k]
+        (xi, yi), (xj, yj) = corners[i], corners[(i + 1) % k]
         # side i+1 runs from corner i to corner i+1; positive tangent advance
         if cj * (yj - yi) - sj * (xj - xi) <= tiny:
             return math.inf, None
@@ -710,11 +534,17 @@ def _refine(support: _Support, angles: List[float]):
     return area, lines
 
 
-def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
+def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
     """Best circumscribed quadrilateral over the uniform angle grid.
 
-    Exhaustive over all feasible direction quadruples; no refinement.  Serves
-    as the independent oracle for the solver.  ``grid`` runs from 16 to 1024.
+    Exhaustive over all direction quadruples with gaps below pi; no
+    refinement.  Serves as the independent oracle for the solver.  ``grid``
+    runs from 16 to 1024.  Returns a :class:`Quadrilateral`, or a triangle
+    when the best quadruple has a collapsed side: its line then passes
+    through the corner of its two neighbours, and the other three lines cut
+    out the same region.  The minimum circumscribed quadrilateral is never
+    larger than a circumscribed triangle, so the result stays an upper bound
+    on it.
     """
     grid = _as_int(grid, "grid")
     if not 16 <= grid <= _MAX_GRID:
@@ -724,9 +554,17 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> Quadrilateral:
     _, idx = _scan_support_directions(poly, np.array(angles), 1)[0]
     lines = [support.line(angles[k]) for k in idx]
     _, corners = _quad_from_lines(lines, support.tiny)
+    if corners is not None:
+        return Quadrilateral(corners)
+    # Without the collapsed side's line the region stays the same; without
+    # any other line it grows, or is no triangle.
+    _, corners = min(
+        (_quad_from_lines(lines[:i] + lines[i + 1 :], support.tiny) for i in range(4)),
+        key=itemgetter(0),
+    )
     if corners is None:
         raise NoFeasibleQuadruple(f"the best quadruple on the {grid}-grid is degenerate")
-    return Quadrilateral(corners)
+    return ConvexPolygon(corners)
 
 
 def min_circumscribed_quadrilateral(

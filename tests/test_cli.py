@@ -232,6 +232,8 @@ class TestCertify:
         assert main(["certify", "--delta", "1/2"]) == 2
         assert main(["certify", "--c1", "abc"]) == 2
         assert main(["certify", "--c3", "1/0"]) == 2
+        assert main(["certify", "--c2", "-1"]) == 2
+        assert main(["certify", "--r", "-1"]) == 2
 
 
 class TestBench:

@@ -31,6 +31,11 @@ class TestTheoremConstants:
             TheoremConstants(c3=F(5, 2))
         with pytest.raises(BadParams):
             TheoremConstants(delta=F(1, 5))
+        # Outside the ranges of their radicals 1 + sqrt(...) and sqrt(...).
+        with pytest.raises(BadParams, match="c2"):
+            TheoremConstants(c2=F(-1))
+        with pytest.raises(BadParams, match="r must"):
+            TheoremConstants(r=F(-1))
 
     def test_derived_values(self):
         c = TheoremConstants()

@@ -250,11 +250,10 @@ def enumerate_quads(poly, angles):
 
     Visits every a < b < c < d whose four cyclic gaps g have sin g > 1e-12
     (a gap of pi or more leaves no quadrilateral), intersects the support
-    lines, takes the shoelace sum of the corners and skips any quadrilateral
-    with a side of zero length.  Keyed by (a, c), the first and third index.
+    lines and takes the shoelace sum of the corners; a quadrilateral with a
+    side of zero length counts as the triangle it is.  Keyed by (a, c), the
+    first and third index.
     """
-    # A collapsed side comes out of rounding far shorter than this.
-    zero = 1e-9 * poly.linf_diameter()
     A = np.asarray(angles)
     cos, sin = np.cos(A), np.sin(A)
     h = (np.array(poly.vertices, dtype=float) @ np.stack([cos, sin])).max(axis=0)
@@ -266,21 +265,22 @@ def enumerate_quads(poly, angles):
     det = cos[i] * sin[j] - cos[j] * sin[i]
     x = (h[i] * sin[j] - h[j] * sin[i]) / det
     y = (cos[i] * h[j] - cos[j] * h[i]) / det
-    sides = np.hypot(x - np.roll(x, 1, axis=1), y - np.roll(y, 1, axis=1))
     twice = (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
-    keep = sides.min(axis=1) > zero
     best = np.full((len(A), len(A)), np.inf)
-    np.minimum.at(best, (quads[keep, 0], quads[keep, 2]), twice[keep])
+    np.minimum.at(best, (quads[:, 0], quads[:, 2]), twice)
     return {(a, c): best[a, c] for a, c in zip(*np.nonzero(np.isfinite(best)))}
 
 
-def reference_scan(poly, angles):
+def reference_scan(poly, angles, skip_collapsed=False):
     """Every (anchor, opposite) pair's best quadruple, searched over all b and d.
 
-    Uses the scan's corner terms W and contact test, so its sums round as
-    the scan's do, and the scan must return a prefix of this list exactly:
-    the least sum per pair over every b and d whose sides all have length,
-    sorted by sum with ties in (a, c) order, b and d the first of least sum.
+    Uses the scan's corner terms W, so its sums round as the scan's do, and
+    the scan must return a prefix of this list exactly: the least sum per
+    pair over every b and d, sorted by sum with ties in (a, c) order, b and
+    d the first of least sum.  ``skip_collapsed`` leaves out the quadruples
+    with a side of zero length, by a test on contact vertices: side i is
+    zero when its contact lies on both neighbouring lines, up to the
+    rounding level ``2 * tiny``.
     """
     A = np.asarray(angles)
     n = len(A)
@@ -302,14 +302,25 @@ def reference_scan(poly, angles):
         for c in range(a + 2, n - 1):
             b, d = np.arange(a + 1, c), np.arange(c + 1, n)
             F, G = W[a, b] + W[b, c], W[c, d] + W[d, a]
-            F[on[b, a] & on[b, c]] = np.inf  # side b of zero length
-            G[on[d, c] & on[d, a]] = np.inf  # side d
+            if skip_collapsed:
+                F[on[b, a] & on[b, c]] = np.inf  # side b of zero length
+                G[on[d, c] & on[d, a]] = np.inf  # side d
             S = F[:, None] + G
-            S[(on[a, b][:, None] & on[a, d]) | (on[c, b][:, None] & on[c, d])] = np.inf
+            if skip_collapsed:  # side a or side c
+                S[(on[a, b][:, None] & on[a, d]) | (on[c, b][:, None] & on[c, d])] = np.inf
             k = int(S.argmin())
             if np.isfinite(S.flat[k]):
                 found.append((float(S.flat[k]), (a, b[k // len(d)], c, d[k % len(d)])))
     return sorted(found, key=lambda f: f[0])
+
+
+def flagged_reference_scan(poly, angles):
+    """The search of the scan that excluded quadruples with a collapsed side.
+
+    On edge normals no side collapses, as each line holds a body edge and
+    its side holds the edge, so the scan must equal this there.
+    """
+    return reference_scan(poly, angles, skip_collapsed=True)
 
 
 def edge_normals(poly):
@@ -328,7 +339,8 @@ SCAN_BODIES = {
     # Edge normals at multiples of pi/6 fall on the 24-grid: contact ties.
     # Its own normals come in antiparallel pairs, exactly pi apart.
     "hexagon": regular_polygon(6),
-    # Quadruples with a side of zero length are triangles and would win.
+    # On a grid its best quadruples have a side of zero length: they are
+    # circumscribed triangles.
     "triangle": regular_polygon(3),
     "skew-triangle": ConvexPolygon([(0.0, 0.0), (3.0, 0.4), (1.1, 2.3)]),
 }
@@ -364,6 +376,28 @@ def scan_cases(draw):
     return poly, angles
 
 
+@st.composite
+def solver_normals(draw):
+    """A random integer or float hull and the edge normals the solver scans.
+
+    The float hulls are hulls of random points or ellipse polygons of up to
+    200 sides, whose normals ``_scan_normals`` thins above 90 edges.
+    """
+    kind = draw(st.sampled_from(["integer", "float", "ellipse"]))
+    if kind == "ellipse":
+        body = gen_corpus("ellipse", 1, seed=draw(st.integers(0, 10**6)),
+                          vertices=draw(st.integers(4, 200)))[0]
+    else:
+        coordinate = st.integers(-20, 20) if kind == "integer" else st.floats(-10, 10)
+        pts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=4, max_size=16))
+        try:
+            body = convex_hull(pts)
+        except DegenerateInput:
+            assume(False)
+    poly = body.to_float()
+    return poly, _scan_normals(edge_normals(poly))
+
+
 class TestGridScan:
     @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
     @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
@@ -387,9 +421,10 @@ class TestGridScan:
             assert value == pytest.approx(expected[quad[0], quad[2]], rel=1e-12, abs=0)
             assert all(0 < quad[i + 1] - quad[i] for i in range(3))
         assert [value for value, _ in minima] == sorted(value for value, _ in minima)
-        zero = 1e-9 * poly.linf_diameter()
-        for _, quad in minima:
-            assert shortest_side(support_corners(poly, angles, quad)) > zero
+        if directions == "edges":  # no side collapses on edge normals
+            zero = 1e-9 * poly.linf_diameter()
+            for _, quad in minima:
+                assert shortest_side(support_corners(poly, angles, quad)) > zero
 
     @settings(max_examples=150, deadline=None)
     @given(scan_cases())
@@ -404,10 +439,22 @@ class TestGridScan:
         assert sorted((quad[0], quad[2]) for _, quad in minima) == sorted(expected)
         for value, quad in minima:
             assert value == pytest.approx(expected[quad[0], quad[2]], rel=1e-12, abs=0)
+        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(solver_normals())
+    def test_edge_normal_scan_equals_flagged_search(self, case):
+        # The solver's lines lie flush with body edges, so a scan that keeps
+        # quadruples with a collapsed side finds exactly what one that
+        # excluded them found.
+        poly, normals = case
+        expected = flagged_reference_scan(poly, normals)
+        assume(expected)
+        minima = _scan_support_directions(poly, np.array(normals), len(normals) ** 2)
+        assert minima == [(v, tuple(map(int, q))) for v, q in expected]
         zero = 1e-9 * poly.linf_diameter()
         for _, quad in minima:
-            assert shortest_side(support_corners(poly, angles, quad)) > zero
-        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
+            assert shortest_side(support_corners(poly, normals, quad)) > zero
 
     @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
     @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
@@ -424,23 +471,30 @@ class TestGridScan:
                 found = _scan_support_directions(poly, np.array(angles), count)
                 assert found == expected[:count]
 
-    def test_middles_skip_incompatible_ties(self):
-        # Pair (1, 11): the first d completing b = 8 to the pair's least sum,
-        # d = 13, shares a contact with b; the scan must take d = 15.
-        poly = convex_hull([(0, 4), (1, 2), (0, 1)]).to_float()
-        angles = [2 * math.pi * k / 16 for k in range(16)]
-        minima = _scan_support_directions(poly, np.array(angles), 256)
-        assert (4.121320343559644, (1, 8, 11, 15)) in minima
-        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
-
     @pytest.mark.parametrize("grid", [90, 96, 180])
     @pytest.mark.parametrize("k", range(3, 9))
     def test_oracle_on_regular_polygons(self, k, grid):
-        # The triangle's best grid quadruples include ones with a side of
-        # zero length; the oracle must skip them, not fail on them.
         body = regular_polygon(k)
         quad = brute_force_min_quad(body, grid=grid)
-        assert isinstance(quad, Quadrilateral)
+        assert contains_polygon(quad, body.to_float(), tol=1e-9)
+        if k > 3:
+            assert isinstance(quad, Quadrilateral)
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [("regular", g) for g in (24, 90, 96, 180)] + [("right", g) for g in (16, 24, 96)],
+    )
+    def test_oracle_on_triangles(self, name, grid):
+        # The edge normals lie on these grids, so the best quadruple is the
+        # triangle itself with a fourth line through a vertex, a collapsed
+        # side.  Rounding may leave that side just longer than the solver's
+        # zero length, so the test reads the area, not the vertex count.
+        if name == "regular":
+            body = regular_polygon(3)
+        else:
+            body = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
+        quad = brute_force_min_quad(body, grid=grid)
+        assert float(quad.area) / float(body.area) == pytest.approx(1.0, abs=1e-9)
         assert contains_polygon(quad, body.to_float(), tol=1e-9)
 
     def test_edge_normal_scan_is_pinned(self):
@@ -465,9 +519,9 @@ class TestGridScan:
         assert minima == [(3.4349440331939896, (4, 43, 73, 122))]
 
     def test_solver_scan_memory(self):
-        # The scan holds W and three class minima, 32 kB each at 64
-        # directions, plus one step's sums or numpy's iteration buffers for a
-        # broadcast sum: about 0.19 MB.
+        # The scan holds W and the product M, then M and the pair minima,
+        # 32 kB each at 64 directions, plus one step's sums and numpy's
+        # iteration buffers for a broadcast sum: about 0.17 MB.
         poly = SCAN_BODIES["ellipse-64"].to_float()
         angles = np.array(edge_normals(poly))
         tracemalloc.start()
