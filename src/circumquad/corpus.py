@@ -65,10 +65,10 @@ def regular_polygon(k: int, exact: bool = True) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
-def _random_affine(rng: random.Random, min_det: float = 0.2):
+def _random_affine(rng: random.Random):
     while True:
         m = [rng.uniform(-2, 2) for _ in range(4)]
-        if abs(m[0] * m[3] - m[1] * m[2]) >= min_det:
+        if abs(m[0] * m[3] - m[1] * m[2]) >= 0.2:
             tx, ty = rng.uniform(-3, 3), rng.uniform(-3, 3)
             return m, (tx, ty)
 

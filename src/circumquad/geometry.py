@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import DegenerateInput, ParallelLines, SingularMap
+from .errors import BadParams, DegenerateInput, ParallelLines, SingularMap
 
 Scalar = Union[int, float, Fraction]
 
@@ -162,7 +162,12 @@ def _int_image(points: Sequence[Point]) -> Tuple[Sequence[Point], Optional[int]]
 def _coerce_points(points: Iterable[Sequence[Scalar]]) -> Tuple[Point, ...]:
     pts = [Point(p[0], p[1]) for p in points]
     if any(isinstance(p.x, float) or isinstance(p.y, float) for p in pts):
-        return tuple(Point(float(p.x), float(p.y)) for p in pts)
+        pts = tuple(Point(float(p.x), float(p.y)) for p in pts)
+        # Every comparison with NaN is False, so a NaN would pass the
+        # convexity check; an infinity would only fail far downstream.
+        if not all(map(math.isfinite, (c for p in pts for c in p))):
+            raise BadParams("coordinates must be finite numbers")
+        return pts
     # Re-wrapping a Fraction costs as much as a Fraction operation; skip it.
     return tuple(
         Point(
@@ -313,14 +318,24 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     check and exact for rational inputs; so is the tolerant test, see
     :func:`_tolerant_edges`.
     """
-    q = Point(p[0], p[1])
+    return _contains_points(poly, (Point(p[0], p[1]),), tol)
+
+
+def _contains_points(
+    poly: ConvexPolygon, points: Tuple[Point, ...], tol: Scalar
+) -> bool:
+    """Whether every point passes :func:`contains_point` on ``poly``.
+
+    The tolerant test computes its per-edge bounds once for all points.
+    """
     if tol == 0:
-        return _encloses(poly.vertices + (q,), len(poly))
-    edges, exact = _tolerant_edges(poly, tol, q)
-    for a, b, bound in edges:
-        c = cross3(a, b, q)
-        if c < 0 and (c * c if exact else -c) > bound:
-            return False
+        return _encloses(poly.vertices + points, len(poly))
+    edges, exact = _tolerant_edges(poly, tol, points[0])
+    for q in points:
+        for a, b, bound in edges:
+            c = cross3(a, b, q)
+            if c < 0 and (c * c if exact else -c) > bound:
+                return False
     return True
 
 
@@ -360,17 +375,7 @@ def contains_polygon(
     outer: ConvexPolygon, inner: ConvexPolygon, tol: Scalar = 0
 ) -> bool:
     """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``."""
-    if tol == 0:
-        return _encloses(outer.vertices + inner.vertices, len(outer))
-    # The tolerant test of contains_point, with its per-edge bound computed
-    # once for all vertices.
-    edges, exact = _tolerant_edges(outer, tol, inner.vertices[0])
-    for q in inner.vertices:
-        for a, b, bound in edges:
-            c = cross3(a, b, q)
-            if c < 0 and (c * c if exact else -c) > bound:
-                return False
-    return True
+    return _contains_points(outer, inner.vertices, tol)
 
 
 def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:

@@ -59,13 +59,6 @@ class Interval:
         q = Fraction(value)
         return cls(q, q)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, value: RationalLike) -> bool:
-        return self.lo <= value <= self.hi
-
     def outward(self, bits: int) -> "Interval":
         """Round endpoints outward onto the dyadic grid 2**-bits.
 

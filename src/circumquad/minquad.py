@@ -59,6 +59,11 @@ from .geometry import (
 )
 
 _TWO_PI = 2.0 * math.pi
+# Two lines whose gap g has ``sin g`` at or below this meet in no corner of a
+# circumscribed quadrilateral: the gap is 0 or at least pi, or so near either
+# that the corner is lost to rounding.  The scan, the side moves and the
+# choice of scanned normals all use it.
+_SIN_GAP_MIN = 1e-12
 # Relative tolerance of the solver: descent stops once a cycle gains less than
 # this fraction of the area, and it is the relative slack of the containment
 # check on float input.
@@ -78,9 +83,9 @@ _MAX_DIRECTIONS = 90
 _REFINE_CYCLES = 30
 # Largest sup-norm diameter of a body the solver accepts.  The scan's support
 # values about the vertex mean are at most sqrt(2) times the diameter, so each
-# feasible corner term is below 8 * diam**2 / 1e-12, and the scan's sums of
-# four such terms stay finite up to here (about 2.4e147).
-_MAX_DIAMETER = math.sqrt(sys.float_info.max * 1e-12 / 32.0)
+# feasible corner term is below 8 * diam**2 / _SIN_GAP_MIN, and the scan's
+# sums of four such terms stay finite up to here (about 2.4e147).
+_MAX_DIAMETER = math.sqrt(sys.float_info.max * _SIN_GAP_MIN / 32.0)
 # Largest angle grid the oracle accepts.  The scan holds a few n-by-n float
 # arrays and takes O(n^3) time: at 1024 a 25 MB tracemalloc peak and 1.2 s
 # for the 8-vertex hull of 16 random points on a 2-core VM, and the memory
@@ -165,13 +170,13 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
         2A(a, b, c, d) = W(a, b) + W(b, c) + W(c, d) + W(d, a),
         W(i, j) = (2 h_i h_j - (h_i^2 + h_j^2) cos g) / sin g,
 
-    g being the gap from line i to line j; a pair with ``sin g <= 1e-12`` is
-    infeasible, as in :func:`_quad_from_lines`.  Both halves come from one
-    min-plus product, M[x, y] = min over m > x of W(x, m) + W(m, y): the best
-    b gives M[a, c] and the best d gives M[c, a], since W's infinite entries
-    keep m between x and y, going round past 2*pi where y < x.  The product
-    is one loop over the middle line m (:func:`_min_plus_product`): O(n^3)
-    time, O(n^2) memory.
+    g being the gap from line i to line j; a pair with
+    ``sin g <= _SIN_GAP_MIN`` is infeasible, as in :func:`_quad_from_lines`.
+    Both halves come from one min-plus product, M[x, y] = min over m > x of
+    W(x, m) + W(m, y): the best b gives M[a, c] and the best d gives M[c, a],
+    since W's infinite entries keep m between x and y, going round past 2*pi
+    where y < x.  The product is one loop over the middle line m
+    (:func:`_min_plus_product`): O(n^3) time, O(n^2) memory.
 
     With every gap in (0, pi) the contact vertex of each line lies on its
     side, so every quadruple circumscribes the body, but a side may have
@@ -180,20 +185,30 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     corner, and its area is the triangle's.  On edge normals no side
     collapses, as each line holds a body edge and its side holds the edge;
     on a uniform grid one can, and :func:`brute_force_min_quad` then returns
-    the triangle.  b and d are recovered for the returned pairs only
+    the triangle.  b and d are read off W for the returned pairs only
     (:func:`_middles`).  The sums, their minima and the stable order on ties
     are those of a search over every quadruple.
     """
     V = np.asarray(poly.vertices, dtype=float)
     V = V - V.mean(axis=0)
     n = len(angles)
-    cos, sin = np.cos(angles), np.sin(angles)
-    H = (V @ np.stack([cos, sin])).max(axis=0)
-    W, sin_g = _corner_quotients(cos[:, None], sin[:, None], H[:, None], cos, sin, H)
-    W[sin_g <= 1e-12] = np.inf
+    cj, sj = np.cos(angles), np.sin(angles)
+    hj = (V @ np.stack([cj, sj])).max(axis=0)
+    ci, si, hi = cj[:, None], sj[:, None], hj[:, None]
+    # The infeasible pairs may overflow; they are masked below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sin_g = ci * sj
+        sin_g -= si * cj
+        cos_g = ci * cj
+        cos_g += si * sj
+        W = hi * hi + hj * hj
+        W *= cos_g
+        del cos_g
+        np.subtract(2.0 * hi * hj, W, out=W)
+        W /= sin_g
+    W[sin_g <= _SIN_GAP_MIN] = np.inf
     del sin_g
     M = _min_plus_product(W)
-    del W
     # total[a, c]: the best doubled area with anchor a and opposite line c.
     total = M + M.T
     del M
@@ -207,32 +222,11 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
         )
     a, c = np.divmod(best, n)
     area = total[best]
-    b, d = _middles(cos, sin, H, a, c, area)
+    b, d = _middles(W, a, c, area)
     return [
         (v, (a_, b_, c_, d_))
         for v, a_, b_, c_, d_ in zip(area.tolist(), a.tolist(), b, c.tolist(), d)
     ]
-
-
-def _corner_quotients(ci, si, hi, cj, sj, hj):
-    """Corner terms W(i, j) of :func:`_scan_support_directions`, unmasked.
-
-    Takes cos, sin and support value of lines i and j as broadcast arrays and
-    returns W and sin g; W(i, j) is inf where ``sin g <= 1e-12``.  Swapping i
-    and j negates both exactly, in every rounding step.
-    """
-    # The pairs with sin_g <= 1e-12 may overflow; they are masked later.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sin_g = ci * sj
-        sin_g -= si * cj
-        cos_g = ci * cj
-        cos_g += si * sj
-        W = hi * hi + hj * hj
-        W *= cos_g
-        del cos_g
-        np.subtract(2.0 * hi * hj, W, out=W)
-        W /= sin_g
-    return W, sin_g
 
 
 def _min_plus_product(W: np.ndarray) -> np.ndarray:
@@ -248,24 +242,18 @@ def _min_plus_product(W: np.ndarray) -> np.ndarray:
     return M
 
 
-def _middles(cos, sin, H, a, c, area):
+def _middles(W: np.ndarray, a, c, area):
     """b and d of each (anchor a, opposite c) pair whose best doubled area is ``area``.
 
-    As an argmin over every b-by-d sum would: the first b that some d
-    completes to ``area``, then the first such d.
+    Reads the sums off the corner-term matrix ``W``.  As an argmin over every
+    b-by-d sum would: the first b that some d completes to ``area``, then the
+    first such d.
     """
-    inf = np.inf
-    n, p = len(H), len(a)
-    ends = np.concatenate([a, c])
-    e = ends[:, None]
-    W, sin_g = _corner_quotients(cos[e], sin[e], H[e], cos, sin, H)
-    to_end = np.where(sin_g < -1e-12, -W, inf)  # W(j, e)
-    W[sin_g <= 1e-12] = inf  # W(e, j)
-    F = W[:p] + to_end[p:]  # W(a, b) + W(b, c); inf unless a < b < c
-    G = W[p:] + to_end[:p]  # W(c, d) + W(d, a)
-    G[np.arange(n) <= c[:, None]] = inf  # a d below a would be the anchor
+    F = W[a] + W[:, c].T  # W(a, b) + W(b, c); inf unless a < b < c
+    G = W[c] + W[:, a].T  # W(c, d) + W(d, a)
+    G[np.arange(len(W)) <= c[:, None]] = np.inf  # a d below a would be the anchor
     b = (F + G.min(axis=1, keepdims=True) == area[:, None]).argmax(axis=1)
-    d = (F[np.arange(p), b][:, None] + G == area[:, None]).argmax(axis=1)
+    d = (F[np.arange(len(a)), b][:, None] + G == area[:, None]).argmax(axis=1)
     return b.tolist(), d.tolist()
 
 
@@ -307,7 +295,7 @@ def _scan_normals(normals: List[float]) -> List[float]:
     picked = []
     for i in range(0, len(normals), step):
         nxt = normals[i + step] if i + step < len(normals) else normals[0] + _TWO_PI
-        wide = math.sin(nxt - normals[i]) <= 1e-12  # the scan's infeasible gaps
+        wide = math.sin(nxt - normals[i]) <= _SIN_GAP_MIN  # the scan's infeasible gaps
         picked += normals[i : i + step] if wide else [normals[i]]
     return picked
 
@@ -341,7 +329,7 @@ def _quad_from_lines(lines, tiny: float):
         ci, si, hi = lines[i]
         cj, sj, hj = lines[(i + 1) % k]
         det = ci * sj - cj * si  # sin of the gap
-        if det <= 1e-12:
+        if det <= _SIN_GAP_MIN:
             return math.inf, None
         corners.append(((hi * sj - hj * si) / det, (ci * hj - cj * hi) / det))
     twice = 0.0
@@ -370,11 +358,11 @@ def _side_evaluator(lines, i: int, tiny: float):
     cn, sn, hn = lines[(i + 1) % 4]
     co, so, ho = lines[(i + 2) % 4]
     det = cn * so - co * sn
-    if det <= 1e-12:
+    if det <= _SIN_GAP_MIN:
         return None
     x1, y1 = (hn * so - ho * sn) / det, (cn * ho - co * hn) / det  # corner i+1
     det = co * sp - cp * so
-    if det <= 1e-12:
+    if det <= _SIN_GAP_MIN:
         return None
     x2, y2 = (ho * sp - hp * so) / det, (co * hp - cp * ho) / det  # corner i+2
     if co * (y2 - y1) - so * (x2 - x1) <= tiny:
@@ -383,11 +371,11 @@ def _side_evaluator(lines, i: int, tiny: float):
 
     def area(c: float, s: float, h: float) -> float:
         det = cp * s - c * sp
-        if det <= 1e-12:
+        if det <= _SIN_GAP_MIN:
             return math.inf
         xa, ya = (hp * s - h * sp) / det, (cp * h - c * hp) / det  # corner i-1
         det = c * sn - cn * s
-        if det <= 1e-12:
+        if det <= _SIN_GAP_MIN:
             return math.inf
         xb, yb = (h * sn - hn * s) / det, (c * hn - cn * h) / det  # corner i
         if (

@@ -216,19 +216,21 @@ def build_octagon(body: ConvexPolygon, contacts: ContactBox) -> OctagonScene:
     return OctagonScene(octagon=octagon, octagon_area=area)
 
 
-def apply_contact_reflections(
-    contacts: ContactBox, flip_x: bool, flip_y: bool
-) -> ContactBox:
-    """Reflect a contact configuration across the coordinate axes.
+def reflection_normalize(
+    contacts: ContactBox,
+) -> Tuple[ContactBox, Tuple[bool, bool]]:
+    """Flip axes so the left/bottom contacts are the shallow ones.
 
-    Reflections of the plane fix the unit square setwise, so they act on
-    normalized scenes; flipping twice returns the original configuration.
+    After normalization -a1 <= b1 and -a2 <= b2, i.e. the v-side extremes
+    are at most as deep as the w-side ones.  Reflections of the plane fix
+    the unit square setwise, so they act on normalized scenes.  Returns the
+    new configuration and the (flip_x, flip_y) flags applied.
     """
-    def fx(p: Point) -> Point:
-        return Point(-p.x, p.y) if flip_x else p
+    flip_x = -contacts.a1 > contacts.b1
+    flip_y = -contacts.a2 > contacts.b2
 
-    def fy(p: Point) -> Point:
-        return Point(p.x, -p.y) if flip_y else p
+    def flip(p: Point) -> Point:
+        return Point(-p.x if flip_x else p.x, -p.y if flip_y else p.y)
 
     v1, w1 = contacts.v1, contacts.w1
     a1, b1 = contacts.a1, contacts.b1
@@ -240,31 +242,10 @@ def apply_contact_reflections(
     if flip_y:
         v2, w2 = w2, v2
         a2, b2 = -b2, -a2
-    return ContactBox(
-        a1=a1,
-        a2=a2,
-        b1=b1,
-        b2=b2,
-        v1=fy(fx(v1)),
-        v2=fy(fx(v2)),
-        w1=fy(fx(w1)),
-        w2=fy(fx(w2)),
+    normed = ContactBox(
+        a1=a1, a2=a2, b1=b1, b2=b2, v1=flip(v1), v2=flip(v2), w1=flip(w1), w2=flip(w2)
     )
-
-
-def reflection_normalize(
-    contacts: ContactBox,
-) -> Tuple[ContactBox, Tuple[bool, bool]]:
-    """Flip axes so the left/bottom contacts are the shallow ones.
-
-    After normalization -a1 <= b1 and -a2 <= b2, i.e. the v-side extremes
-    are at most as deep as the w-side ones.  Returns the new configuration
-    and the (flip_x, flip_y) flags applied (an involution: applying the
-    same flags again restores the input).
-    """
-    flip_x = -contacts.a1 > contacts.b1
-    flip_y = -contacts.a2 > contacts.b2
-    return apply_contact_reflections(contacts, flip_x, flip_y), (flip_x, flip_y)
+    return normed, (flip_x, flip_y)
 
 
 class LemmaBranch(Enum):
@@ -370,13 +351,15 @@ def lemma_octagon_quad(
     return quad, LemmaBranch.MIDPOINT_CASE
 
 
-def outer_ball_check(quad: Quadrilateral, tol: Scalar = 0) -> bool:
+def outer_ball_check(quad: Quadrilateral) -> bool:
     """True when every vertex of the quadrilateral lies in 3 * [-1,1]^2.
 
     Meaningful for quadrilaterals whose midpoint parallelogram is the unit
     square; minimality then forces the vertices into the tripled square.
+    The square grows by the input's relative slack, none on exact input.
     """
-    return all(v.linf() <= 3 + tol for v in quad.vertices)
+    bound = 3 * (1 + _slack(*quad.vertices[0]))
+    return all(v.linf() <= bound for v in quad.vertices)
 
 
 def inner_ball_inclusion(

@@ -286,7 +286,7 @@ def test_8_normalized_envelope_and_inner_ball(capsys, corpus_reports):
         if isinstance(report, Exception) or report.case_id is CaseId.DEGENERATE_TRIANGLE:
             continue
         scene, _ = normalize_to_square(body, report.witness)
-        if not outer_ball_check(scene.quad, tol=1e-6):
+        if not outer_ball_check(scene.quad):
             problems.append(f"body {i}: normalized witness escapes 3*[-1,1]^2")
             break
     rng = random.Random(SEED + 3)

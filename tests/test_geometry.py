@@ -1,5 +1,6 @@
 """Geometry primitives: exactness, validation, and frozen oracles."""
 
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circumquad.errors import DegenerateInput, ParallelLines, SingularMap
+from circumquad.errors import BadParams, DegenerateInput, ParallelLines, SingularMap
 from circumquad.geometry import (
     AffineMap,
     ConvexPolygon,
@@ -70,6 +71,14 @@ class TestConvexPolygon:
         with pytest.raises(DegenerateInput):
             ConvexPolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # A NaN fails no convexity test, since every comparison with it is False.
+        with pytest.raises(BadParams):
+            ConvexPolygon([(0, 0), (1, 0), (0, bad)])
+        with pytest.raises(BadParams):
+            ConvexPolygon([(0, 0), (1, 0), (1, 1), (bad, 1)])
+
     def test_exactness_tracking(self):
         exact = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
         assert exact.is_exact
@@ -116,6 +125,11 @@ class TestHull:
             Point(F(2), F(2)),
             Point(F(0), F(2)),
         }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_hull_rejects_non_finite(self, bad):
+        with pytest.raises(BadParams):
+            convex_hull([(0, 0), (1, 0), (0, bad), (1, 1)])
 
     def test_hull_collinear_raises(self):
         with pytest.raises(DegenerateInput):

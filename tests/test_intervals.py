@@ -49,7 +49,7 @@ class TestInterval:
         iv = Interval(F(1, 3), F(2, 3))
         out = iv.outward(16)
         assert out.lo <= iv.lo and iv.hi <= out.hi
-        assert out.width - iv.width <= F(2, 2 ** 16)
+        assert (out.hi - out.lo) - (iv.hi - iv.lo) <= F(2, 2 ** 16)
 
     @settings(max_examples=100)
     @given(rational, rational, rational, rational)
@@ -59,7 +59,7 @@ class TestInterval:
         prod = Interval(lo1, hi1) * Interval(lo2, hi2)
         for x in (lo1, hi1):
             for y in (lo2, hi2):
-                assert prod.contains(x * y)
+                assert prod.lo <= x * y <= prod.hi
 
 
 class TestSqrtEnclosure:
@@ -70,7 +70,7 @@ class TestSqrtEnclosure:
     def test_two_bracketed(self):
         iv = sqrt_enclosure(F(2), 128)
         assert iv.lo * iv.lo <= 2 <= iv.hi * iv.hi
-        assert iv.width <= F(1, 2 ** 100)
+        assert iv.hi - iv.lo <= F(1, 2 ** 100)
 
     def test_zero(self):
         assert sqrt_enclosure(F(0)).lo == 0
@@ -103,7 +103,7 @@ class TestExpr:
         e = esqrt(const(F(3))) / (1 + esqrt(const(F(5))))
         coarse = e.enclosure(16)
         fine = e.enclosure(96)
-        assert fine.width < coarse.width
+        assert fine.hi - fine.lo < coarse.hi - coarse.lo
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
     def test_negative_sqrt_in_expr(self):

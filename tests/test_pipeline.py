@@ -36,7 +36,6 @@ from circumquad.geometry import AffineMap
 from circumquad.pipeline import (
     LemmaBranch,
     _classify_normalized,
-    apply_contact_reflections,
     axis_box_with_contacts,
     build_octagon,
     reflection_normalize,
@@ -174,14 +173,18 @@ class TestReflections:
         assert normed.w1 == Point(F(7, 4), F(0))
         assert normed.v1 == Point(F(-1), F(1, 3))
 
-    def test_double_application_is_identity(self):
+    def test_reflected_images_normalize_alike(self):
         cb = box(F(-7, 4), F(-6, 5), F(1), F(8, 5), v1y=F(-1, 3), w2x=F(2, 7))
-        for fx in (False, True):
-            for fy in (False, True):
-                twice = apply_contact_reflections(
-                    apply_contact_reflections(cb, fx, fy), fx, fy
-                )
-                assert twice == cb
+        body = convex_hull(cb.contacts)
+        mirrors = [
+            convex_hull([(sx * x, sy * y) for x, y in body.vertices])
+            for sx in (1, -1)
+            for sy in (1, -1)
+        ]
+        images = [axis_box_with_contacts(mirror) for mirror in mirrors]
+        assert len(set(images)) == 4
+        normed = {reflection_normalize(image)[0] for image in images}
+        assert normed == {reflection_normalize(cb)[0]}
 
 
 class TestLemma:
@@ -347,7 +350,11 @@ class TestBalls:
             (Point(F(4), F(0)), Point(F(0), F(1)), Point(F(-1), F(0)), Point(F(0), F(-1)))
         )
         assert not outer_ball_check(far)
-        assert outer_ball_check(far, tol=2)
+        # The tripled square grows by the float slack only.
+        cases = ((3 + 1e-9, True), (3 + 1e-7, False), (3 + F(1, 10**9), False))
+        for edge, inside in cases:
+            kite = Quadrilateral(((edge, 0), (0, 1), (-1, 0), (0, -1)))
+            assert outer_ball_check(kite) is inside
 
     def test_inner_ball_inclusion_exact(self):
         small, hull, ball = inner_ball_inclusion(Point(F(2), F(1)), F(2), F(1))
@@ -384,6 +391,10 @@ class TestCaseMachine:
         assert rep.normalizing_map is None and rep.contacts is None
         with pytest.raises(BadParams):
             normalize_to_square(tri, rep.witness)
+
+    def test_nan_body_is_bad_params(self):
+        with pytest.raises(BadParams):
+            case_machine(ConvexPolygon([(0, 0), (1, 0), (0, math.nan)]))
 
     def test_disk_exceeds_octagon(self):
         rep = case_machine(regular_polygon(64))
