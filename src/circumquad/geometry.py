@@ -258,11 +258,15 @@ class ConvexPolygon:
         """The polygon in floats, validated like any polygon.
 
         A vertex that rounding moves onto or inside the line through its
-        neighbours is dropped; DegenerateInput when the image is flat.
+        neighbours is dropped; DegenerateInput when the image is flat, and
+        BadParams when a coordinate is beyond the float range.
         """
         if not self.is_exact:
             return self
-        image = [(float(v.x), float(v.y)) for v in self.vertices]
+        try:
+            image = [(float(v.x), float(v.y)) for v in self.vertices]
+        except OverflowError as exc:
+            raise BadParams("coordinates exceed the float range") from exc
         try:
             return type(self)(image)
         except DegenerateInput:
@@ -326,37 +330,43 @@ def _contains_points(
 ) -> bool:
     """Whether every point passes :func:`contains_point` on ``poly``.
 
-    The tolerant test computes its per-edge bounds once for all points.
+    The tolerant test takes, per edge, the largest excess ``-cross3(a, b, q)``
+    over all points and compares that one value with the edge's bound: the
+    maximum is exact and the comparison is monotone in it, so the verdict is
+    that of testing every point.
     """
     if tol == 0:
         return _encloses(poly.vertices + points, len(poly))
     edges, exact = _tolerant_edges(poly, tol, points[0])
-    for q in points:
-        for a, b, bound in edges:
-            c = cross3(a, b, q)
-            if c < 0 and (c * c if exact else -c) > bound:
-                return False
+    for ax, ay, ex, ey, bound in edges:
+        m = max([ey * (x - ax) - ex * (y - ay) for x, y in points])
+        if m > 0 and (m * m if exact else m) > bound:
+            return False
     return True
 
 
 def _tolerant_edges(poly: ConvexPolygon, tol: Scalar, q: Point):
-    """Per edge (a, b) of ``poly``, the bound of the tolerant containment test.
+    """Per edge (a, b) of ``poly``, ``(a.x, a.y, e.x, e.y, bound)`` with
+    ``e = b - a``, for the tolerant containment test.
 
     A point q lies beyond edge (a, b) when c = cross3(a, b, q) < 0 and its
-    distance -c / |b - a| exceeds ``tol * diam``.  When ``poly`` and ``q``
-    are rational, both sides are squared, which keeps the test exact (the
-    second value returned is True).  Otherwise the bound is
-    ``tol * diam * |b - a|`` in floats: squares of coordinates above about
-    1e77 would overflow to inf on both sides and pass every point.
+    distance -c / |e| exceeds ``tol * diam``.  When ``poly`` and ``q`` are
+    rational, both sides are squared, which keeps the test exact (the second
+    value returned is True).  Otherwise the bound is ``tol * diam * |e|`` in
+    floats: squares of coordinates above about 1e77 would overflow to inf on
+    both sides and pass every point.
     """
     diam = poly.linf_diameter()
     exact = not _slack(*poly.vertices[0], *q)
+    sides = [(a.x, a.y, b.x - a.x, b.y - a.y) for a, b in poly.edges()]
     if exact:
         budget = tol * tol * diam * diam
-        return [(a, b, budget * (b - a).dot(b - a)) for a, b in poly.edges()], True
+        return [
+            (ax, ay, ex, ey, budget * (ex * ex + ey * ey)) for ax, ay, ex, ey in sides
+        ], True
     budget = float(tol) * float(diam)
     return [
-        (a, b, budget * math.hypot(b.x - a.x, b.y - a.y)) for a, b in poly.edges()
+        (ax, ay, ex, ey, budget * math.hypot(ex, ey)) for ax, ay, ex, ey in sides
     ], False
 
 
@@ -388,7 +398,9 @@ def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(imgs)
 
 
-def linf_distance_to_polygon(p: Sequence[Scalar], poly: ConvexPolygon) -> Scalar:
+def linf_distance_to_polygon(
+    p: Union[Sequence[Scalar], ConvexPolygon], poly: ConvexPolygon
+) -> Scalar:
     """Max-norm distance from ``p`` to the polygon (0 when inside).
 
     The distance is the least ``t >= 0`` with ``p`` in ``poly + t*[-1, 1]^2``
@@ -403,17 +415,36 @@ def linf_distance_to_polygon(p: Sequence[Scalar], poly: ConvexPolygon) -> Scalar
     where ``-cross3(a, b, p) = <n, p - a>`` for the outward normal
     ``n = (b.y - a.y, a.x - b.x)`` and ``|n.x| + |n.y|`` is the square's
     support value at ``n``.  Exact for rational inputs.
+
+    When ``p`` is a :class:`ConvexPolygon` the result is the largest distance
+    of any of its vertices, the directed sup-norm Hausdorff distance from
+    ``p`` to ``poly``.  The two maxima swap: per normal, the largest excess
+    over all vertices is taken first (the axis terms from ``p``'s bounding
+    box), then divided once.  Rounded subtraction and division are monotone,
+    so this equals the largest per-vertex distance bit for bit.
     """
-    q = Point(p[0], p[1])
+    if isinstance(p, ConvexPolygon):
+        pts = p.vertices
+        lx, ly, hx, hy = p.bounding_box()
+    else:
+        pts = None
+        lx, ly = hx, hy = p[0], p[1]
     xmin, ymin, xmax, ymax = poly.bounding_box()
-    dist = max(xmin - q.x, q.x - xmax, ymin - q.y, q.y - ymax)
-    for a, b in poly.edges():
-        excess = -cross3(a, b, q)
+    dist = max(xmin - lx, hx - xmax, ymin - ly, hy - ymax)
+    a = poly.vertices[-1]
+    for b in poly.vertices:
+        ax, ay = a
+        ex, ey = b.x - ax, b.y - ay
+        if pts is None:
+            excess = ey * (hx - ax) - ex * (hy - ay)  # -cross3(a, b, p)
+        else:
+            excess = max([ey * (x - ax) - ex * (y - ay) for x, y in pts])
         if excess > 0:
-            dist = max(dist, _div(excess, abs(b.x - a.x) + abs(b.y - a.y)))
+            dist = max(dist, _div(excess, abs(ex) + abs(ey)))
+        a = b
     if dist > 0:
         return dist
-    return 0 if not isinstance(q.x, float) else 0.0
+    return 0.0 if isinstance(lx, float) else 0
 
 
 def linf_ball(center: Sequence[Scalar], radius: Scalar) -> ConvexPolygon:

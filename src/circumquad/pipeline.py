@@ -489,10 +489,9 @@ def _classify_normalized(
         return report(CaseId.BOX_SKEWED, f2)
 
     scene8 = build_octagon(norm_body, contacts)
-    gap = max(
-        float(linf_distance_to_polygon(v, scene8.octagon))
-        for v in norm_body.vertices
-    )
+    # The largest sup-norm distance of a body vertex from the octagon, one
+    # call for the whole body: one maximum per edge normal of the octagon.
+    gap = float(linf_distance_to_polygon(norm_body, scene8.octagon))
     octagon_area = float(scene8.octagon_area)
     if gap > r + slack:
         return report(

@@ -81,7 +81,7 @@ def test_classify_spans_stay_on_the_call_path(monkeypatch):
     assert report.case_id is pipeline.CaseId.BODY_EXCEEDS_OCTAGON
     assert entered["axis_box_with_contacts"] == 1
     assert entered["build_octagon"] == 1
-    assert entered["linf_distance_to_polygon"] == 64
+    assert entered["linf_distance_to_polygon"] == 1  # the whole body at once
     assert entered["lemma_octagon_quad"] == 0
 
     # A body hugging its contact octagon reaches the last rung.

@@ -104,6 +104,11 @@ class TestConvexPolygon:
         assert f.vertices == ConvexPolygon(f.vertices).vertices
         assert sorted(f.vertices) == [(0.0, 0.0), (0.0, 2.0**61), (2.0**61, 2.0)]
 
+    def test_to_float_beyond_float_range_is_bad_params(self):
+        poly = ConvexPolygon([(0, 0), (10**400, 0), (0, 1)])
+        with pytest.raises(BadParams):
+            poly.to_float()
+
     def test_bounding_box_and_diameter(self):
         poly = ConvexPolygon([(-2, -1), (3, -1), (0, 4)])
         assert poly.bounding_box() == (-2, -1, 3, 4)
@@ -294,6 +299,44 @@ def test_linf_distance_is_least_dilation(pts, p):
         assert not contains_point(_dilated_hull(poly, d * (1 - F(1, 2**20))), p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(coord, min_size=3, max_size=10),
+    st.lists(
+        st.tuples(
+            st.integers(0, 9),
+            st.booleans(),
+            st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(1), F(3, 2)]),
+        ),
+        max_size=6,
+    ),
+    st.lists(coord, max_size=3),
+    st.sampled_from([(False, False), (True, True), (True, False), (False, True)]),
+)
+def test_linf_distance_of_polygon_is_largest_vertex_distance(pts, picks, free, floats):
+    """The polygon form equals the largest point-form distance, type included."""
+    try:
+        poly = convex_hull(pts)
+        vs = poly.vertices
+        n = len(vs)
+        cx = sum(v.x for v in vs) / n
+        cy = sum(v.y for v in vs) / n
+        # A vertex or an edge midpoint of poly, scaled about the centroid:
+        # by s < 1 inside, by s = 1 on the boundary, by s > 1 outside.
+        near = []
+        for i, mid, s in picks:
+            base = midpoint(vs[i % n], vs[(i + 1) % n]) if mid else vs[i % n]
+            near.append((cx + s * (base.x - cx), cy + s * (base.y - cy)))
+        body = convex_hull(near + free)
+        body, poly = (p.to_float() if f else p for p, f in zip((body, poly), floats))
+    except DegenerateInput:
+        return
+    got = linf_distance_to_polygon(body, poly)
+    expected = max(linf_distance_to_polygon(v, poly) for v in body.vertices)
+    assert got == expected
+    assert type(got) is type(expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(coord, min_size=4, max_size=12))
 def test_hull_area_matches_independent_shoelace(pts):
@@ -461,6 +504,28 @@ def test_tolerant_contains_polygon_matches_contains_point(pts, tol, floats):
     except DegenerateInput:
         return
     outer, inner = (p.to_float() if f else p for p, f in zip((outer, inner), floats))
-    assert contains_polygon(outer, inner, tol) == all(
-        contains_point(outer, v, tol) for v in inner.vertices
-    )
+    expected = _tolerant_contains_by_pairs(outer, inner.vertices, tol)
+    assert contains_polygon(outer, inner, tol) == expected
+    assert all(contains_point(outer, v, tol) for v in inner.vertices) == expected
+
+
+def _tolerant_contains_by_pairs(outer, points, tol):
+    """Tolerant containment as one test per (point, edge) pair.
+
+    The reference for the library's one maximum per edge: a point fails an
+    edge when it lies beyond it by more than ``tol * diam``, compared in
+    squares when every coordinate is rational and in floats otherwise.
+    """
+    diam = outer.linf_diameter()
+    exact = not any(isinstance(c, float) for c in (*outer.vertices[0], *points[0]))
+    for q in points:
+        for a, b in outer.edges():
+            c = cross3(a, b, q)
+            if c >= 0:
+                continue
+            if exact:
+                if c * c > tol * tol * diam * diam * (b - a).dot(b - a):
+                    return False
+            elif -c > float(tol) * float(diam) * math.hypot(b.x - a.x, b.y - a.y):
+                return False
+    return True
