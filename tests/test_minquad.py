@@ -381,7 +381,12 @@ def solver_normals(draw):
     """A random integer or float hull and the edge normals the solver scans.
 
     The float hulls are hulls of random points or ellipse polygons of up to
-    200 sides, whose normals ``_scan_normals`` thins above 90 edges.
+    200 sides, whose normals ``_scan_normals`` thins above 90 edges.  Every
+    edge is longer than 1e-9 of the hull's size: a side holds its line's
+    edge, and an edge below that reads as a collapsed side both to the
+    flagged search (level 1e-12 of the largest coordinate) and to the
+    shortest-side check (1e-9 * diam); see
+    ``test_edge_normal_scan_keeps_a_side_below_rounding``.
     """
     kind = draw(st.sampled_from(["integer", "float", "ellipse"]))
     if kind == "ellipse":
@@ -395,6 +400,8 @@ def solver_normals(draw):
         except DegenerateInput:
             assume(False)
     poly = body.to_float()
+    size = max(poly.linf_diameter(), max(abs(c) for v in poly.vertices for c in v))
+    assume(min(math.dist(a, b) for a, b in poly.edges()) > 1e-9 * size)
     return poly, _scan_normals(edge_normals(poly))
 
 
@@ -455,6 +462,24 @@ class TestGridScan:
         zero = 1e-9 * poly.linf_diameter()
         for _, quad in minima:
             assert shortest_side(support_corners(poly, normals, quad)) > zero
+
+    def test_edge_normal_scan_keeps_a_side_below_rounding(self):
+        # The edge from (0, 0) to (-2, 1e-84) is a true edge of the hull, and
+        # the side on its normal's line (angle pi) holds the edge of length
+        # 1e-84.  The flagged search read that side as collapsed and skipped
+        # (0, 1, 2, 3), the circumscribed triangle of doubled area 4; the
+        # scan keeps it, and so finds less than the flagged search's 5.
+        poly = ConvexPolygon([(-2.0, 0.0), (0.0, -1.0), (1.0, -1.0), (0.0, 0.0),
+                              (-2.0, 9.917260693413039e-85)])
+        normals = _scan_normals(edge_normals(poly))
+        assert len(normals) == 5
+        minima = _scan_support_directions(poly, np.array(normals), len(normals) ** 2)
+        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, normals)]
+        flagged = [(v, tuple(map(int, q))) for v, q in flagged_reference_scan(poly, normals)]
+        assert minima[0] == flagged[0]
+        assert minima[1][1] == (0, 1, 2, 3) != flagged[1][1] == (0, 1, 2, 4)
+        assert minima[1][0] == pytest.approx(4.0, rel=1e-12)
+        assert flagged[1][0] == pytest.approx(5.0, rel=1e-12)
 
     @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
     @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
