@@ -320,7 +320,7 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     ``tol`` is relative to the polygon's max-norm diameter, so the predicate
     is invariant under scaling.  With ``tol = 0`` the test is a pure sign
     check and exact for rational inputs; so is the tolerant test, see
-    :func:`_tolerant_edges`.
+    :func:`_tolerant_budget`.
     """
     return _contains_points(poly, (Point(p[0], p[1]),), tol)
 
@@ -337,37 +337,47 @@ def _contains_points(
     """
     if tol == 0:
         return _encloses(poly.vertices + points, len(poly))
-    edges, exact = _tolerant_edges(poly, tol, points[0])
-    for ax, ay, ex, ey, bound in edges:
-        m = max([ey * (x - ax) - ex * (y - ay) for x, y in points])
-        if m > 0 and (m * m if exact else m) > bound:
+    budget, exact = _tolerant_budget(poly, tol, points[0])
+    for ex, ey, m in _edge_excesses(poly, points):
+        if m > 0 and (
+            m * m > budget * (ex * ex + ey * ey)
+            if exact
+            else m > budget * math.hypot(ex, ey)
+        ):
             return False
     return True
 
 
-def _tolerant_edges(poly: ConvexPolygon, tol: Scalar, q: Point):
-    """Per edge (a, b) of ``poly``, ``(a.x, a.y, e.x, e.y, bound)`` with
-    ``e = b - a``, for the tolerant containment test.
+def _tolerant_budget(poly: ConvexPolygon, tol: Scalar, q: Point):
+    """The tolerant containment test's budget, and whether it is squared.
 
     A point q lies beyond edge (a, b) when c = cross3(a, b, q) < 0 and its
-    distance -c / |e| exceeds ``tol * diam``.  When ``poly`` and ``q`` are
-    rational, both sides are squared, which keeps the test exact (the second
-    value returned is True).  Otherwise the bound is ``tol * diam * |e|`` in
-    floats: squares of coordinates above about 1e77 would overflow to inf on
-    both sides and pass every point.
+    distance -c / |e|, with e = b - a, exceeds ``tol * diam``.  When ``poly``
+    and ``q`` are rational, both sides are squared, which keeps the test exact
+    (the second value returned is True): the edge's bound is
+    ``budget * e.dot(e)`` for c * c.  Otherwise it is ``budget * |e|`` for -c
+    in floats: squares of coordinates above about 1e77 would overflow to inf
+    on both sides and pass every point.
     """
     diam = poly.linf_diameter()
-    exact = not _slack(*poly.vertices[0], *q)
-    sides = [(a.x, a.y, b.x - a.x, b.y - a.y) for a, b in poly.edges()]
-    if exact:
-        budget = tol * tol * diam * diam
-        return [
-            (ax, ay, ex, ey, budget * (ex * ex + ey * ey)) for ax, ay, ex, ey in sides
-        ], True
-    budget = float(tol) * float(diam)
-    return [
-        (ax, ay, ex, ey, budget * math.hypot(ex, ey)) for ax, ay, ex, ey in sides
-    ], False
+    if not _slack(*poly.vertices[0], *q):
+        return tol * tol * diam * diam, True
+    return float(tol) * float(diam), False
+
+
+def _edge_excesses(poly: ConvexPolygon, points: Sequence[Point]):
+    """Per edge (a, b) of ``poly``, ``(e.x, e.y, m)`` with ``e = b - a`` and
+    ``m`` the largest ``-cross3(a, b, q)`` over ``points``, bit for bit.
+
+    The edges run from ``(v[-1], v[0])``; the callers take maxima over them,
+    which do not see the order.
+    """
+    a = poly.vertices[-1]
+    for b in poly.vertices:
+        ax, ay = a
+        ex, ey = b.x - ax, b.y - ay
+        yield ex, ey, max([ey * (x - ax) - ex * (y - ay) for x, y in points])
+        a = b
 
 
 def _encloses(points: Sequence[Point], n: int) -> bool:
@@ -423,25 +433,25 @@ def linf_distance_to_polygon(
     box), then divided once.  Rounded subtraction and division are monotone,
     so this equals the largest per-vertex distance bit for bit.
     """
-    if isinstance(p, ConvexPolygon):
-        pts = p.vertices
-        lx, ly, hx, hy = p.bounding_box()
-    else:
-        pts = None
-        lx, ly = hx, hy = p[0], p[1]
     xmin, ymin, xmax, ymax = poly.bounding_box()
-    dist = max(xmin - lx, hx - xmax, ymin - ly, hy - ymax)
-    a = poly.vertices[-1]
-    for b in poly.vertices:
-        ax, ay = a
-        ex, ey = b.x - ax, b.y - ay
-        if pts is None:
-            excess = ey * (hx - ax) - ex * (hy - ay)  # -cross3(a, b, p)
-        else:
-            excess = max([ey * (x - ax) - ex * (y - ay) for x, y in pts])
-        if excess > 0:
-            dist = max(dist, _div(excess, abs(ex) + abs(ey)))
-        a = b
+    if isinstance(p, ConvexPolygon):
+        lx, ly, hx, hy = p.bounding_box()
+        dist = max(xmin - lx, hx - xmax, ymin - ly, hy - ymax)
+        for ex, ey, excess in _edge_excesses(poly, p.vertices):
+            if excess > 0:
+                dist = max(dist, _div(excess, abs(ex) + abs(ey)))
+    else:
+        # One point: a scalar loop with -cross3(a, b, p) inlined, no lists.
+        lx, ly = p[0], p[1]
+        dist = max(xmin - lx, lx - xmax, ymin - ly, ly - ymax)
+        a = poly.vertices[-1]
+        for b in poly.vertices:
+            ax, ay = a
+            ex, ey = b.x - ax, b.y - ay
+            excess = ey * (lx - ax) - ex * (ly - ay)
+            if excess > 0:
+                dist = max(dist, _div(excess, abs(ex) + abs(ey)))
+            a = b
     if dist > 0:
         return dist
     return 0.0 if isinstance(lx, float) else 0
