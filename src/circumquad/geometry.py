@@ -26,6 +26,7 @@ convex (no repeated or collinear consecutive vertices).  Lines are written
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -35,6 +36,14 @@ Scalar = Union[int, float, Fraction]
 
 # Slack of the checks on float input, relative to quantities of order 1.
 FLOAT_SLACK = 1e-8
+
+_TWO_PI = 2.0 * math.pi
+# Relative width of the near-ties that Support.extreme keeps on float images,
+# 2**13 units in the last place: thousands of times the rounding of a mapped
+# coordinate and of the callers' per-edge expressions on it.
+_NEAR_TIE = 2.0**-40
+# The axis directions -x, -y, +x, +y, as ints so that exact input stays exact.
+_AXES = ((-1, 0), (0, -1), (1, 0), (0, 1))
 
 
 def _slack(*values: Scalar) -> Scalar:
@@ -314,6 +323,161 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
     return ConvexPolygon._unchecked(tuple(first[q] for q in hull))
 
 
+class Support:
+    """Support oracle of a convex polygon, or of its image under an affine map.
+
+    The polygon's outward edge normal angles are kept sorted, with the vertex
+    that supports the body on the piece ending at each (``normals`` and
+    ``contacts``).  Two queries bisect them, O(log n) each:
+
+    * :meth:`line` gives the supporting line of the polygon itself at a
+      normal angle, for the solver;
+    * :meth:`extreme` gives the vertices of the image that maximize
+      ``<u, .>``.  On the image ``M p + t`` that is the polygon's extreme
+      vertex in direction ``M^T u``, since ``h_{MK+t}(u) = h_K(M^T u) + <u, t>``.
+
+    :meth:`under` returns the oracle of the image under an :class:`AffineMap`;
+    it shares the sorted normals.  An image vertex is computed with
+    ``AffineMap.apply``, the expression :func:`apply_affine` uses, so every
+    value read through the oracle equals the one read off the mapped polygon
+    bit for bit.  ``tiny`` is a length at the rounding level of the polygon's
+    coordinates.
+    """
+
+    __slots__ = (
+        "normals", "contacts", "tiny", "affine",
+        "_starts", "_vertices", "_exact", "_reach", "_bounds", "_queries",
+    )
+
+    def __init__(self, poly: ConvexPolygon):
+        # The start vertex of a ccw edge supports the body on the piece that
+        # ends at the edge's outward normal.
+        edges = sorted(
+            (math.atan2(a.x - b.x, b.y - a.y) % _TWO_PI, (a.x, a.y), i)
+            for i, (a, b) in enumerate(poly.edges())
+        )
+        self.normals = [phi for phi, _, _ in edges]
+        self.contacts = [p for _, p, _ in edges]
+        self._starts = [i for _, _, i in edges]
+        self._vertices = poly.vertices
+        self._reach = max(max(abs(x), abs(y)) for x, y in self.contacts)
+        self.tiny = 1e-12 * self._reach
+        self.affine: Optional[AffineMap] = None
+        self._exact = poly.is_exact
+        self._bounds = (self._reach, self._reach)  # on |x| and |y| over the image
+        self._queries: dict = {}
+
+    def under(self, affine: AffineMap) -> "Support":
+        """The oracle of the polygon's image under ``affine``.
+
+        Call it on the polygon's own oracle: the map replaces any map that
+        this oracle carries.
+        """
+        image = object.__new__(Support)
+        for name in ("normals", "contacts", "tiny", "_starts", "_vertices", "_reach"):
+            setattr(image, name, getattr(self, name))
+        image.affine = affine
+        image._exact = self._exact and not any(isinstance(c, float) for c in affine)
+        m11, m12, m21, m22, t1, t2 = affine
+        reach = self._reach
+        image._bounds = (
+            (abs(m11) + abs(m12)) * reach + abs(t1),
+            (abs(m21) + abs(m22)) * reach + abs(t2),
+        )
+        image._queries = {}
+        return image
+
+    def line(self, theta: float) -> Tuple[float, float, float]:
+        """(cos, sin, h) of the polygon's supporting line at normal angle theta."""
+        k = bisect_left(self.normals, theta % _TWO_PI) % len(self.normals)
+        px, py = self.contacts[k]
+        c, s = math.cos(theta), math.sin(theta)
+        return c, s, px * c + py * s
+
+    def extreme(self, ux: Scalar, uy: Scalar) -> Tuple[Point, ...]:
+        """The image vertices where ``<u, .>`` is largest, consecutive.
+
+        The bisection finds the polygon vertex supporting ``M^T u``.  The
+        query then walks on from it while a neighbour's value ``ux*x + uy*y``
+        is higher, or lower by at most the width ``2**-40 * (|ux| X + |uy| Y)``,
+        X and Y bounding the image's coordinates; it returns the vertices
+        within that width of the largest value.  On exact input the width is 0
+        and the answer is the one or two maximizers.  On floats the width is
+        thousands of times the rounding of an image vertex and of a per-edge
+        expression ``ey * (x - ax) - ex * (y - ay)`` on it, for an edge start
+        ``a`` within a thousand times X and Y.  The exact values rise and then
+        fall around the polygon, so a vertex past the first one below the
+        width cannot reach the largest value either, and a maximum of such an
+        expression over the answer equals its maximum over every vertex, bit
+        for bit.  Typically the answer is one vertex, or the two ends of an
+        edge normal to ``u``.  Answers are kept per direction.
+        """
+        key = (ux, uy)
+        found = self._queries.get(key)
+        if found is None:
+            found = self._queries[key] = self._walk(ux, uy)
+        return found
+
+    def _walk(self, ux: Scalar, uy: Scalar) -> Tuple[Point, ...]:
+        vs, t = self._vertices, self.affine
+        n = len(vs)
+        if t is None:
+            wx, wy, image = ux, uy, vs.__getitem__
+        else:
+            m11, m12, m21, m22, t1, t2 = t
+            wx, wy = m11 * ux + m21 * uy, m12 * ux + m22 * uy
+
+            def image(j: int) -> Tuple[Scalar, Scalar]:  # AffineMap.apply's expressions
+                x, y = vs[j]
+                return m11 * x + m12 * y + t1, m21 * x + m22 * y + t2
+
+        k = self._starts[bisect_left(self.normals, math.atan2(wy, wx) % _TWO_PI) % n]
+        if self._exact and not isinstance(ux, float) and not isinstance(uy, float):
+            width = 0
+        else:
+            width = _NEAR_TIE * (abs(ux) * self._bounds[0] + abs(uy) * self._bounds[1])
+        p = image(k)
+        top = ux * p[0] + uy * p[1]
+        seen = [(top, p)]
+        left = n - 1  # vertices not yet visited
+        for step in (1, -1):
+            j, side = k, []
+            while left:
+                j = (j + step) % n
+                q = image(j)
+                h = ux * q[0] + uy * q[1]
+                if h < top - width:
+                    break
+                left -= 1
+                if h > top:
+                    top = h
+                side.append((h, q))
+            if side:
+                seen = seen + side if step == 1 else side[::-1] + seen
+        return tuple([Point(*q) for h, q in seen if h >= top - width])
+
+    def bounding_box(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
+        """The image's (xmin, ymin, xmax, ymax), from four queries."""
+        left, bottom, right, top = (self.extreme(ux, uy) for ux, uy in _AXES)
+        return (
+            min(p.x for p in left),
+            min(p.y for p in bottom),
+            max(p.x for p in right),
+            max(p.y for p in top),
+        )
+
+
+def _candidates(body, ux: Scalar, uy: Scalar) -> Sequence[Point]:
+    """Points among which ``<u, .>`` attains its largest value over ``body``.
+
+    Every vertex of a polygon or every point of a tuple, or the few image
+    vertices that a :class:`Support` query returns.
+    """
+    if isinstance(body, Support):
+        return body.extreme(ux, uy)
+    return body.vertices if isinstance(body, ConvexPolygon) else body
+
+
 def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) -> bool:
     """Whether ``p`` lies in ``poly``, allowing signed distance ``-tol * diam``.
 
@@ -325,20 +489,27 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     return _contains_points(poly, (Point(p[0], p[1]),), tol)
 
 
-def _contains_points(
-    poly: ConvexPolygon, points: Tuple[Point, ...], tol: Scalar
-) -> bool:
-    """Whether every point passes :func:`contains_point` on ``poly``.
+def _contains_points(poly: ConvexPolygon, inner, tol: Scalar) -> bool:
+    """Whether every point of ``inner`` passes :func:`contains_point` on ``poly``.
 
-    The tolerant test takes, per edge, the largest excess ``-cross3(a, b, q)``
-    over all points and compares that one value with the edge's bound: the
-    maximum is exact and the comparison is monotone in it, so the verdict is
-    that of testing every point.
+    ``inner`` is a tuple of points, a polygon or a :class:`Support`, read
+    per edge normal through :func:`_candidates`.  The tolerant test takes, per
+    edge, the largest excess ``-cross3(a, b, q)`` over the candidates and
+    compares that one value with the edge's bound: the maximum is exact and
+    the comparison is monotone in it, so the verdict is that of testing every
+    point.
     """
     if tol == 0:
-        return _encloses(poly.vertices + points, len(poly))
-    budget, exact = _tolerant_budget(poly, tol, points[0])
-    for ex, ey, m in _edge_excesses(poly, points):
+        if isinstance(inner, Support):
+            # The image vertices extreme along some edge normal decide it.
+            inner = tuple(
+                dict.fromkeys(q for ex, ey in _edge_vectors(poly) for q in inner.extreme(ey, -ex))
+            )
+        elif isinstance(inner, ConvexPolygon):
+            inner = inner.vertices
+        return _encloses(poly.vertices + inner, len(poly))
+    budget, exact = _tolerant_budget(poly, tol, _candidates(inner, 1, 0)[0])
+    for ex, ey, m in _edge_excesses(poly, inner):
         if m > 0 and (
             m * m > budget * (ex * ex + ey * ey)
             if exact
@@ -365,17 +536,29 @@ def _tolerant_budget(poly: ConvexPolygon, tol: Scalar, q: Point):
     return float(tol) * float(diam), False
 
 
-def _edge_excesses(poly: ConvexPolygon, points: Sequence[Point]):
-    """Per edge (a, b) of ``poly``, ``(e.x, e.y, m)`` with ``e = b - a`` and
-    ``m`` the largest ``-cross3(a, b, q)`` over ``points``, bit for bit.
+def _edge_vectors(poly: ConvexPolygon):
+    """``(e.x, e.y)`` of each edge ``e = b - a``, from ``(v[-1], v[0])`` on."""
+    a = poly.vertices[-1]
+    for b in poly.vertices:
+        yield b.x - a.x, b.y - a.y
+        a = b
 
-    The edges run from ``(v[-1], v[0])``; the callers take maxima over them,
-    which do not see the order.
+
+def _edge_excesses(poly: ConvexPolygon, inner):
+    """Per edge (a, b) of ``poly``, ``(e.x, e.y, m)`` with ``e = b - a`` and
+    ``m`` the largest ``-cross3(a, b, q)`` over ``inner``, bit for bit.
+
+    ``inner`` is a tuple of points, a polygon or a :class:`Support`; the
+    maximum runs over its candidates for the edge's outward normal
+    ``(e.y, -e.x)`` (:func:`_candidates`).  The edges run from
+    ``(v[-1], v[0])``; the callers take maxima over them, which do not see
+    the order.
     """
     a = poly.vertices[-1]
     for b in poly.vertices:
         ax, ay = a
         ex, ey = b.x - ax, b.y - ay
+        points = _candidates(inner, ey, -ex)
         yield ex, ey, max([ey * (x - ax) - ex * (y - ay) for x, y in points])
         a = b
 
@@ -392,24 +575,37 @@ def _encloses(points: Sequence[Point], n: int) -> bool:
 
 
 def contains_polygon(
-    outer: ConvexPolygon, inner: ConvexPolygon, tol: Scalar = 0
+    outer: ConvexPolygon, inner: Union[ConvexPolygon, Support], tol: Scalar = 0
 ) -> bool:
-    """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``."""
-    return _contains_points(outer, inner.vertices, tol)
+    """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``.
+
+    ``inner`` may be a :class:`Support`: each edge of ``outer`` then reads
+    its extreme vertices off one query.
+    """
+    return _contains_points(outer, inner, tol)
 
 
 def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:
+    """The image of ``poly`` under ``t``, counterclockwise.
+
+    Exact input maps exactly.  A float vertex that rounding moves onto or
+    inside the line through its neighbours is dropped, as in
+    :meth:`ConvexPolygon.to_float`; DegenerateInput when the image is flat.
+    """
     d = t.det
     if d == 0:
         raise SingularMap("cannot apply a singular map to a polygon")
     imgs = [t.apply(v) for v in poly.vertices]
     if d < 0:
         imgs.reverse()
-    return ConvexPolygon(imgs)
+    try:
+        return ConvexPolygon(imgs)
+    except DegenerateInput:
+        return convex_hull(imgs)
 
 
 def linf_distance_to_polygon(
-    p: Union[Sequence[Scalar], ConvexPolygon], poly: ConvexPolygon
+    p: Union[Sequence[Scalar], ConvexPolygon, Support], poly: ConvexPolygon
 ) -> Scalar:
     """Max-norm distance from ``p`` to the polygon (0 when inside).
 
@@ -431,30 +627,53 @@ def linf_distance_to_polygon(
     ``p`` to ``poly``.  The two maxima swap: per normal, the largest excess
     over all vertices is taken first (the axis terms from ``p``'s bounding
     box), then divided once.  Rounded subtraction and division are monotone,
-    so this equals the largest per-vertex distance bit for bit.
+    so this equals the largest per-vertex distance bit for bit.  When ``p``
+    is a :class:`Support`, each of those maxima is read off one query, with
+    the same result as on the polygon it reads.
     """
-    xmin, ymin, xmax, ymax = poly.bounding_box()
-    if isinstance(p, ConvexPolygon):
-        lx, ly, hx, hy = p.bounding_box()
-        dist = max(xmin - lx, hx - xmax, ymin - ly, hy - ymax)
-        for ex, ey, excess in _edge_excesses(poly, p.vertices):
-            if excess > 0:
-                dist = max(dist, _div(excess, abs(ex) + abs(ey)))
-    else:
-        # One point: a scalar loop with -cross3(a, b, p) inlined, no lists.
+    box = poly.bounding_box()
+    if not isinstance(p, (ConvexPolygon, Support)):
+        return _point_distances((p,), poly, box)[0]
+    xmin, ymin, xmax, ymax = box
+    lx, ly, hx, hy = p.bounding_box()
+    dist = max(xmin - lx, hx - xmax, ymin - ly, hy - ymax)
+    for ex, ey, excess in _edge_excesses(poly, p):
+        if excess > 0:
+            dist = max(dist, _div(excess, abs(ex) + abs(ey)))
+    return _clamp(dist, lx)
+
+
+def _point_distances(points: Sequence[Sequence[Scalar]], poly: ConvexPolygon, box) -> list:
+    """:func:`linf_distance_to_polygon` of each point, given ``poly``'s bounding box.
+
+    The edge vectors and their sup-norm lengths are computed once for all the
+    points; each value is the single-point expression, bit for bit.
+    """
+    xmin, ymin, xmax, ymax = box
+    edges = []
+    a = poly.vertices[-1]
+    for b in poly.vertices:
+        ax, ay = a
+        ex, ey = b.x - ax, b.y - ay
+        edges.append((ax, ay, ex, ey, abs(ex) + abs(ey)))
+        a = b
+    out = []
+    for p in points:
         lx, ly = p[0], p[1]
         dist = max(xmin - lx, lx - xmax, ymin - ly, ly - ymax)
-        a = poly.vertices[-1]
-        for b in poly.vertices:
-            ax, ay = a
-            ex, ey = b.x - ax, b.y - ay
+        for ax, ay, ex, ey, size in edges:
             excess = ey * (lx - ax) - ex * (ly - ay)
             if excess > 0:
-                dist = max(dist, _div(excess, abs(ex) + abs(ey)))
-            a = b
+                dist = max(dist, _div(excess, size))
+        out.append(_clamp(dist, lx))
+    return out
+
+
+def _clamp(dist: Scalar, like: Scalar) -> Scalar:
+    """``dist`` when positive, else a zero of ``like``'s backend."""
     if dist > 0:
         return dist
-    return 0.0 if isinstance(lx, float) else 0
+    return 0.0 if isinstance(like, float) else 0
 
 
 def linf_ball(center: Sequence[Scalar], radius: Scalar) -> ConvexPolygon:

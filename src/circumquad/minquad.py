@@ -36,7 +36,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,13 +52,14 @@ from .errors import (
 from .geometry import (
     ConvexPolygon,
     Scalar,
+    Support,
+    _TWO_PI,
+    _point_distances,
     _slack,
     contains_polygon,
-    linf_distance_to_polygon,
     midpoint,
 )
 
-_TWO_PI = 2.0 * math.pi
 # Two lines whose gap g has ``sin g`` at or below this meet in no corner of a
 # circumscribed quadrilateral: the gap is 0 or at least pi, or so near either
 # that the corner is lost to rounding.  The scan, the side moves and the
@@ -137,15 +138,22 @@ def varignon(quad: Quadrilateral) -> ConvexPolygon:
 
 
 def midpoint_certificate(
-    body: ConvexPolygon, quad: ConvexPolygon
+    body: ConvexPolygon, quad: ConvexPolygon, support: Optional[Support] = None
 ) -> CircumscriptionCertificate:
-    """Containment (slack ``_TOL`` on float input) and midpoint optimality residuals."""
-    diam = body.linf_diameter()
-    residuals = tuple(
-        linf_distance_to_polygon(midpoint(a, b), body) / diam for a, b in quad.edges()
-    )
+    """Containment (slack ``_TOL`` on float input) and midpoint optimality residuals.
+
+    The body's bounding box and edge vectors are computed once, for its
+    diameter and for the midpoint distances.  The containment test reads the
+    body's extreme vertices along each edge normal of ``quad`` off one query
+    to ``support``, the body's :class:`Support` oracle (built here when not
+    given), instead of a pass over every vertex.
+    """
+    box = body.bounding_box()
+    diam = max(box[2] - box[0], box[3] - box[1])
+    mids = [midpoint(a, b) for a, b in quad.edges()]
+    residuals = tuple(d / diam for d in _point_distances(mids, body, box))
     tol = _TOL if _slack(*body.vertices[0], *quad.vertices[0]) else 0
-    contains = contains_polygon(quad, body, tol)
+    contains = contains_polygon(quad, Support(body) if support is None else support, tol)
     ratio = quad.area / body.area
     return CircumscriptionCertificate(contains, residuals, ratio)
 
@@ -257,33 +265,6 @@ def _middles(W: np.ndarray, a, c, area):
     return b.tolist(), d.tolist()
 
 
-class _Support:
-    """Support function of a convex polygon, piecewise between edge normals.
-
-    On each piece one vertex supports the body, so ``h(theta)`` is a bisect
-    on the sorted normal angles and one dot product.  ``tiny`` is a length at
-    the rounding level of the body's coordinates.
-    """
-
-    def __init__(self, poly: ConvexPolygon):
-        # The start vertex of a ccw edge supports the body on the piece that
-        # ends at the edge's outward normal.
-        edges = sorted(
-            (math.atan2(a.x - b.x, b.y - a.y) % _TWO_PI, (a.x, a.y))
-            for a, b in poly.edges()
-        )
-        self.normals = [phi for phi, _ in edges]
-        self.contacts = [p for _, p in edges]
-        self.tiny = 1e-12 * max(max(abs(x), abs(y)) for x, y in self.contacts)
-
-    def line(self, theta: float) -> Tuple[float, float, float]:
-        """(cos, sin, h) of the supporting line with outward normal angle theta."""
-        k = bisect_left(self.normals, theta % _TWO_PI) % len(self.normals)
-        px, py = self.contacts[k]
-        c, s = math.cos(theta), math.sin(theta)
-        return c, s, px * c + py * s
-
-
 def _scan_normals(normals: List[float]) -> List[float]:
     """The edge normals the solver scans: all of them up to 90 edges.
 
@@ -300,8 +281,14 @@ def _scan_normals(normals: List[float]) -> List[float]:
     return picked
 
 
-def _float_support(body: ConvexPolygon) -> Tuple[ConvexPolygon, _Support]:
-    """The body in floats and its support function; rejects a flat or huge body."""
+def _float_support(
+    body: ConvexPolygon, support: Optional[Support] = None
+) -> Tuple[ConvexPolygon, Support]:
+    """The body in floats and its support oracle; rejects a flat or huge body.
+
+    ``support``, when given, is the oracle of the float body, built by the
+    caller.
+    """
     poly = body.to_float()
     diam = poly.linf_diameter()
     if not diam <= _MAX_DIAMETER:
@@ -311,7 +298,7 @@ def _float_support(body: ConvexPolygon) -> Tuple[ConvexPolygon, _Support]:
         )
     if poly.area <= 1e-12 * diam * diam:
         raise DegenerateBody("body area is numerically zero")
-    return poly, _Support(poly)
+    return poly, Support(poly) if support is None else support
 
 
 def _quad_from_lines(lines, tiny: float):
@@ -396,7 +383,7 @@ def _side_evaluator(lines, i: int, tiny: float):
     return area
 
 
-def _side_move(support: _Support, angles: List[float], lines, i: int):
+def _side_move(support: Support, angles: List[float], lines, i: int):
     """(area, angle, line) of side i's best position, or None if it has none.
 
     Side i may turn between its neighbours' angles, up to pi from either.  On
@@ -490,18 +477,22 @@ def _side_move(support: _Support, angles: List[float], lines, i: int):
     return None if line is None else (area, theta, line)
 
 
-def _refine(support: _Support, angles: List[float]):
+def _refine(support: Support, angles: List[float]):
     """Cyclic exact coordinate descent over the four side angles.
 
     Each side in turn moves to its best position if that lowers the area.
     Its candidates, one per piece of its range (:func:`_side_move`), are
     taken to have areas that fall and then rise along the range, as the
     area's derivative has the sign of the contact's offset from the side's
-    midpoint.  That is unproven; where it fails, the move takes a worse
-    candidate than a walk over every piece would, and
-    ``TestSideMove::test_bisection_is_the_walk`` pins it on the test bodies.
-    With it a bisection finds the first piece whose successor is not lower
-    in O(log m) area evaluations.  Rounding makes equal minima (of a pentagon, a hexagon
+    midpoint.  With that shape a bisection finds the first piece whose
+    successor is not lower in O(log m) area evaluations.  The shape does not
+    always hold: on ``gen_corpus("random", 12, seed=900228, vertices=48)[11]``
+    from the start at scanned normals (1, 5, 7, 10), side 1's candidate
+    areas fall, rise and fall again, the move takes a worse candidate than a
+    walk over every piece would, and the descent from that start ends 2.2%
+    above the walk's.  Another start recovers the answer there;
+    ``TestSideMove::test_bisection_is_the_walk`` pins the walk's result on
+    the test bodies.  Rounding makes equal minima (of a pentagon, a hexagon
     or an ellipse) unequal, so the move then takes the first least area over
     the stretch around that piece within 1e-12 of it, as a walk over every
     piece would; if the bisection ends on an infeasible piece, that stretch
@@ -556,7 +547,7 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
 
 
 def min_circumscribed_quadrilateral(
-    body: ConvexPolygon,
+    body: ConvexPolygon, support: Optional[Support] = None
 ) -> Tuple[ConvexPolygon, CircumscriptionCertificate]:
     """Minimum-area quadrilateral containing ``body``, with certificate.
 
@@ -566,10 +557,13 @@ def min_circumscribed_quadrilateral(
     candidate.  A triangular body is its own witness: the result is then the
     body's 3-vertex polygon (no strictly smaller quadrilateral exists),
     otherwise a :class:`Quadrilateral`.
+
+    ``support`` is the :class:`Support` oracle of the body in floats, when the
+    caller holds one; the solver and the certificate read the body through it.
     """
-    poly, support = _float_support(body)
+    poly, support = _float_support(body, support)
     if len(poly) == 3:
-        return poly, midpoint_certificate(poly, poly)
+        return poly, midpoint_certificate(poly, poly, support)
 
     normals = _scan_normals(support.normals)
     area, lines = min(
@@ -581,7 +575,7 @@ def min_circumscribed_quadrilateral(
 
     _, corners = _quad_from_lines(lines, support.tiny)
     quad = Quadrilateral(corners)
-    cert = midpoint_certificate(poly, quad)
+    cert = midpoint_certificate(poly, quad, support)
     if not cert.contains_body:
         raise SolverFailure("refined quadrilateral fails the containment check")
     return quad, cert

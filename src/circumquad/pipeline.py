@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .constants import TheoremConstants
 from .errors import (
@@ -36,6 +36,9 @@ from .geometry import (
     Line,
     Point,
     Scalar,
+    Support,
+    _AXES,
+    _candidates,
     _div,
     _slack,
     apply_affine,
@@ -141,7 +144,19 @@ def normalize_to_square(
     the affine map taking it to the standard square sends Q to a
     quadrilateral of area 8 * |Q| / |parallelogram| ... in particular the
     area ratio |Q| / |K| is preserved.  Returns the transformed scene and
-    the map itself.
+    the map itself (:func:`_square_map`).
+    """
+    inv = _square_map(quad)
+    norm_body = apply_affine(inv, body)
+    norm_quad = Quadrilateral(inv.apply(v) for v in quad.vertices)
+    return NormalizedScene(body=norm_body, quad=norm_quad), inv
+
+
+def _square_map(quad: Quadrilateral) -> AffineMap:
+    """The affine map sending Q's midpoint parallelogram onto [-1, 1]^2.
+
+    Corner v0 of the parallelogram goes to (-1, -1).  Raises
+    :class:`DegenerateParallelogram` when the parallelogram is flat.
     """
     para = varignon(quad)
     verts = para.vertices
@@ -160,27 +175,26 @@ def normalize_to_square(
     if det == 0:
         raise DegenerateParallelogram("midpoint parallelogram is flat")
     # Invert p -> B p + center; the parallelogram corners then land on the
-    # square corners (corner v0 maps to (-1, -1)).
-    inv = AffineMap(m11, m12, m21, m22, center.x, center.y).inverse()
-    norm_body = apply_affine(inv, body)
-    norm_quad = Quadrilateral(inv.apply(v) for v in quad.vertices)
-    return NormalizedScene(body=norm_body, quad=norm_quad), inv
+    # square corners.
+    return AffineMap(m11, m12, m21, m22, center.x, center.y).inverse()
 
 
-def axis_box_with_contacts(body: ConvexPolygon) -> ContactBox:
+def axis_box_with_contacts(body: Union[ConvexPolygon, Support]) -> ContactBox:
     """Bounding box and contact points of a body normalized to [-1,1]^2.
 
-    Requires the box to cover the unit square up to the input's slack; raises
+    ``body`` is a polygon, or the :class:`Support` oracle of the normalized
+    body, which answers with four queries.  Requires the box to cover the
+    unit square up to the input's slack; raises
     :class:`NormalizationViolated` otherwise.  When several vertices attain
     an extreme, the contact with the smallest absolute value of the other
     coordinate is chosen (ties broken toward the smaller signed value), so
     the result is deterministic and reflection-friendly.
     """
-    vs = body.vertices
-    a1 = min(v.x for v in vs)
-    b1 = max(v.x for v in vs)
-    a2 = min(v.y for v in vs)
-    b2 = max(v.y for v in vs)
+    left, bottom, right, top = (_candidates(body, ux, uy) for ux, uy in _AXES)
+    a1 = min(v.x for v in left)
+    b1 = max(v.x for v in right)
+    a2 = min(v.y for v in bottom)
+    b2 = max(v.y for v in top)
     tol = _slack(a1)
     if a1 > -1 + tol or a2 > -1 + tol or b1 < 1 - tol or b2 < 1 - tol:
         raise NormalizationViolated(
@@ -191,27 +205,34 @@ def axis_box_with_contacts(body: ConvexPolygon) -> ContactBox:
     def pick(cands: List[Point], other: int) -> Point:
         return min(cands, key=lambda p: (abs(p[other]), p[other]))
 
-    v1 = pick([v for v in vs if v.x == a1], 1)
-    w1 = pick([v for v in vs if v.x == b1], 1)
-    v2 = pick([v for v in vs if v.y == a2], 0)
-    w2 = pick([v for v in vs if v.y == b2], 0)
+    v1 = pick([v for v in left if v.x == a1], 1)
+    w1 = pick([v for v in right if v.x == b1], 1)
+    v2 = pick([v for v in bottom if v.y == a2], 0)
+    w2 = pick([v for v in top if v.y == b2], 0)
     return ContactBox(a1=a1, a2=a2, b1=b1, b2=b2, v1=v1, v2=v2, w1=w1, w2=w2)
 
 
-def build_octagon(body: ConvexPolygon, contacts: ContactBox) -> OctagonScene:
+def build_octagon(body: Union[ConvexPolygon, Support], contacts: ContactBox) -> OctagonScene:
     """Convex hull of the unit square and the four box contacts.
 
-    Checks the area identity |octagon| = x + y (box extents) and, when the
-    contacts genuinely come from ``body``, that the octagon sits inside it,
-    both up to the input's slack.
+    Checks the area identity |octagon| = x + y (box extents) and, for a
+    polygon ``body``, that the octagon sits inside it, both up to the
+    input's slack; the containment means something when the contacts come
+    from ``body``.  On the :class:`Support` oracle of a normalized body the
+    contacts are body vertices by construction, and the square's corners are
+    the images of the witness's edge midpoints, whose distances to the body
+    the certificate measures; :func:`case_machine` checks those instead.
     """
-    octagon = convex_hull(list(unit_square().vertices) + list(contacts.contacts))
+    # The float square has the exact one's coordinates: float contacts would
+    # turn its Fractions into the same floats.
+    square = unit_square(exact=not isinstance(contacts.a1, float))
+    octagon = convex_hull(list(square.vertices) + list(contacts.contacts))
     area = octagon.area
     ident = contacts.x + contacts.y
-    slack = _slack(ident, *body.vertices[0])
+    slack = _slack(ident, *_candidates(body, 1, 0)[0])
     if abs(area - ident) > slack * max(1, abs(ident)):
         raise AreaIdentityViolated(f"octagon area {area} != box half-perimeter {ident}")
-    if not contains_polygon(body, octagon, slack):
+    if isinstance(body, ConvexPolygon) and not contains_polygon(body, octagon, slack):
         raise NormalizationViolated("contact octagon escapes the body")
     return OctagonScene(octagon=octagon, octagon_area=area)
 
@@ -426,8 +447,8 @@ _DEFAULT_CONSTS = TheoremConstants()
 def case_machine(body: ConvexPolygon) -> CaseReport:
     """Classify a body into a certified case of the improved area bound.
 
-    Solves for the minimum circumscribed quadrilateral, normalizes the
-    midpoint parallelogram to [-1, 1]^2, and walks the case ladder:
+    Solves for the minimum circumscribed quadrilateral, maps the midpoint
+    parallelogram onto [-1, 1]^2, and walks the case ladder:
 
     1. box area x*y > 8*c1: the AM-GM step in the sqrt(2) chain is slack.
     2. box skewed (x > c2*y or y > c2*x): same slack, via the skew margin.
@@ -437,6 +458,16 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
        below 8 directly; the consistency guard (1+r)^2 |cut quad| < 8
        must hold, else :class:`InconsistentCase`.
 
+    One :class:`Support` oracle of the body is built per call; the solver,
+    its certificate and the ladder all read the body through it.  The ladder
+    builds no normalized copy of the body: it needs about 20 support values
+    of the normalized body, and ``h_{MK+t}(u) = h_K(M^T u) + <u, t>`` makes
+    each one O(log n) query on the body itself (:meth:`Support.under`).  The
+    contact box takes 4 queries and the octagon gap one per octagon edge
+    normal.  The octagon's corners are the images of the witness's edge
+    midpoints, so the certificate's midpoint residuals stand in for the test
+    that the octagon lies in the body.
+
     The ladder runs on the body in floats, so every threshold and hypothesis
     is tested with slack 1e-8 (``geometry.FLOAT_SLACK``) and borderline
     bodies fall into the case whose certificate is robust.
@@ -444,29 +475,43 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
     1/sqrt(2).
     """
     body = body.to_float()
-    quad, cert = min_circumscribed_quadrilateral(body)
+    support = Support(body)
+    quad, cert = min_circumscribed_quadrilateral(body, support)
     ratio = float(cert.area_ratio)
     if len(quad) == 3:
         return CaseReport(
             CaseId.DEGENERATE_TRIANGLE, 1.0 / math.sqrt(2.0), quad, ratio
         )
 
-    scene, norm_map = normalize_to_square(body, quad)
-    return _classify_normalized(scene.body, _DEFAULT_CONSTS, quad, ratio, norm_map)
+    norm_map = _square_map(quad)
+    return _classify_normalized(
+        support.under(norm_map),
+        _DEFAULT_CONSTS,
+        quad,
+        ratio,
+        norm_map,
+        corner_residuals=cert.midpoint_residuals,
+    )
 
 
 def _classify_normalized(
-    norm_body: ConvexPolygon,
+    norm_body: Union[ConvexPolygon, Support],
     consts: TheoremConstants,
     witness: ConvexPolygon,
     empirical_ratio: float,
     normalizing_map: Optional[AffineMap] = None,
+    corner_residuals: Sequence[Scalar] = (),
 ) -> CaseReport:
     """Case ladder on a body already normalized to touch [-1, 1]^2.
 
-    ``witness``, ``empirical_ratio`` and ``normalizing_map`` are passed
-    through to the report; the ladder adds the evidence of each rung it
-    reaches.
+    ``norm_body`` is the normalized polygon, or the body's :class:`Support`
+    oracle under the normalizing map.  For the latter ``corner_residuals``
+    are the witness's midpoint residuals, the sup-norm distances of the
+    square's corners' preimages to the body over its diameter: the octagon
+    rung requires each within the slack, in place of :func:`build_octagon`'s
+    containment test.  ``witness``, ``empirical_ratio`` and
+    ``normalizing_map`` are passed through to the report; the ladder adds
+    the evidence of each rung it reaches.
     """
     contacts = axis_box_with_contacts(norm_body)
     report = partial(
@@ -489,6 +534,8 @@ def _classify_normalized(
         return report(CaseId.BOX_SKEWED, f2)
 
     scene8 = build_octagon(norm_body, contacts)
+    if any(d > slack for d in corner_residuals):
+        raise NormalizationViolated("a corner of the midpoint square escapes the body")
     # The largest sup-norm distance of a body vertex from the octagon, one
     # call for the whole body: one maximum per edge normal of the octagon.
     gap = float(linf_distance_to_polygon(norm_body, scene8.octagon))

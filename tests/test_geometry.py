@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circumquad.corpus import regular_polygon
 from circumquad.errors import BadParams, DegenerateInput, ParallelLines, SingularMap
 from circumquad.geometry import (
     AffineMap,
     ConvexPolygon,
     Line,
     Point,
+    Support,
     apply_affine,
     contains_point,
     contains_polygon,
@@ -217,6 +219,20 @@ class TestAffine:
         poly = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
         m = AffineMap(F(3), F(1), F(0), F(2), F(5), F(6))
         assert apply_affine(m, poly).area == poly.area * m.det
+
+    def test_apply_affine_drops_vertices_rounded_onto_a_line(self):
+        # The 1e-84 edge is strictly convex in floats, its image is not.
+        m = AffineMap(
+            -1.333333333333333, -3.9999999999999982,
+            1.3333333333333324, -1.776356839400249e-15,
+            -2.3333333333333326, 0.3333333333333326,
+        )
+        image = apply_affine(m, FOUND_BODY)
+        with pytest.raises(DegenerateInput):
+            ConvexPolygon([m.apply(v) for v in FOUND_BODY.vertices])
+        assert len(image) == 4
+        assert set(image.vertices) <= {m.apply(v) for v in FOUND_BODY.vertices}
+        assert image.area == pytest.approx(FOUND_BODY.area * abs(m.det))
 
 
 class TestContainment:
@@ -529,3 +545,185 @@ def _tolerant_contains_by_pairs(outer, points, tol):
             elif -c > float(tol) * float(diam) * math.hypot(b.x - a.x, b.y - a.y):
                 return False
     return True
+
+
+# A valid float body whose 1e-84 edge rounding removes from its affine images.
+FOUND_BODY = ConvexPolygon(
+    [(-2.0, 0.0), (0.0, -1.0), (1.0, -1.0), (0.0, 0.0), (-2.0, 9.917260693413039e-85)]
+)
+AXES = [(-1, 0), (0, -1), (1, 0), (0, 1)]
+
+
+def _scan_extreme(image, ux, uy):
+    """Largest ``ux*x + uy*y`` over the image vertices and the set attaining it."""
+    values = [ux * q.x + uy * q.y for q in image]
+    top = max(values)
+    return top, {q for q, v in zip(image, values) if v == top}
+
+
+def _check_oracle(poly, m, directions):
+    """Each query agrees with a linear scan over the mapped vertices."""
+    oracle = Support(poly) if m is None else Support(poly).under(m)
+    image = poly.vertices if m is None else [m.apply(v) for v in poly.vertices]
+    for ux, uy in directions:
+        if ux == 0 and uy == 0:
+            continue
+        got = oracle.extreme(ux, uy)
+        assert set(got) <= set(image)
+        assert _scan_extreme(got, ux, uy) == _scan_extreme(image, ux, uy)
+    return oracle, image
+
+
+def _edge_normals(points):
+    n = len(points)
+    return [
+        (points[(i + 1) % n].y - points[i].y, points[i].x - points[(i + 1) % n].x)
+        for i in range(n)
+    ]
+
+
+finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+float_maps = st.tuples(*[st.floats(-3, 3, allow_nan=False)] * 4, finite, finite).filter(
+    lambda m: abs(m[0] * m[3] - m[1] * m[2]) > 1e-3
+)
+
+
+@st.composite
+def float_hulls(draw):
+    """Hulls of 4-64 float points, some edges bent outward by a rounding-level bump."""
+    pts = draw(st.lists(st.tuples(finite, finite), min_size=4, max_size=64))
+    try:
+        hull = convex_hull(pts)
+    except DegenerateInput:
+        return None
+    vs = list(hull.vertices)
+    for i, bump in draw(
+        st.lists(st.tuples(st.integers(0, 63), st.sampled_from([1e-15, 1e-12, 1e-9])), max_size=4)
+    ):
+        a, b = vs[i % len(vs)], vs[(i + 1) % len(vs)]
+        # A point just outside the edge's midpoint: a near-collinear corner.
+        mid = midpoint(a, b)
+        vs.insert(i % len(vs) + 1, Point(mid.x + bump * (b.y - a.y), mid.y - bump * (b.x - a.x)))
+    try:
+        return ConvexPolygon(vs)
+    except DegenerateInput:
+        return hull
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    float_hulls(),
+    st.none() | float_maps,
+    st.lists(st.floats(0, 2 * math.pi), max_size=8),
+    st.lists(st.tuples(finite, finite), min_size=1, max_size=4),
+)
+def test_support_extreme_matches_scan_on_floats(poly, m, angles, starts):
+    """Same largest value and maximizers as a scan of the mapped vertices.
+
+    The directions are the axes, random angles and the edge normals of the
+    polygon and of its image, where near-collinear corners tie to rounding.
+    A per-edge maximum of ``ey * (x - ax) - ex * (y - ay)`` over the answer
+    is the one over every vertex, as the octagon gap and containment use it.
+    """
+    if poly is None:
+        return
+    m = None if m is None else AffineMap(*m)
+    image = poly.vertices if m is None else [m.apply(v) for v in poly.vertices]
+    directions = (
+        AXES
+        + [(math.cos(a), math.sin(a)) for a in angles]
+        + _edge_normals(poly.vertices)
+        + _edge_normals(image)
+    )
+    oracle, image = _check_oracle(poly, m, directions)
+    for ax, ay in starts:
+        for ux, uy in directions:
+            ex, ey = -uy, ux  # the edge whose outward normal is u
+            got = max(ey * (x - ax) - ex * (y - ay) for x, y in oracle.extreme(ux, uy))
+            assert got == max(ey * (x - ax) - ex * (y - ay) for x, y in image)
+
+
+exact_maps = st.tuples(*[rational] * 6).filter(lambda m: m[0] * m[3] != m[1] * m[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(coord, min_size=4, max_size=24),
+    st.none() | exact_maps,
+    st.lists(coord, max_size=6),
+)
+def test_support_extreme_is_exact_on_fractions(pts, m, directions):
+    try:
+        poly = convex_hull(pts)
+    except DegenerateInput:
+        return
+    m = None if m is None else AffineMap(*m)
+    image = poly.vertices if m is None else [m.apply(v) for v in poly.vertices]
+    _check_oracle(poly, m, AXES + directions + _edge_normals(poly.vertices) + _edge_normals(image))
+    oracle = Support(poly) if m is None else Support(poly).under(m)
+    # Exact ties are the two ends of an edge normal to the direction; a map
+    # with det < 0 makes the image clockwise.
+    ring = image if m is None or m.det > 0 else image[::-1]
+    for ux, uy in _edge_normals(ring):
+        assert len(oracle.extreme(ux, uy)) == 2
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+@pytest.mark.parametrize("exact", [True, False])
+def test_support_extreme_on_regular_polygons(k, exact):
+    """Axis-parallel edges give two-vertex ties, which the query keeps."""
+    poly = regular_polygon(k, exact=exact)
+    rotate = AffineMap(0, -1, 1, 0, F(1, 3), -2)  # a quarter turn keeps the ties
+    for m in (None, rotate, AffineMap(-1, 0, 0, 1, 0, 0)):
+        _check_oracle(poly, m, AXES + _edge_normals(poly.vertices))
+    # The first vertex lies at angle 0: an odd k has a vertical edge on the
+    # left, and k = 2 mod 4 horizontal edges at the top and bottom.
+    tied = [(-1, 0)] if k % 2 else [(0, 1), (0, -1)] if k % 4 == 2 else []
+    if exact:
+        assert all(len(Support(poly).extreme(*u)) == 2 for u in tied)
+
+
+def test_support_extreme_on_a_rounded_away_edge():
+    # The map sends FOUND_BODY's 1e-84 edge to one point (or two), tied.
+    m = AffineMap(
+        -1.333333333333333, -3.9999999999999982,
+        1.3333333333333324, -1.776356839400249e-15,
+        -2.3333333333333326, 0.3333333333333326,
+    )
+    image = [m.apply(v) for v in FOUND_BODY.vertices]
+    _check_oracle(FOUND_BODY, m, AXES + _edge_normals(FOUND_BODY.vertices) + [(1.0, 1e-90)])
+    oracle = Support(FOUND_BODY).under(m)
+    assert oracle.bounding_box() == apply_affine(m, FOUND_BODY).bounding_box()
+    assert Point(*oracle.extreme(-1, 0)[0]) in image
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_hulls(), float_maps, st.lists(st.tuples(finite, finite), min_size=3, max_size=8))
+def test_support_reads_like_the_mapped_polygon(poly, m, pts):
+    """Distances and containment read through the oracle equal the polygon's."""
+    if poly is None:
+        return
+    m = AffineMap(*m)
+    try:
+        mapped = apply_affine(m, poly)
+        other = convex_hull(pts)
+    except DegenerateInput:
+        return
+    oracle = Support(poly).under(m)
+    assert linf_distance_to_polygon(oracle, other) == linf_distance_to_polygon(mapped, other)
+    for tol in (0, 1e-9, 0.1):
+        assert contains_polygon(other, oracle, tol) == contains_polygon(other, mapped, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(coord, min_size=3, max_size=12), st.lists(coord, min_size=3, max_size=8), exact_maps)
+def test_support_containment_is_exact(pts, outer, m):
+    try:
+        poly, outer = convex_hull(pts), convex_hull(outer)
+    except DegenerateInput:
+        return
+    m = AffineMap(*m)
+    oracle = Support(poly).under(m)
+    mapped = apply_affine(m, poly)
+    assert contains_polygon(outer, oracle) == contains_polygon(outer, mapped)
+    assert linf_distance_to_polygon(oracle, outer) == linf_distance_to_polygon(mapped, outer)

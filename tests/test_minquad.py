@@ -30,7 +30,13 @@ from circumquad import (
     varignon,
 )
 from circumquad import minquad
-from circumquad.geometry import AffineMap, apply_affine
+from circumquad.geometry import (
+    AffineMap,
+    Support,
+    apply_affine,
+    linf_distance_to_polygon,
+    midpoint,
+)
 from circumquad.minquad import (
     _float_support,
     _quad_from_lines,
@@ -595,6 +601,25 @@ class TestMidpointCertificate:
         body = ConvexPolygon([(half, -eps), (1, half), (half, 1), (0, half)])
         quad = Quadrilateral(((0, 0), (1, 0), (1, 1), (0, 1)))
         assert midpoint_certificate(body, quad).contains_body is contained
+
+    @pytest.mark.parametrize("kind, n", [("random", 8), ("random", 64), ("ellipse", 64)])
+    def test_oracle_reads_the_body_alike(self, kind, n):
+        # Containment through four support queries, the residuals from one
+        # bounding box: the certificate of the full scans, bit for bit.
+        for body in gen_corpus(kind, 5, seed=11, vertices=n):
+            poly = body.to_float()
+            quad, cert = min_circumscribed_quadrilateral(body)
+            shrunk = Quadrilateral(midpoint(v, Point(0.0, 0.0)) for v in quad.vertices)
+            for q in (quad, shrunk):
+                got = midpoint_certificate(poly, q, Support(poly))
+                assert got == midpoint_certificate(poly, q)
+                assert got.contains_body == contains_polygon(q, poly, 1e-9)
+                assert got.midpoint_residuals == tuple(
+                    linf_distance_to_polygon(midpoint(a, b), poly) / poly.linf_diameter()
+                    for a, b in q.edges()
+                )
+            assert cert == midpoint_certificate(poly, quad)
+            assert not midpoint_certificate(poly, shrunk).contains_body
 
 
 TWO_PI = 2 * math.pi

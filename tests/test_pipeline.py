@@ -33,7 +33,8 @@ from circumquad import (
     zeta,
     zeta_bound,
 )
-from circumquad.geometry import AffineMap
+from circumquad import minquad, pipeline
+from circumquad.geometry import AffineMap, Support
 from circumquad.pipeline import (
     LemmaBranch,
     _classify_normalized,
@@ -415,6 +416,74 @@ class TestCaseMachine:
         s = 10**400
         with pytest.raises(BadParams):
             case_machine(ConvexPolygon([(0, 0), (s, 0), (s, s), (0, s)]))
+
+    def test_edge_rounded_away_by_the_map_gets_a_report(self):
+        # The map's image of the 1e-84 edge is not strictly convex, so a
+        # normalized copy of the body used to raise DegenerateInput; the
+        # ladder reads the body through its support oracle instead.
+        body = ConvexPolygon(
+            [(-2.0, 0.0), (0.0, -1.0), (1.0, -1.0), (0.0, 0.0), (-2.0, 9.917260693413039e-85)]
+        )
+        rep = case_machine(body)
+        assert rep.case_id is CaseId.BOX_LARGE
+        assert rep.empirical_ratio == 1.0000000000000007
+        assert rep.contacts.box_area == pytest.approx(16.0, rel=1e-12)
+        # The normalized copy drops the rounded-away vertex and agrees.
+        scene, m = normalize_to_square(body, rep.witness)
+        assert m == rep.normalizing_map
+        assert len(scene.body) == 4
+        assert axis_box_with_contacts(scene.body) == rep.contacts
+
+    def test_one_oracle_per_solve_and_no_normalized_copy(self, monkeypatch):
+        built = []
+
+        class Counted(Support):
+            def __init__(self, poly):
+                built.append(poly)
+                super().__init__(poly)
+
+        def forbidden(*args):
+            raise AssertionError("the ladder built a normalized copy of the body")
+
+        monkeypatch.setattr(pipeline, "Support", Counted)
+        monkeypatch.setattr(minquad, "Support", Counted)
+        monkeypatch.setattr(pipeline, "apply_affine", forbidden)
+        monkeypatch.setattr(pipeline, "normalize_to_square", forbidden)
+        for body in (regular_polygon(64), gen_corpus("random", 1, seed=3, vertices=16)[0]):
+            built.clear()
+            case_machine(body)
+            assert len(built) == 1
+
+    def test_ladder_reads_few_vertices_of_a_dense_body(self):
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counted.reads += 1
+                return tuple.__getitem__(self, i)
+
+        body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
+        rep = case_machine(body)
+        assert rep.case_id is CaseId.BODY_EXCEEDS_OCTAGON
+        oracle = Support(body)
+        oracle._vertices = Counted(oracle._vertices)
+        again = _classify_normalized(
+            oracle.under(rep.normalizing_map), TheoremConstants(), rep.witness,
+            rep.empirical_ratio, rep.normalizing_map,
+        )
+        assert again == rep
+        # 4 box and 8 gap queries, about 3 vertices each, of 1024.
+        assert Counted.reads < 60
+
+    def test_escaping_square_corner_is_detected(self):
+        # The certificate's midpoint residuals stand in for the test that the
+        # contact octagon lies in the body.
+        rep = case_machine(regular_polygon(64))
+        oracle = Support(regular_polygon(64).to_float()).under(rep.normalizing_map)
+        args = (oracle, TheoremConstants(), rep.witness, rep.empirical_ratio, rep.normalizing_map)
+        assert _classify_normalized(*args, corner_residuals=(0.0,) * 4) == rep
+        with pytest.raises(NormalizationViolated):
+            _classify_normalized(*args, corner_residuals=(0.0, 0.0, 1e-6, 0.0))
 
     @pytest.mark.parametrize("name", sorted(PINNED_GAPS))
     def test_pinned_octagon_gaps(self, name):
