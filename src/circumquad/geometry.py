@@ -328,7 +328,8 @@ class Support:
 
     The polygon's outward edge normal angles are kept sorted, with the vertex
     that supports the body on the piece ending at each (``normals`` and
-    ``contacts``).  Two queries bisect them, O(log n) each:
+    ``contacts``).  Two queries bisect them, O(log n) each (the second plus a
+    walk over the few vertices near the maximum):
 
     * :meth:`line` gives the supporting line of the polygon itself at a
       normal angle, for the solver;
@@ -501,10 +502,11 @@ def _contains_points(poly: ConvexPolygon, inner, tol: Scalar) -> bool:
     """
     if tol == 0:
         if isinstance(inner, Support):
-            # The image vertices extreme along some edge normal decide it.
-            inner = tuple(
-                dict.fromkeys(q for ex, ey in _edge_vectors(poly) for q in inner.extreme(ey, -ex))
-            )
+            # The image vertices extreme along some outward edge normal decide it.
+            vs = poly.vertices
+            inner = tuple(dict.fromkeys(
+                q for a, b in zip(vs[-1:] + vs[:-1], vs) for q in inner.extreme(b.y - a.y, a.x - b.x)
+            ))
         elif isinstance(inner, ConvexPolygon):
             inner = inner.vertices
         return _encloses(poly.vertices + inner, len(poly))
@@ -534,14 +536,6 @@ def _tolerant_budget(poly: ConvexPolygon, tol: Scalar, q: Point):
     if not _slack(*poly.vertices[0], *q):
         return tol * tol * diam * diam, True
     return float(tol) * float(diam), False
-
-
-def _edge_vectors(poly: ConvexPolygon):
-    """``(e.x, e.y)`` of each edge ``e = b - a``, from ``(v[-1], v[0])`` on."""
-    a = poly.vertices[-1]
-    for b in poly.vertices:
-        yield b.x - a.x, b.y - a.y
-        a = b
 
 
 def _edge_excesses(poly: ConvexPolygon, inner):
