@@ -485,7 +485,7 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     ``tol`` is relative to the polygon's max-norm diameter, so the predicate
     is invariant under scaling.  With ``tol = 0`` the test is a pure sign
     check and exact for rational inputs; so is the tolerant test, see
-    :func:`_tolerant_budget`.
+    :func:`_contains_points`.
     """
     return _contains_points(poly, (Point(p[0], p[1]),), tol)
 
@@ -499,6 +499,15 @@ def _contains_points(poly: ConvexPolygon, inner, tol: Scalar) -> bool:
     compares that one value with the edge's bound: the maximum is exact and
     the comparison is monotone in it, so the verdict is that of testing every
     point.
+
+    A point q lies beyond edge (a, b) when c = cross3(a, b, q) < 0 and its
+    distance -c / |e|, with e = b - a, exceeds ``tol * diam``.  An excess is
+    a float exactly when the edge or the point is (:func:`_slack`'s rule).
+    A rational excess is compared squared, ``c * c`` against
+    ``tol**2 * diam**2 * e.dot(e)``, which keeps the test exact.  A float
+    excess is compared as ``-c`` against ``tol * diam * |e|``: squares of
+    coordinates above about 1e77 would overflow to inf on both sides and
+    pass every point.
     """
     if tol == 0:
         if isinstance(inner, Support):
@@ -510,32 +519,15 @@ def _contains_points(poly: ConvexPolygon, inner, tol: Scalar) -> bool:
         elif isinstance(inner, ConvexPolygon):
             inner = inner.vertices
         return _encloses(poly.vertices + inner, len(poly))
-    budget, exact = _tolerant_budget(poly, tol, _candidates(inner, 1, 0)[0])
+    diam = poly.linf_diameter()
     for ex, ey, m in _edge_excesses(poly, inner):
         if m > 0 and (
-            m * m > budget * (ex * ex + ey * ey)
-            if exact
-            else m > budget * math.hypot(ex, ey)
+            m > float(tol) * float(diam) * math.hypot(ex, ey)
+            if isinstance(m, float)
+            else m * m > tol * tol * diam * diam * (ex * ex + ey * ey)
         ):
             return False
     return True
-
-
-def _tolerant_budget(poly: ConvexPolygon, tol: Scalar, q: Point):
-    """The tolerant containment test's budget, and whether it is squared.
-
-    A point q lies beyond edge (a, b) when c = cross3(a, b, q) < 0 and its
-    distance -c / |e|, with e = b - a, exceeds ``tol * diam``.  When ``poly``
-    and ``q`` are rational, both sides are squared, which keeps the test exact
-    (the second value returned is True): the edge's bound is
-    ``budget * e.dot(e)`` for c * c.  Otherwise it is ``budget * |e|`` for -c
-    in floats: squares of coordinates above about 1e77 would overflow to inf
-    on both sides and pass every point.
-    """
-    diam = poly.linf_diameter()
-    if not _slack(*poly.vertices[0], *q):
-        return tol * tol * diam * diam, True
-    return float(tol) * float(diam), False
 
 
 def _edge_excesses(poly: ConvexPolygon, inner):

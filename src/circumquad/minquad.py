@@ -146,7 +146,8 @@ def midpoint_certificate(
     diameter and for the midpoint distances.  The containment test reads the
     body's extreme vertices along each edge normal of ``quad`` off one query
     to ``support``, the body's :class:`Support` oracle (built here when not
-    given), instead of a pass over every vertex.
+    given), instead of a pass over every vertex: one query per witness edge
+    and no other.
     """
     box = body.bounding_box()
     diam = max(box[2] - box[0], box[3] - box[1])

@@ -41,7 +41,6 @@ from .geometry import (
     _candidates,
     _div,
     _slack,
-    apply_affine,
     contains_polygon,
     convex_hull,
     line_intersection,
@@ -120,14 +119,6 @@ class ContactBox:
 
 
 @dataclass(frozen=True)
-class NormalizedScene:
-    """A body and quadrilateral after mapping the midpoint square to [-1,1]^2."""
-
-    body: ConvexPolygon
-    quad: Quadrilateral
-
-
-@dataclass(frozen=True)
 class OctagonScene:
     """Contact octagon of a normalized body and its area."""
 
@@ -135,28 +126,16 @@ class OctagonScene:
     octagon_area: Scalar
 
 
-def normalize_to_square(
-    body: ConvexPolygon, quad: Quadrilateral
-) -> Tuple[NormalizedScene, AffineMap]:
-    """Map the quadrilateral's midpoint parallelogram onto [-1, 1]^2.
-
-    The parallelogram spanned by Q's edge midpoints is centrally symmetric;
-    the affine map taking it to the standard square sends Q to a
-    quadrilateral of area 8 * |Q| / |parallelogram| ... in particular the
-    area ratio |Q| / |K| is preserved.  Returns the transformed scene and
-    the map itself (:func:`_square_map`).
-    """
-    inv = _square_map(quad)
-    norm_body = apply_affine(inv, body)
-    norm_quad = Quadrilateral(inv.apply(v) for v in quad.vertices)
-    return NormalizedScene(body=norm_body, quad=norm_quad), inv
-
-
-def _square_map(quad: Quadrilateral) -> AffineMap:
+def normalize_to_square(quad: Quadrilateral) -> AffineMap:
     """The affine map sending Q's midpoint parallelogram onto [-1, 1]^2.
 
-    Corner v0 of the parallelogram goes to (-1, -1).  Raises
-    :class:`DegenerateParallelogram` when the parallelogram is flat.
+    The parallelogram spanned by Q's edge midpoints is centrally symmetric;
+    the map taking it to the standard square sends Q to a quadrilateral of
+    area 8 and preserves the area ratio |Q| / |K|.  Corner v0 of the
+    parallelogram goes to (-1, -1).  The body is read under the map through
+    its :class:`Support` oracle (:meth:`Support.under`), not mapped.  Raises
+    :class:`BadParams` for a triangle and :class:`DegenerateParallelogram`
+    when the parallelogram is flat.
     """
     para = varignon(quad)
     verts = para.vertices
@@ -447,8 +426,9 @@ _DEFAULT_CONSTS = TheoremConstants()
 def case_machine(body: ConvexPolygon) -> CaseReport:
     """Classify a body into a certified case of the improved area bound.
 
-    Solves for the minimum circumscribed quadrilateral, maps the midpoint
-    parallelogram onto [-1, 1]^2, and walks the case ladder:
+    Solves for the minimum circumscribed quadrilateral, takes the map of its
+    midpoint parallelogram onto [-1, 1]^2 (:func:`normalize_to_square`), and
+    walks the case ladder on the body's oracle under that map:
 
     1. box area x*y > 8*c1: the AM-GM step in the sqrt(2) chain is slack.
     2. box skewed (x > c2*y or y > c2*x): same slack, via the skew margin.
@@ -483,34 +463,31 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
             CaseId.DEGENERATE_TRIANGLE, 1.0 / math.sqrt(2.0), quad, ratio
         )
 
-    norm_map = _square_map(quad)
     return _classify_normalized(
-        support.under(norm_map),
+        support.under(normalize_to_square(quad)),
         _DEFAULT_CONSTS,
         quad,
         ratio,
-        norm_map,
-        corner_residuals=cert.midpoint_residuals,
+        cert.midpoint_residuals,
     )
 
 
 def _classify_normalized(
-    norm_body: Union[ConvexPolygon, Support],
+    norm_body: Support,
     consts: TheoremConstants,
     witness: ConvexPolygon,
     empirical_ratio: float,
-    normalizing_map: Optional[AffineMap] = None,
-    corner_residuals: Sequence[Scalar] = (),
+    corner_residuals: Sequence[Scalar],
 ) -> CaseReport:
-    """Case ladder on a body already normalized to touch [-1, 1]^2.
+    """Case ladder on a body normalized to touch [-1, 1]^2.
 
-    ``norm_body`` is the normalized polygon, or the body's :class:`Support`
-    oracle under the normalizing map.  For the latter ``corner_residuals``
-    are the witness's midpoint residuals, the sup-norm distances of the
-    square's corners' preimages to the body over its diameter: the octagon
-    rung requires each within the slack, in place of :func:`build_octagon`'s
-    containment test.  ``witness``, ``empirical_ratio`` and
-    ``normalizing_map`` are passed through to the report; the ladder adds
+    ``norm_body`` is the body's :class:`Support` oracle under the
+    normalizing map, which the report records as ``normalizing_map``.
+    ``corner_residuals`` are the witness's midpoint residuals, the sup-norm
+    distances of the square's corners' preimages to the body over its
+    diameter: the octagon rung requires each within the slack, in place of
+    :func:`build_octagon`'s containment test.  ``witness`` and
+    ``empirical_ratio`` are passed through to the report; the ladder adds
     the evidence of each rung it reaches.
     """
     contacts = axis_box_with_contacts(norm_body)
@@ -518,7 +495,7 @@ def _classify_normalized(
         CaseReport,
         witness=witness,
         empirical_ratio=empirical_ratio,
-        normalizing_map=normalizing_map,
+        normalizing_map=norm_body.affine,
         contacts=contacts,
     )
     f1, f2, f3 = consts.case_factors()

@@ -285,8 +285,8 @@ def test_8_normalized_envelope_and_inner_ball(capsys, corpus_reports):
     for i, (body, report) in enumerate(corpus_reports):
         if isinstance(report, Exception) or report.case_id is CaseId.DEGENERATE_TRIANGLE:
             continue
-        scene, _ = normalize_to_square(body, report.witness)
-        if not outer_ball_check(scene.quad):
+        m = normalize_to_square(report.witness)
+        if not outer_ball_check(Quadrilateral(m.apply(v) for v in report.witness.vertices)):
             problems.append(f"body {i}: normalized witness escapes 3*[-1,1]^2")
             break
     rng = random.Random(SEED + 3)

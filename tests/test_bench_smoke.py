@@ -18,6 +18,7 @@ import pytest
 
 from circumquad import ContactBox, Point, TheoremConstants, convex_hull, pipeline
 from circumquad.corpus import regular_polygon
+from circumquad.geometry import Support
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "bench" / "run.py"
@@ -44,6 +45,23 @@ def test_workload_passes(workload):
     assert result["attempted"] > 0
 
 
+def test_traced_layers_read_above_zero():
+    # A trace target the call path no longer passes through reads 0.
+    done = _run(
+        [str(RUN), "--workload", "solve-mixed", "--seed", "1", "--seconds", "0", "--trace", "1"],
+        300,
+    )
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+    for name in (
+        "minquad.solve_ms_p50",
+        "minquad.certificate_ms_p50",
+        "pipeline.normalize_ms_p50",
+        "pipeline.classify_ms_p50",
+    ):
+        assert metrics[name]["value"] > 0, name
+
+
 def test_trace_targets_resolve():
     probe = (
         "import sys\n"
@@ -66,6 +84,7 @@ def test_classify_spans_stay_on_the_call_path(monkeypatch):
     """
     entered = Counter()
     for attr in (
+        "normalize_to_square",
         "axis_box_with_contacts",
         "build_octagon",
         "linf_distance_to_polygon",
@@ -79,6 +98,7 @@ def test_classify_spans_stay_on_the_call_path(monkeypatch):
 
     report = pipeline.case_machine(regular_polygon(64))
     assert report.case_id is pipeline.CaseId.BODY_EXCEEDS_OCTAGON
+    assert entered["normalize_to_square"] == 1  # one map per non-triangle solve
     assert entered["axis_box_with_contacts"] == 1
     assert entered["build_octagon"] == 1
     assert entered["linf_distance_to_polygon"] == 1  # the whole body at once
@@ -94,7 +114,8 @@ def test_classify_spans_stay_on_the_call_path(monkeypatch):
     square = pipeline.unit_square().vertices
     body = convex_hull(list(square) + list(contacts.contacts)).to_float()
     report = pipeline._classify_normalized(
-        body, TheoremConstants(), witness=body, empirical_ratio=1.0
+        Support(body), TheoremConstants(), witness=body, empirical_ratio=1.0,
+        corner_residuals=(0.0,) * 4,
     )
     assert report.case_id is pipeline.CaseId.OCTAGON_IMPROVED
     assert entered["lemma_octagon_quad"] == 1

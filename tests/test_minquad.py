@@ -63,6 +63,11 @@ def random_rational_quad(rng):
             return Quadrilateral(tuple(hull.vertices))
 
 
+def side_move_miss():
+    """A 12-vertex hull on which a bisecting side move misses the walk's choice."""
+    return gen_corpus("random", 12, seed=900228, vertices=48)[11]
+
+
 def half_disk(n):
     """Hull of n + 1 points on a half circle: n - 1 arc edges and a flat side."""
     return convex_hull(
@@ -621,6 +626,25 @@ class TestMidpointCertificate:
             assert cert == midpoint_certificate(poly, quad)
             assert not midpoint_certificate(poly, shrunk).contains_body
 
+    @pytest.mark.parametrize(
+        "kind, n", [("affine_pentagon", 5), ("random", 8), ("ellipse", 64)]
+    )
+    def test_one_query_per_witness_edge(self, kind, n):
+        queries = []
+
+        class Counted(Support):
+            __slots__ = ()
+
+            def extreme(self, ux, uy):
+                queries.append((ux, uy))
+                return super().extreme(ux, uy)
+
+        poly = gen_corpus(kind, 1, seed=11, vertices=n)[0].to_float()
+        quad, cert = min_circumscribed_quadrilateral(poly)
+        assert isinstance(quad.vertices[0].x, float)
+        assert midpoint_certificate(poly, quad, Counted(poly)) == cert
+        assert len(queries) == 4
+
 
 TWO_PI = 2 * math.pi
 
@@ -724,7 +748,17 @@ class TestSideMove:
         "name",
         [f"regular-{k}" for k in range(4, 13)]
         + sorted(n for n in SCAN_BODIES if "triangle" not in n)
-        + ["ellipse-1024", "half-disk-201"],
+        + ["ellipse-1024", "half-disk-201"]
+        + [
+            pytest.param(
+                "random-900228",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="the candidate areas along one side's range are not unimodal",
+                ),
+            )
+        ],
     )
     def test_bisection_is_the_walk(self, name):
         # Triangles have no starts: the scan finds no quadruple on 3 normals.
@@ -732,6 +766,8 @@ class TestSideMove:
             body = regular_polygon(int(name.split("-")[1]))
         elif name == "ellipse-1024":
             body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
+        elif name == "random-900228":
+            body = side_move_miss()
         elif name == "half-disk-201":
             body = half_disk(200)
         else:
@@ -742,6 +778,12 @@ class TestSideMove:
         for _, idx in starts:
             angles = [normals[k] for k in idx]
             assert _refine(support, list(angles)) == self.walk_refine(support, list(angles))
+
+    def test_another_start_recovers_the_side_move_miss(self):
+        # Starts (1, 5, 7, 10) and (1, 5, 8, 10) end at 3.012743 by
+        # bisection, where the walk ends at 2.947470; another start reaches it.
+        quad, _ = min_circumscribed_quadrilateral(side_move_miss())
+        assert float(quad.area) == pytest.approx(2.947470144478123, rel=1e-12)
 
     def test_evaluation_count(self, monkeypatch):
         # The walk makes 33,472 area evaluations on this body; the bisection

@@ -33,8 +33,8 @@ from circumquad import (
     zeta,
     zeta_bound,
 )
-from circumquad import minquad, pipeline
-from circumquad.geometry import AffineMap, Support
+from circumquad import geometry, minquad, pipeline
+from circumquad.geometry import AffineMap, Support, apply_affine
 from circumquad.pipeline import (
     LemmaBranch,
     _classify_normalized,
@@ -312,13 +312,13 @@ class TestNormalization:
     def test_square_body_normalizes_to_diamond_frame(self):
         sq = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         quad, _ = min_circumscribed_quadrilateral(sq)
-        scene, m = normalize_to_square(sq.to_float(), quad)
+        m = normalize_to_square(quad)
         # Normalized quadrilateral has area 8 (twice the unit square's 4).
         norm_quad_area = float(
             Quadrilateral(tuple(m.apply(v) for v in quad.vertices)).area
         )
         assert norm_quad_area == pytest.approx(8.0, rel=1e-9)
-        cb = axis_box_with_contacts(scene.body)
+        cb = axis_box_with_contacts(Support(sq.to_float()).under(m))
         assert float(cb.x) == pytest.approx(4.0, rel=1e-9)
         assert float(cb.y) == pytest.approx(4.0, rel=1e-9)
 
@@ -330,8 +330,8 @@ class TestNormalization:
         body = ConvexPolygon(
             [(F(3), F(0)), (F(0), F(2)), (F(-3), F(0)), (F(0), F(-2))]
         )
-        scene, m = normalize_to_square(body, quad)
-        assert scene.body.is_exact
+        m = normalize_to_square(quad)
+        assert apply_affine(m, body).is_exact
         norm_quad = Quadrilateral(tuple(m.apply(v) for v in quad.vertices))
         assert norm_quad.area == 8
 
@@ -406,7 +406,7 @@ class TestCaseMachine:
         assert rep.empirical_ratio == 1.0
         assert rep.normalizing_map is None and rep.contacts is None
         with pytest.raises(BadParams):
-            normalize_to_square(tri, rep.witness)
+            normalize_to_square(rep.witness)
 
     def test_nan_body_is_bad_params(self):
         with pytest.raises(BadParams):
@@ -429,10 +429,11 @@ class TestCaseMachine:
         assert rep.empirical_ratio == 1.0000000000000007
         assert rep.contacts.box_area == pytest.approx(16.0, rel=1e-12)
         # The normalized copy drops the rounded-away vertex and agrees.
-        scene, m = normalize_to_square(body, rep.witness)
+        m = normalize_to_square(rep.witness)
         assert m == rep.normalizing_map
-        assert len(scene.body) == 4
-        assert axis_box_with_contacts(scene.body) == rep.contacts
+        norm_body = apply_affine(m, body)
+        assert len(norm_body) == 4
+        assert axis_box_with_contacts(norm_body) == rep.contacts
 
     def test_one_oracle_per_solve_and_no_normalized_copy(self, monkeypatch):
         built = []
@@ -447,8 +448,8 @@ class TestCaseMachine:
 
         monkeypatch.setattr(pipeline, "Support", Counted)
         monkeypatch.setattr(minquad, "Support", Counted)
-        monkeypatch.setattr(pipeline, "apply_affine", forbidden)
-        monkeypatch.setattr(pipeline, "normalize_to_square", forbidden)
+        assert not hasattr(pipeline, "apply_affine")
+        monkeypatch.setattr(geometry, "apply_affine", forbidden)
         for body in (regular_polygon(64), gen_corpus("random", 1, seed=3, vertices=16)[0]):
             built.clear()
             case_machine(body)
@@ -469,7 +470,8 @@ class TestCaseMachine:
         oracle._vertices = Counted(oracle._vertices)
         again = _classify_normalized(
             oracle.under(rep.normalizing_map), TheoremConstants(), rep.witness,
-            rep.empirical_ratio, rep.normalizing_map,
+            rep.empirical_ratio,
+            minquad.midpoint_certificate(body, rep.witness).midpoint_residuals,
         )
         assert again == rep
         # 4 box and 8 gap queries, about 3 vertices each, of 1024.
@@ -480,7 +482,7 @@ class TestCaseMachine:
         # contact octagon lies in the body.
         rep = case_machine(regular_polygon(64))
         oracle = Support(regular_polygon(64).to_float()).under(rep.normalizing_map)
-        args = (oracle, TheoremConstants(), rep.witness, rep.empirical_ratio, rep.normalizing_map)
+        args = (oracle, TheoremConstants(), rep.witness, rep.empirical_ratio)
         assert _classify_normalized(*args, corner_residuals=(0.0,) * 4) == rep
         with pytest.raises(NormalizationViolated):
             _classify_normalized(*args, corner_residuals=(0.0, 0.0, 1e-6, 0.0))
@@ -548,7 +550,8 @@ class TestClassifier:
 
     def classify(self, body, consts=CONSTS):
         return _classify_normalized(
-            body, consts, witness=body, empirical_ratio=1.0
+            Support(body), consts, witness=body, empirical_ratio=1.0,
+            corner_residuals=(0.0,) * 4,
         )
 
     def test_skewed_box_case(self):
