@@ -21,9 +21,13 @@ middle line: O(n^3) time and O(n^2) memory on n directions.
   edges (Aggarwal, Chang and Yap, 1985), so these are the natural starts.
   It refines the best few quadruples by exact cyclic coordinate descent, each
   side moving in turn to its best angle by bisection over the body vertices
-  it can pivot about, with the other two corners held fixed.  At a local
-  minimum every side touches the body at the side's midpoint, which is
-  exactly the optimality condition the certificate measures.
+  it can pivot about, with the other two corners held fixed.  A move depends
+  only on its neighbours' lines and angles and on the line opposite, so the
+  starts of one solve share one memo of moves keyed on these: a start that
+  reaches a state an earlier start passed through replays that start's moves
+  instead of running them again.  At a local minimum every side touches the
+  body at the side's midpoint, which is exactly the optimality condition the
+  certificate measures.
 
 The solver never assumes success: its output is wrapped in a
 :class:`CircumscriptionCertificate` with containment re-checked geometrically.
@@ -73,7 +77,8 @@ _TOL = 1e-9
 # The starts are the best (anchor, opposite) pairs of the edge-normal scan.
 # On the acceptance and held-out corpora 4 starts leave no body above the
 # uniform 90-grid solver this scan replaced (3 leave one 5e-3 above); 6 keeps
-# a margin.
+# a margin.  A start costs only the side moves no earlier start of the solve
+# made: the others come from the solve's memo (see _refine).
 _MAX_STARTS = 6
 # The solver scans about this many of the body's edge normals at most, so
 # that the O(n^3) scan stays under about 2 ms (1.6-1.9 ms for the 86 it
@@ -400,6 +405,14 @@ def _side_move(support: Support, angles: List[float], lines, i: int):
 
     The best position is the first candidate of least area, as a walk over
     every piece finds it; the range is bisected for it (see :func:`_refine`).
+
+    Besides ``support`` and ``i``, the move reads only ``angles[i - 1]``,
+    ``angles[i + 1]``, ``lines[i - 1]``, ``lines[i + 1]`` and
+    ``lines[i + 2]`` (indices mod 4), never side i's own angle or line:
+    :func:`_refine` memoizes it under exactly these inputs.  That key
+    compares floats by value, so ``0.0`` and ``-0.0`` share an entry, and a
+    state that differs from an earlier one only in the sign of a zero gets
+    the earlier state's move.
     """
     prev = angles[i - 1] - (_TWO_PI if i == 0 else 0.0)
     nxt = angles[(i + 1) % 4] + (_TWO_PI if i == 3 else 0.0)
@@ -478,10 +491,20 @@ def _side_move(support: Support, angles: List[float], lines, i: int):
     return None if line is None else (area, theta, line)
 
 
-def _refine(support: Support, angles: List[float]):
+# What a lookup in _refine's memo of moves returns for a move not yet made.
+_UNSEEN = object()
+
+
+def _refine(support: Support, angles: List[float], moves: dict):
     """Cyclic exact coordinate descent over the four side angles.
 
     Each side in turn moves to its best position if that lowers the area.
+    ``moves`` memoizes the moves: it maps the inputs a move reads (the key
+    of :func:`_side_move`'s docstring) to what it returned, so each distinct
+    move runs once per dict.  The solver passes one dict to every start of a
+    solve, so a start that reaches a state an earlier start passed through
+    replays that start's moves; a fresh ``{}`` gives a start its own.  A
+    replayed move is the computed one, so the memo changes no result.
     Its candidates, one per piece of its range (:func:`_side_move`), are
     taken to have areas that fall and then rise along the range, as the
     area's derivative has the sign of the contact's offset from the side's
@@ -506,7 +529,11 @@ def _refine(support: Support, angles: List[float]):
     for _ in range(_REFINE_CYCLES):
         area_before = area
         for i in range(4):
-            move = _side_move(support, angles, lines, i)
+            key = (i, lines[i - 1], lines[(i + 1) % 4], lines[(i + 2) % 4],
+                   angles[i - 1], angles[(i + 1) % 4])
+            move = moves.get(key, _UNSEEN)
+            if move is _UNSEEN:
+                move = moves[key] = _side_move(support, angles, lines, i)
             if move is not None and move[0] < area:
                 area, angles[i], lines[i] = move
         if area_before - area <= _TOL * abs(area):
@@ -567,8 +594,9 @@ def min_circumscribed_quadrilateral(
         return poly, midpoint_certificate(poly, poly, support)
 
     normals = _scan_normals(support.normals)
+    moves = {}
     area, lines = min(
-        _refine(support, [normals[k] for k in idx])
+        _refine(support, [normals[k] for k in idx], moves)
         for _, idx in _scan_support_directions(poly, np.array(normals), _MAX_STARTS)
     )
     if not math.isfinite(area):

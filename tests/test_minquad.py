@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from circumquad import (
     BadParams,
+    CircumquadError,
     ConvexPolygon,
     DegenerateBody,
     DegenerateInput,
@@ -44,6 +45,7 @@ from circumquad.minquad import (
     _scan_normals,
     _scan_support_directions,
     _side_evaluator,
+    _side_move,
     midpoint_certificate,
 )
 
@@ -777,13 +779,108 @@ class TestSideMove:
         starts = _scan_support_directions(poly, np.array(normals), minquad._MAX_STARTS)
         for _, idx in starts:
             angles = [normals[k] for k in idx]
-            assert _refine(support, list(angles)) == self.walk_refine(support, list(angles))
+            assert _refine(support, list(angles), {}) == self.walk_refine(support, list(angles))
 
     def test_another_start_recovers_the_side_move_miss(self):
         # Starts (1, 5, 7, 10) and (1, 5, 8, 10) end at 3.012743 by
         # bisection, where the walk ends at 2.947470; another start reaches it.
         quad, _ = min_circumscribed_quadrilateral(side_move_miss())
         assert float(quad.area) == pytest.approx(2.947470144478123, rel=1e-12)
+
+    @staticmethod
+    def assert_memo_changes_no_result(body):
+        # The solver again with a fresh memo for each start, as if no move
+        # were shared: the same answer bit for bit, or the same error.
+        def outcome():
+            try:
+                quad, cert = min_circumscribed_quadrilateral(body)
+            except CircumquadError as exc:
+                return repr(exc)
+            return repr((quad.vertices, cert))
+
+        shared = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(minquad, "_refine", lambda support, angles, moves: _refine(support, angles, {}))
+            assert outcome() == shared
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in SCAN_BODIES if "triangle" not in n) + ["random-900228"]
+    )
+    def test_memo_changes_no_result(self, name):
+        body = side_move_miss() if name == "random-900228" else SCAN_BODIES[name]
+        self.assert_memo_changes_no_result(body)
+
+    def test_memo_changes_no_result_with_negative_zero_keys(self, monkeypatch):
+        # A vertex at the origin gives support values of -0.0, which the
+        # memo's key does not tell from 0.0.
+        body = convex_hull([(0, 0), (2, 4), (3, -3), (1, -3), (0, 4), (5, 0), (4, -3)])
+        signs = set()
+
+        def spied_move(support, angles, lines, i):
+            for line in (lines[i - 1], lines[(i + 1) % 4], lines[(i + 2) % 4]):
+                signs.update(math.copysign(1.0, x) for x in line if x == 0.0)
+            return _side_move(support, angles, lines, i)
+
+        monkeypatch.setattr(minquad, "_side_move", spied_move)
+        self.assert_memo_changes_no_result(body)
+        assert -1.0 in signs
+
+    @settings(max_examples=60, deadline=None)
+    @given(solver_normals())
+    def test_memo_changes_no_result_on_random_bodies(self, case):
+        poly, _ = case
+        assume(len(poly) > 3)
+        self.assert_memo_changes_no_result(poly)
+
+    @pytest.mark.parametrize("name", sorted(n for n in SCAN_BODIES if "triangle" not in n))
+    def test_move_reads_only_its_key(self, name):
+        # Side i's own angle and line, which the memo's key leaves out, are
+        # swapped for another start's: the move must not change.
+        poly, support = _float_support(SCAN_BODIES[name])
+        normals = _scan_normals(support.normals)
+        scanned = _scan_support_directions(poly, np.array(normals), minquad._MAX_STARTS)
+        starts = [[normals[k] for k in idx] for _, idx in scanned]
+        swapped = 0
+        for angles, other in itertools.permutations(starts, 2):
+            lines = [support.line(theta) for theta in angles]
+            for i in range(4):
+                move = _side_move(support, angles, lines, i)
+                angles_, lines_ = list(angles), list(lines)
+                angles_[i], lines_[i] = other[i], support.line(other[i])
+                swapped += angles_[i] != angles[i]
+                assert repr(_side_move(support, angles_, lines_, i)) == repr(move)
+        assert swapped > 0
+
+    # On random-16, 35 distinct moves answer 64 lookups; an ellipse 64-gon
+    # repeats no move.
+    @pytest.mark.parametrize("name, calls, lookups", [("random-16", 35, 64), ("ellipse-64", 24, 24)])
+    def test_each_distinct_move_runs_once_per_solve(self, monkeypatch, name, calls, lookups):
+        made, looked, passed = [0], [], []
+
+        class Memo(dict):
+            def get(self, key, default=None):
+                looked.append(key)
+                return super().get(key, default)
+
+        memo = Memo()
+
+        def counted_move(*args):
+            made[0] += 1
+            return _side_move(*args)
+
+        def counted_refine(support, angles, moves):
+            passed.append(moves)
+            return _refine(support, angles, memo)
+
+        monkeypatch.setattr(minquad, "_side_move", counted_move)
+        monkeypatch.setattr(minquad, "_refine", counted_refine)
+        min_circumscribed_quadrilateral(SCAN_BODIES[name])
+        assert len(passed) > 1 and all(moves is passed[0] for moves in passed)
+        assert made[0] == len(memo) == len(set(looked)) == calls
+        assert len(looked) == lookups
+        # The next solve gets a memo of its own.
+        min_circumscribed_quadrilateral(SCAN_BODIES[name])
+        assert passed[-1] is not passed[0]
 
     def test_evaluation_count(self, monkeypatch):
         # The walk makes 33,472 area evaluations on this body; the bisection
