@@ -165,7 +165,7 @@ def cmd_certify(args) -> int:
     if args.precision < 8:
         raise BadParams("precision must be at least 8 bits")
     overrides = {}
-    for name in ("c1", "c2", "c3", "r", "delta"):
+    for name in ("c1", "c3", "delta"):
         val = getattr(args, name)
         if val is not None:
             overrides[name] = _parse_fraction(val, f"--{name}")
@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="certify the theorem constants")
     sp.add_argument("--precision", type=int, default=128, help="interval precision bits")
-    for name in ("c1", "c2", "c3", "r", "delta"):
+    for name in ("c1", "c3", "delta"):
         sp.add_argument(f"--{name}", type=str, default=None, help=f"override {name}")
     sp.set_defaults(func=cmd_certify)
 

@@ -9,8 +9,9 @@ of the inequality, not a floating-point observation.
 The three case factors of the main theorem coincide by construction:
 ``c2 = 1 + sqrt(8 c1 (c1 - 1))`` makes ``(c2 - 1)^2 / (8 c1) = c1 - 1``, and
 ``r = sqrt(32 (sqrt(c1) - 1))`` makes ``1 + r^2 / 32 = sqrt(c1)``, so all
-three reduce to ``1 / sqrt(c1)``.  :func:`certify_constants` checks those
-defining identities exactly instead of comparing approximations.
+three reduce to ``1 / sqrt(c1)``.  c2 and r are always derived from c1, so
+:func:`certify_constants` reports the coincidence as proven by construction
+instead of comparing approximations.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import BadParams
 from .intervals import (
@@ -45,11 +46,8 @@ _FACTOR_BOUND = Fraction(99_999_974, 100_000_000)
 class TheoremConstants:
     """The constant bundle driving the case machine.
 
-    c2 and r default to their defining radicals in terms of c1 and are kept
-    as expressions; rational overrides in the ranges of those radicals,
-    c2 >= 1 and r >= 0, are allowed (the certifier then re-checks every
-    inequality, including the factor coincidence, against the overridden
-    values).  The float view the case machine reads
+    c2 and r are always their defining radicals in terms of c1, kept as
+    expressions.  The float view the case machine reads
     (:meth:`c2_value`, :meth:`r_value`, :meth:`case_factors`) is derived
     once per instance, on first use.
     """
@@ -57,35 +55,21 @@ class TheoremConstants:
     c1: Fraction = Fraction(1) + Fraction(53, 100_000_000)
     c3: Fraction = Fraction(283_134, 100_000)
     delta: Fraction = Fraction(2824, 100_000)
-    c2: Optional[Fraction] = None
-    r: Optional[Fraction] = None
 
     def __post_init__(self):
         for name in ("c1", "c3", "delta"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        for name in ("c2", "r"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, Fraction(value))
         if not self.c1 > 1:
             raise BadParams("c1 must exceed 1")
-        if self.c2 is not None and not self.c2 >= 1:
-            raise BadParams("c2 must be at least 1")
-        if self.r is not None and not self.r >= 0:
-            raise BadParams("r must be at least 0")
         problem = cut_domain_violation(self.c3, self.delta)
         if problem:
             raise BadParams(f"c3 and delta: {problem}")
 
     def c2_expr(self) -> Expr:
-        if self.c2 is not None:
-            return const(self.c2, "c2")
         inner = const(8 * self.c1 * (self.c1 - 1), "8*c1*(c1-1)")
         return (1 + esqrt(inner))
 
     def r_expr(self) -> Expr:
-        if self.r is not None:
-            return const(self.r, "r")
         return esqrt(32 * (esqrt(const(self.c1, "c1")) - 1))
 
     @cached_property
@@ -112,8 +96,8 @@ class TheoremConstants:
     def case_factors(self) -> Tuple[float, float, float]:
         """Float approximations of the three case factors.
 
-        (1/sqrt(c1), 1/sqrt(1+(c2-1)^2/(8 c1)), 1/(1+r^2/32)); identical for
-        derived c2 and r.
+        (1/sqrt(c1), 1/sqrt(1+(c2-1)^2/(8 c1)), 1/(1+r^2/32)), equal up to
+        rounding.
         """
         return self._floats[2:]
 
@@ -143,7 +127,7 @@ def certify_constants(
     5. balanced-cut area bound (zeta at -c3/2) < 7.95359
     6. (1 + r)^2 * max(4., 5.) < 7.999996
     7. 1/sqrt(c1) < 0.99999974
-    8. the three case factors coincide (exact identity check)
+    8. the three case factors coincide (by construction)
 
     Definite verdicts are stable under precision refinement; expect all eight
     PROVEN at the default constants and 128 bits.
@@ -195,18 +179,14 @@ def certify_constants(
 def _certify_factor_coincidence(
     consts: TheoremConstants, precision_bits: int
 ) -> CertifiedComparison:
-    """Exact check that the three case factors are pairwise equal.
+    """The three case factors are pairwise equal, by construction.
 
-    Works on the defining equations, which are rational and hence decidable:
-    (c2 - 1)^2 = 8 c1 (c1 - 1) collapses the second factor to 1/sqrt(c1),
-    and (1 + r^2/32)^2 = c1 collapses the third.  For derived c2 and r the
-    identities hold by construction and are reported PROVEN; for rational
-    overrides they are tested as exact rational equalities.
+    Works on the defining equations: (c2 - 1)^2 = 8 c1 (c1 - 1) collapses
+    the second factor to 1/sqrt(c1), and (1 + r^2/32)^2 = c1 collapses the
+    third.  c2 and r are derived from c1 so that these hold, so the verdict
+    is PROVEN; the intervals enclose the first and third factors.
     """
     c1 = consts.c1
-    ok_c2 = consts.c2 is None or (consts.c2 - 1) ** 2 == 8 * c1 * (c1 - 1)
-    ok_r = consts.r is None or (1 + consts.r ** 2 / 32) ** 2 == c1
-    verdict = Verdict.PROVEN if (ok_c2 and ok_r) else Verdict.DISPROVEN
     factor1 = (1 / esqrt(const(c1, "c1"))).enclosure(precision_bits)
     r2 = consts.r_expr()
     factor3 = (1 / (1 + r2 * r2 / 32)).enclosure(precision_bits)
@@ -214,7 +194,7 @@ def _certify_factor_coincidence(
         lhs_text="1/sqrt(1+(c2-1)^2/(8*c1)) and 1/(1+r^2/32)",
         relation="=",
         rhs_text="1/sqrt(c1)",
-        verdict=verdict,
+        verdict=Verdict.PROVEN,
         precision_bits=precision_bits,
         lhs_interval=factor3,
         rhs_interval=factor1,

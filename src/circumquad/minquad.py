@@ -21,13 +21,13 @@ middle line: O(n^3) time and O(n^2) memory on n directions.
   edges (Aggarwal, Chang and Yap, 1985), so these are the natural starts.
   It refines the best few quadruples by exact cyclic coordinate descent, each
   side moving in turn to its best angle by bisection over the body vertices
-  it can pivot about, with the other two corners held fixed.  A move depends
-  only on its neighbours' lines and angles and on the line opposite, so the
-  starts of one solve share one memo of moves keyed on these: a start that
-  reaches a state an earlier start passed through replays that start's moves
-  instead of running them again.  At a local minimum every side touches the
-  body at the side's midpoint, which is exactly the optimality condition the
-  certificate measures.
+  it can pivot about, with the other two corners held fixed.  A move is a
+  function of its neighbours' lines and angles and of the line opposite, and
+  takes just these as arguments, so the starts of one solve share one cache
+  of moves on them: a start that reaches a state an earlier start passed
+  through replays that start's moves instead of running them again.  At a
+  local minimum every side touches the body at the side's midpoint, which is
+  exactly the optimality condition the certificate measures.
 
 The solver never assumes success: its output is wrapped in a
 :class:`CircumscriptionCertificate` with containment re-checked geometrically.
@@ -35,6 +35,7 @@ The solver never assumes success: its output is wrapped in a
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -78,7 +79,7 @@ _TOL = 1e-9
 # On the acceptance and held-out corpora 4 starts leave no body above the
 # uniform 90-grid solver this scan replaced (3 leave one 5e-3 above); 6 keeps
 # a margin.  A start costs only the side moves no earlier start of the solve
-# made: the others come from the solve's memo (see _refine).
+# made: the others come from the solve's cache of moves (see _refine).
 _MAX_STARTS = 6
 # The solver scans about this many of the body's edge normals at most, so
 # that the O(n^3) scan stays under about 2 ms (1.6-1.9 ms for the 86 it
@@ -336,20 +337,21 @@ def _quad_from_lines(lines, tiny: float):
     return twice / 2.0, corners
 
 
-def _side_evaluator(lines, i: int, tiny: float):
-    """Area of the quadrilateral ``lines`` as a function of side i's line alone.
+def _side_evaluator(prev_line, next_line, opposite_line, i: int, tiny: float):
+    """Area of a quadrilateral as a function of side i's line alone.
 
-    A move of side i changes only the two corners on it.  The other two
-    corners, the side between them and its shoelace term are computed once
-    here; the returned ``area(c, s, h)`` then needs two intersections, three
-    side checks and the four shoelace terms, added in the order of
-    :func:`_quad_from_lines`, whose value it equals bit for bit.  Returns
-    None when the fixed part is infeasible, so that every position of side i
-    is.
+    The other three (cos, sin, h) lines are fixed: side i's neighbours and
+    the line opposite.  A move of side i changes only the two corners on it.
+    The other two corners, the side between them and its shoelace term are
+    computed once here; the returned ``area(c, s, h)`` then needs two
+    intersections, three side checks and the four shoelace terms, added in
+    the order of :func:`_quad_from_lines`, whose value it equals bit for
+    bit.  Returns None when the fixed part is infeasible, so that every
+    position of side i is.
     """
-    cp, sp, hp = lines[i - 1]
-    cn, sn, hn = lines[(i + 1) % 4]
-    co, so, ho = lines[(i + 2) % 4]
+    cp, sp, hp = prev_line
+    cn, sn, hn = next_line
+    co, so, ho = opposite_line
     det = cn * so - co * sn
     if det <= _SIN_GAP_MIN:
         return None
@@ -389,7 +391,8 @@ def _side_evaluator(lines, i: int, tiny: float):
     return area
 
 
-def _side_move(support: Support, angles: List[float], lines, i: int):
+def _side_move(support: Support, i: int, prev_angle: float, next_angle: float,
+               prev_line, next_line, opposite_line):
     """(area, angle, line) of side i's best position, or None if it has none.
 
     Side i may turn between its neighbours' angles, up to pi from either.  On
@@ -406,18 +409,15 @@ def _side_move(support: Support, angles: List[float], lines, i: int):
     The best position is the first candidate of least area, as a walk over
     every piece finds it; the range is bisected for it (see :func:`_refine`).
 
-    Besides ``support`` and ``i``, the move reads only ``angles[i - 1]``,
-    ``angles[i + 1]``, ``lines[i - 1]``, ``lines[i + 1]`` and
-    ``lines[i + 2]`` (indices mod 4), never side i's own angle or line:
-    :func:`_refine` memoizes it under exactly these inputs.  That key
-    compares floats by value, so ``0.0`` and ``-0.0`` share an entry, and a
-    state that differs from an earlier one only in the sign of a zero gets
-    the earlier state's move.
+    The solver caches moves on their arguments (see :func:`_refine`).  The
+    cache compares floats by value, so ``0.0`` and ``-0.0`` share an entry,
+    and a state that differs from an earlier one only in the sign of a zero
+    gets the earlier state's move.
     """
-    prev = angles[i - 1] - (_TWO_PI if i == 0 else 0.0)
-    nxt = angles[(i + 1) % 4] + (_TWO_PI if i == 3 else 0.0)
+    prev = prev_angle - (_TWO_PI if i == 0 else 0.0)
+    nxt = next_angle + (_TWO_PI if i == 3 else 0.0)
     lo, hi = max(prev, nxt - math.pi), min(prev + math.pi, nxt)
-    area_of = _side_evaluator(lines, i, support.tiny)
+    area_of = _side_evaluator(prev_line, next_line, opposite_line, i, support.tiny)
     if area_of is None or not lo < hi:
         return None
     normals, contacts = support.normals, support.contacts
@@ -433,8 +433,8 @@ def _side_move(support: Support, angles: List[float], lines, i: int):
     if k0 + last == m:
         last += bisect_left(normals, hi, 0, m, key=lambda phi: wrapped + phi)
 
-    cp, sp, hp = lines[i - 1]
-    cn, sn, hn = lines[(i + 1) % 4]
+    cp, sp, hp = prev_line
+    cn, sn, hn = next_line
     det = cp * sn - cn * sp  # sin(nxt - prev)
 
     def candidate(j: int):
@@ -491,21 +491,16 @@ def _side_move(support: Support, angles: List[float], lines, i: int):
     return None if line is None else (area, theta, line)
 
 
-# What a lookup in _refine's memo of moves returns for a move not yet made.
-_UNSEEN = object()
-
-
-def _refine(support: Support, angles: List[float], moves: dict):
+def _refine(support: Support, angles: List[float], move):
     """Cyclic exact coordinate descent over the four side angles.
 
     Each side in turn moves to its best position if that lowers the area.
-    ``moves`` memoizes the moves: it maps the inputs a move reads (the key
-    of :func:`_side_move`'s docstring) to what it returned, so each distinct
-    move runs once per dict.  The solver passes one dict to every start of a
-    solve, so a start that reaches a state an earlier start passed through
-    replays that start's moves; a fresh ``{}`` gives a start its own.  A
-    replayed move is the computed one, so the memo changes no result.
-    Its candidates, one per piece of its range (:func:`_side_move`), are
+    ``move`` is :func:`_side_move` with ``support`` bound.  The solver
+    passes every start of a solve one ``functools.cache`` of it, so each
+    distinct move runs once per solve, and a start that reaches a state an
+    earlier start passed through replays that start's moves; a cached move
+    is the computed one, so the cache changes no result.
+    A move's candidates, one per piece of its range (:func:`_side_move`), are
     taken to have areas that fall and then rise along the range, as the
     area's derivative has the sign of the contact's offset from the side's
     midpoint.  With that shape a bisection finds the first piece whose
@@ -529,13 +524,10 @@ def _refine(support: Support, angles: List[float], moves: dict):
     for _ in range(_REFINE_CYCLES):
         area_before = area
         for i in range(4):
-            key = (i, lines[i - 1], lines[(i + 1) % 4], lines[(i + 2) % 4],
-                   angles[i - 1], angles[(i + 1) % 4])
-            move = moves.get(key, _UNSEEN)
-            if move is _UNSEEN:
-                move = moves[key] = _side_move(support, angles, lines, i)
-            if move is not None and move[0] < area:
-                area, angles[i], lines[i] = move
+            best = move(i, angles[i - 1], angles[(i + 1) % 4],
+                        lines[i - 1], lines[(i + 1) % 4], lines[(i + 2) % 4])
+            if best is not None and best[0] < area:
+                area, angles[i], lines[i] = best
         if area_before - area <= _TOL * abs(area):
             break
     return area, lines
@@ -594,9 +586,9 @@ def min_circumscribed_quadrilateral(
         return poly, midpoint_certificate(poly, poly, support)
 
     normals = _scan_normals(support.normals)
-    moves = {}
+    move = functools.cache(functools.partial(_side_move, support))
     area, lines = min(
-        _refine(support, [normals[k] for k in idx], moves)
+        _refine(support, [normals[k] for k in idx], move)
         for _, idx in _scan_support_directions(poly, np.array(normals), _MAX_STARTS)
     )
     if not math.isfinite(area):

@@ -16,14 +16,15 @@ from circumquad import case_machine, gen_corpus
 CORPUS_SEED = 20260814
 
 
-def build_corpus():
+def build_corpus(base=CORPUS_SEED):
     """600 random hulls (batches of 8/16/32/64 points), 200 ellipse
-    polygons, 200 affine pentagons; deterministic."""
+    polygons, 200 affine pentagons; deterministic.  Base seed 777001 gives
+    the held-out corpus."""
     bodies = []
     for i, n in enumerate((8, 16, 32, 64)):
-        bodies += gen_corpus("random", 150, seed=CORPUS_SEED + i, vertices=n)
-    bodies += gen_corpus("ellipse", 200, seed=CORPUS_SEED + 10, vertices=64)
-    bodies += gen_corpus("affine_pentagon", 200, seed=CORPUS_SEED + 11)
+        bodies += gen_corpus("random", 150, seed=base + i, vertices=n)
+    bodies += gen_corpus("ellipse", 200, seed=base + 10, vertices=64)
+    bodies += gen_corpus("affine_pentagon", 200, seed=base + 11)
     return bodies
 
 

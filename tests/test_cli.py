@@ -232,8 +232,11 @@ class TestCertify:
         assert main(["certify", "--delta", "1/2"]) == 2
         assert main(["certify", "--c1", "abc"]) == 2
         assert main(["certify", "--c3", "1/0"]) == 2
-        assert main(["certify", "--c2", "-1"]) == 2
-        assert main(["certify", "--r", "-1"]) == 2
+        # c2 and r are derived from c1, so the parser offers no such option.
+        for name in ("--c2", "--r"):
+            with pytest.raises(SystemExit) as exc:
+                main(["certify", name, "-1"])
+            assert exc.value.code == 2
 
 
 class TestBench:

@@ -22,7 +22,6 @@ class TestTheoremConstants:
         assert c.c1 == 1 + F(53, 10 ** 8)
         assert c.c3 == F(283134, 100000)
         assert c.delta == F(2824, 100000)
-        assert c.c2 is None and c.r is None
 
     def test_validation(self):
         with pytest.raises(BadParams):
@@ -31,11 +30,6 @@ class TestTheoremConstants:
             TheoremConstants(c3=F(5, 2))
         with pytest.raises(BadParams):
             TheoremConstants(delta=F(1, 5))
-        # Outside the ranges of their radicals 1 + sqrt(...) and sqrt(...).
-        with pytest.raises(BadParams, match="c2"):
-            TheoremConstants(c2=F(-1))
-        with pytest.raises(BadParams, match="r must"):
-            TheoremConstants(r=F(-1))
 
     def test_derived_values(self):
         c = TheoremConstants()
@@ -71,12 +65,6 @@ class TestFloatView:
         assert calls["c2_expr"] <= 1
         assert calls["r_expr"] <= 1
 
-    def test_overrides_get_their_own_view(self):
-        c = TheoremConstants(c2=F(100205, 100000), r=F(3, 1000))
-        assert c.c2_value() == pytest.approx(1.00205, rel=1e-15)
-        assert c.r_value() == pytest.approx(0.003, rel=1e-15)
-        assert TheoremConstants().c2_value() == 1.0020591265738656
-
 
 class TestCertification:
     def test_all_proven_at_default(self):
@@ -100,17 +88,10 @@ class TestCertification:
         assert checks[3].verdict is Verdict.PROVEN
         assert checks[4].verdict is Verdict.PROVEN
 
-    def test_rational_c2_override_breaks_factor_coincidence(self):
-        checks = certify_constants(TheoremConstants(c2=F(100205, 100000)), 128)
-        # 1.00205 satisfies every magnitude bound but not the defining
-        # identity (c2-1)^2 = 8 c1 (c1-1), so only the coincidence check dies.
-        assert checks[0].verdict is Verdict.PROVEN
-        assert checks[7].verdict is Verdict.DISPROVEN
-
     def test_exact_override_keeps_factor_coincidence(self):
-        # 8 * 2 * (2 - 1) = 16 is a perfect square, so c2 = 5 satisfies the
-        # defining identity exactly even though the magnitude bounds fail.
-        checks = certify_constants(TheoremConstants(c1=F(2), c2=F(5)), 64)
+        # 8 * 2 * (2 - 1) = 16 is a perfect square, so the derived c2 is the
+        # point 5: the magnitude bounds fail, the coincidence holds.
+        checks = certify_constants(TheoremConstants(c1=F(2)), 64)
         assert checks[7].verdict is Verdict.PROVEN
         assert checks[0].verdict is Verdict.DISPROVEN
 

@@ -16,6 +16,7 @@ from circumquad import (
     DomainError,
     HypothesisViolated,
     InconsistentCase,
+    NoFeasibleQuadruple,
     NormalizationViolated,
     Point,
     Quadrilateral,
@@ -416,6 +417,19 @@ class TestCaseMachine:
         s = 10**400
         with pytest.raises(BadParams):
             case_machine(ConvexPolygon([(0, 0), (s, 0), (s, s), (0, s)]))
+
+    # Numerically triangles, ratio 1.  The first loses every start in
+    # refinement, the second leaves the scan no quadruple of its 4 normals.
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NoFeasibleQuadruple,
+        reason="a vanishing edge leaves the float solver no quadruple; "
+        "ROADMAP item 4 (affine pre-frame) is to mend it",
+    )
+    @pytest.mark.parametrize("corner", [(1.0, 5.7362190172743516e-68), (2.0, 5.7e-68)])
+    def test_vanishing_edge_gets_a_report(self, corner):
+        rep = case_machine(ConvexPolygon([(0.0, 0.0), (1.0, 0.0), corner, (0.0, 1.0)]))
+        assert rep.empirical_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_edge_rounded_away_by_the_map_gets_a_report(self):
         # The map's image of the 1e-84 edge is not strictly convex, so a
