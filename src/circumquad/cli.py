@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .constants import TheoremConstants, certify_constants
@@ -28,6 +27,7 @@ from .errors import (
     CircumquadError,
     DegenerateBody,
     DegenerateInput,
+    _as_fraction,
 )
 from .geometry import AffineMap, ConvexPolygon, convex_hull
 from .intervals import Verdict
@@ -44,18 +44,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_fraction(value, what: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParams(f"bad {what} {value!r}: {exc}") from exc
-
-
 def _parse_scalar(v, exact: bool):
     if isinstance(v, bool) or not isinstance(v, (str, int, float)):
         raise BadParams(f"bad coordinate {v!r}: must be a number or string")
     # Decimal semantics: 0.1 means 1/10, not its binary approximation.
-    f = _parse_fraction(repr(v) if isinstance(v, float) else v, "coordinate")
+    f = _as_fraction(repr(v) if isinstance(v, float) else v, "coordinate")
     # The solver runs in floats, so exact coordinates must fit a float too.
     try:
         approx = float(f)
@@ -164,12 +157,8 @@ def cmd_witness(args) -> int:
 def cmd_certify(args) -> int:
     if args.precision < 8:
         raise BadParams("precision must be at least 8 bits")
-    overrides = {}
-    for name in ("c1", "c3", "delta"):
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = _parse_fraction(val, f"--{name}")
-    consts = TheoremConstants(**overrides)
+    overrides = {name: getattr(args, name) for name in ("c1", "c3", "delta")}
+    consts = TheoremConstants(**{k: v for k, v in overrides.items() if v is not None})
     comparisons = certify_constants(consts, args.precision)
     payload = []
     for comp in comparisons:

@@ -9,9 +9,10 @@ of the inequality, not a floating-point observation.
 The three case factors of the main theorem coincide by construction:
 ``c2 = 1 + sqrt(8 c1 (c1 - 1))`` makes ``(c2 - 1)^2 / (8 c1) = c1 - 1``, and
 ``r = sqrt(32 (sqrt(c1) - 1))`` makes ``1 + r^2 / 32 = sqrt(c1)``, so all
-three reduce to ``1 / sqrt(c1)``.  c2 and r are always derived from c1, so
-:func:`certify_constants` reports the coincidence as proven by construction
-instead of comparing approximations.
+three reduce to ``1 / sqrt(c1)``, the one case factor
+(:meth:`TheoremConstants.case_factor`).  c2 and r are always derived from
+c1, so :func:`certify_constants` reports the coincidence as proven by
+construction instead of comparing approximations.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Tuple
 
-from .errors import BadParams
+from .errors import BadParams, _as_fraction, _as_int
 from .intervals import (
     CertifiedComparison,
     Expr,
+    Interval,
     Verdict,
     as_expr,
     certify_less,
@@ -47,9 +49,10 @@ class TheoremConstants:
     """The constant bundle driving the case machine.
 
     c2 and r are always their defining radicals in terms of c1, kept as
-    expressions.  The float view the case machine reads
-    (:meth:`c2_value`, :meth:`r_value`, :meth:`case_factors`) is derived
-    once per instance, on first use.
+    expressions.  The float view the case machine reads (:meth:`c2_value`,
+    :meth:`r_value` and the one :meth:`case_factor`) is derived once per
+    instance, on first use.  A field that is not a finite number or numeric
+    string raises BadParams naming it.
     """
 
     c1: Fraction = Fraction(1) + Fraction(53, 100_000_000)
@@ -58,7 +61,7 @@ class TheoremConstants:
 
     def __post_init__(self):
         for name in ("c1", "c3", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _as_fraction(getattr(self, name), name))
         if not self.c1 > 1:
             raise BadParams("c1 must exceed 1")
         problem = cut_domain_violation(self.c3, self.delta)
@@ -73,19 +76,15 @@ class TheoremConstants:
         return esqrt(32 * (esqrt(const(self.c1, "c1")) - 1))
 
     @cached_property
-    def _floats(self) -> Tuple[float, float, float, float, float]:
-        """(c2, r, f1, f2, f3) as floats, derived on first use only.
+    def _floats(self) -> Tuple[float, float, float]:
+        """(c2, r, case factor) as floats, derived on first use only.
 
         c2 and r are the midpoints of their 64-bit enclosures; the case
-        factors are 1/sqrt(c1), 1/sqrt(1+(c2-1)^2/(8 c1)) and 1/(1+r^2/32).
+        factor is 1/sqrt(c1).
         """
-        c1 = float(self.c1)
         c2 = _midpoint(self.c2_expr())
         r = _midpoint(self.r_expr())
-        f1 = 1.0 / math.sqrt(c1)
-        f2 = 1.0 / math.sqrt(1.0 + (c2 - 1.0) ** 2 / (8.0 * c1))
-        f3 = 1.0 / (1.0 + r * r / 32.0)
-        return c2, r, f1, f2, f3
+        return c2, r, 1.0 / math.sqrt(float(self.c1))
 
     def c2_value(self) -> float:
         return self._floats[0]
@@ -93,13 +92,9 @@ class TheoremConstants:
     def r_value(self) -> float:
         return self._floats[1]
 
-    def case_factors(self) -> Tuple[float, float, float]:
-        """Float approximations of the three case factors.
-
-        (1/sqrt(c1), 1/sqrt(1+(c2-1)^2/(8 c1)), 1/(1+r^2/32)), equal up to
-        rounding.
-        """
-        return self._floats[2:]
+    def case_factor(self) -> float:
+        """1/sqrt(c1) in floats, the factor every case of the ladder certifies."""
+        return self._floats[2]
 
 
 def _midpoint(expr: Expr) -> float:
@@ -130,8 +125,10 @@ def certify_constants(
     8. the three case factors coincide (by construction)
 
     Definite verdicts are stable under precision refinement; expect all eight
-    PROVEN at the default constants and 128 bits.
+    PROVEN at the default constants and 128 bits.  ``precision_bits`` must be
+    an integer of at least 8, else BadParams.
     """
+    precision_bits = _as_int(precision_bits, "precision_bits")
     c1e = const(consts.c1, "c1")
     c2e = consts.c2_expr()
     re_ = consts.r_expr()
@@ -172,24 +169,22 @@ def certify_constants(
             1 / esqrt(c1e), const(_FACTOR_BOUND, "0.99999974"), precision_bits
         )
     )
-    out.append(_certify_factor_coincidence(consts, precision_bits))
+    out.append(_certify_factor_coincidence(out[6].lhs_interval, re_, precision_bits))
     return out
 
 
 def _certify_factor_coincidence(
-    consts: TheoremConstants, precision_bits: int
+    factor1: Interval, r: Expr, precision_bits: int
 ) -> CertifiedComparison:
     """The three case factors are pairwise equal, by construction.
 
     Works on the defining equations: (c2 - 1)^2 = 8 c1 (c1 - 1) collapses
     the second factor to 1/sqrt(c1), and (1 + r^2/32)^2 = c1 collapses the
     third.  c2 and r are derived from c1 so that these hold, so the verdict
-    is PROVEN; the intervals enclose the first and third factors.
+    is PROVEN.  ``factor1`` is check 7's enclosure of the first factor,
+    1/sqrt(c1); the third is enclosed here from ``r``.
     """
-    c1 = consts.c1
-    factor1 = (1 / esqrt(const(c1, "c1"))).enclosure(precision_bits)
-    r2 = consts.r_expr()
-    factor3 = (1 / (1 + r2 * r2 / 32)).enclosure(precision_bits)
+    factor3 = (1 / (1 + r * r / 32)).enclosure(precision_bits)
     return CertifiedComparison(
         lhs_text="1/sqrt(1+(c2-1)^2/(8*c1)) and 1/(1+r^2/32)",
         relation="=",

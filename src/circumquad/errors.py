@@ -7,6 +7,7 @@ on them directly.
 """
 
 import operator
+from fractions import Fraction
 
 
 class CircumquadError(Exception):
@@ -23,6 +24,18 @@ def _as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise BadParams(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_fraction(value, name: str) -> Fraction:
+    """``value`` as a Fraction (numbers and numeric strings); BadParams otherwise.
+
+    NaN, infinities, ``"1/0"`` and values that are not numbers all raise
+    BadParams naming ``name``.
+    """
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise BadParams(f"bad {name} {value!r}: {exc}") from exc
 
 
 # --- geometry ---------------------------------------------------------------

@@ -13,10 +13,11 @@ from their input with :func:`_slack`, which gives :data:`FLOAT_SLACK` when a
 value is a float and 0 otherwise, so exact input is checked exactly.
 
 The sign-and-area predicates (the polygon constructor's convexity check,
-:func:`convex_hull`, :attr:`ConvexPolygon.area` and containment at
-``tol = 0``) are the exception: on exact inputs they run on one integer image
-of their points, see :func:`_int_image`, and only float inputs take the
-generic arithmetic.
+:func:`convex_hull`, :attr:`ConvexPolygon.area` and the containment of
+points and polygons at ``tol = 0``) are the exception: on exact inputs they
+run on one integer image of their points, see :func:`_int_image`, and only
+float inputs take the generic arithmetic.  Containment of a :class:`Support`
+reads one maximum per edge normal at every ``tol``.
 
 Orientation convention: polygon vertices are counterclockwise and strictly
 convex (no repeated or collinear consecutive vertices).  Lines are written
@@ -30,7 +31,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import BadParams, DegenerateInput, ParallelLines, SingularMap
+from .errors import BadParams, DegenerateInput, ParallelLines, SingularMap, _as_fraction
 
 Scalar = Union[int, float, Fraction]
 
@@ -169,9 +170,15 @@ def _int_image(points: Sequence[Point]) -> Tuple[Sequence[Point], Optional[int]]
 
 
 def _coerce_points(points: Iterable[Sequence[Scalar]]) -> Tuple[Point, ...]:
-    pts = [Point(p[0], p[1]) for p in points]
+    try:
+        pts = [Point(p[0], p[1]) for p in points]
+    except (IndexError, TypeError) as exc:
+        raise BadParams(f"points must be pairs of coordinates: {exc}") from exc
     if any(isinstance(p.x, float) or isinstance(p.y, float) for p in pts):
-        pts = tuple(Point(float(p.x), float(p.y)) for p in pts)
+        try:
+            pts = tuple(Point(float(p.x), float(p.y)) for p in pts)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadParams(f"bad coordinate: {exc}") from exc
         # Every comparison with NaN is False, so a NaN would pass the
         # convexity check; an infinity would only fail far downstream.
         if not all(map(math.isfinite, (c for p in pts for c in p))):
@@ -180,8 +187,8 @@ def _coerce_points(points: Iterable[Sequence[Scalar]]) -> Tuple[Point, ...]:
     # Re-wrapping a Fraction costs as much as a Fraction operation; skip it.
     return tuple(
         Point(
-            p.x if type(p.x) is Fraction else Fraction(p.x),
-            p.y if type(p.y) is Fraction else Fraction(p.y),
+            p.x if type(p.x) is Fraction else _as_fraction(p.x, "coordinate"),
+            p.y if type(p.y) is Fraction else _as_fraction(p.y, "coordinate"),
         )
         for p in pts
     )
@@ -485,46 +492,53 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     ``tol`` is relative to the polygon's max-norm diameter, so the predicate
     is invariant under scaling.  With ``tol = 0`` the test is a pure sign
     check and exact for rational inputs; so is the tolerant test, see
-    :func:`_contains_points`.
+    :func:`contains_polygon`.
     """
-    return _contains_points(poly, (Point(p[0], p[1]),), tol)
+    return contains_polygon(poly, (Point(p[0], p[1]),), tol)
 
 
-def _contains_points(poly: ConvexPolygon, inner, tol: Scalar) -> bool:
-    """Whether every point of ``inner`` passes :func:`contains_point` on ``poly``.
+def contains_polygon(
+    outer: ConvexPolygon,
+    inner: Union[ConvexPolygon, Support, Sequence[Point]],
+    tol: Scalar = 0,
+) -> bool:
+    """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``.
 
-    ``inner`` is a tuple of points, a polygon or a :class:`Support`, read
-    per edge normal through :func:`_candidates`.  The tolerant test takes, per
-    edge, the largest excess ``-cross3(a, b, q)`` over the candidates and
+    ``inner`` is a polygon, a sequence of points or a :class:`Support`.  At
+    ``tol = 0`` a polygon or sequence is tested on one integer image of its
+    points and ``outer``'s vertices.  Otherwise, and for a :class:`Support`
+    at every ``tol``, the test takes, per edge of ``outer``, the largest
+    excess ``-cross3(a, b, q)`` over the candidates for the edge's outward
+    normal (:func:`_edge_excesses`, one query to a :class:`Support`) and
     compares that one value with the edge's bound: the maximum is exact and
-    the comparison is monotone in it, so the verdict is that of testing every
-    point.
+    the comparison is monotone in it, so the verdict is that of testing
+    every point.
 
     A point q lies beyond edge (a, b) when c = cross3(a, b, q) < 0 and its
-    distance -c / |e|, with e = b - a, exceeds ``tol * diam``.  An excess is
-    a float exactly when the edge or the point is (:func:`_slack`'s rule).
-    A rational excess is compared squared, ``c * c`` against
-    ``tol**2 * diam**2 * e.dot(e)``, which keeps the test exact.  A float
-    excess is compared as ``-c`` against ``tol * diam * |e|``: squares of
-    coordinates above about 1e77 would overflow to inf on both sides and
-    pass every point.
+    distance -c / |e|, with e = b - a, exceeds ``tol * diam``; at ``tol = 0``
+    when c < 0.  An excess is a float exactly when the edge or the point is
+    (:func:`_slack`'s rule).  A rational excess is compared squared,
+    ``c * c`` against ``tol**2 * diam**2 * e.dot(e)``, which keeps the test
+    exact.  A float excess is compared as ``-c`` against
+    ``tol * diam * |e|``: squares of coordinates above about 1e77 would
+    overflow to inf on both sides and pass every point.
     """
-    if tol == 0:
-        if isinstance(inner, Support):
-            # The image vertices extreme along some outward edge normal decide it.
-            vs = poly.vertices
-            inner = tuple(dict.fromkeys(
-                q for a, b in zip(vs[-1:] + vs[:-1], vs) for q in inner.extreme(b.y - a.y, a.x - b.x)
-            ))
-        elif isinstance(inner, ConvexPolygon):
-            inner = inner.vertices
-        return _encloses(poly.vertices + inner, len(poly))
-    diam = poly.linf_diameter()
-    for ex, ey, m in _edge_excesses(poly, inner):
+    if tol == 0 and not isinstance(inner, Support):
+        points = inner.vertices if isinstance(inner, ConvexPolygon) else inner
+        n = len(outer)
+        img, _ = _int_image(outer.vertices + tuple(points))
+        ring = img[:n]
+        edges = list(zip(ring, ring[1:] + ring[:1]))
+        return all(cross3(a, b, q) >= 0 for q in img[n:] for a, b in edges)
+    diam = outer.linf_diameter()
+    for ex, ey, m in _edge_excesses(outer, inner):
         if m > 0 and (
-            m > float(tol) * float(diam) * math.hypot(ex, ey)
-            if isinstance(m, float)
-            else m * m > tol * tol * diam * diam * (ex * ex + ey * ey)
+            tol == 0
+            or (
+                m > float(tol) * float(diam) * math.hypot(ex, ey)
+                if isinstance(m, float)
+                else m * m > tol * tol * diam * diam * (ex * ex + ey * ey)
+            )
         ):
             return False
     return True
@@ -547,28 +561,6 @@ def _edge_excesses(poly: ConvexPolygon, inner):
         points = _candidates(inner, ey, -ex)
         yield ex, ey, max([ey * (x - ax) - ex * (y - ay) for x, y in points])
         a = b
-
-
-def _encloses(points: Sequence[Point], n: int) -> bool:
-    """Whether ``points[n:]`` all lie in the ccw polygon ``points[:n]``.
-
-    Boundary points count as inside; one integer image serves every test.
-    """
-    img, _ = _int_image(points)
-    ring = img[:n]
-    edges = list(zip(ring, ring[1:] + ring[:1]))
-    return all(cross3(a, b, q) >= 0 for q in img[n:] for a, b in edges)
-
-
-def contains_polygon(
-    outer: ConvexPolygon, inner: Union[ConvexPolygon, Support], tol: Scalar = 0
-) -> bool:
-    """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``.
-
-    ``inner`` may be a :class:`Support`: each edge of ``outer`` then reads
-    its extreme vertices off one query.
-    """
-    return _contains_points(outer, inner, tol)
 
 
 def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:

@@ -26,6 +26,7 @@ from .errors import (
     BadParams,
     DivisionByIntervalContainingZero,
     NegativeRadicand,
+    _as_int,
 )
 
 RationalLike = Union[int, Fraction]
@@ -106,7 +107,7 @@ def sqrt_enclosure(value: RationalLike, precision_bits: int = 128) -> Interval:
     lo**2 <= value <= hi**2 exactly.  Perfect squares of rationals come back
     as zero-width intervals.
     """
-    if precision_bits < 8:
+    if _as_int(precision_bits, "precision_bits") < 8:
         raise BadParams("precision_bits must be at least 8")
     q = Fraction(value)
     if q < 0:

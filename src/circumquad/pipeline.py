@@ -4,8 +4,9 @@ Given a convex body K and a minimum-area circumscribed quadrilateral Q, an
 affine map sends the parallelogram spanned by Q's edge midpoints onto the
 square [-1, 1]^2.  In those coordinates K touches all four square edges, an
 axis-aligned bounding box and a contact octagon are available, and the body
-falls into one of a handful of certified cases, each yielding a factor
-strictly below 1 for the ratio |Q| / (sqrt(2) |K|).
+falls into one of a handful of certified cases.  Each case certifies the
+same factor 1/sqrt(c1) < 1 for the ratio |Q| / (sqrt(2) |K|), since c2 and
+r are derived from c1 (:meth:`TheoremConstants.case_factor`).
 
 Everything here works on either numeric backend, and no function takes a
 tolerance: each check allows slack 1e-8 when its input holds a float and
@@ -195,12 +196,12 @@ def build_octagon(body: Union[ConvexPolygon, Support], contacts: ContactBox) -> 
     """Convex hull of the unit square and the four box contacts.
 
     Checks the area identity |octagon| = x + y (box extents) and, for a
-    polygon ``body``, that the octagon sits inside it, both up to the
-    input's slack; the containment means something when the contacts come
-    from ``body``.  On the :class:`Support` oracle of a normalized body the
-    contacts are body vertices by construction, and the square's corners are
-    the images of the witness's edge midpoints, whose distances to the body
-    the certificate measures; :func:`case_machine` checks those instead.
+    polygon ``body``, that the octagon sits inside it, both up to the slack
+    of the contacts, which come from ``body`` and have its number type.  On
+    the :class:`Support` oracle of a normalized body the contacts are body
+    vertices by construction, and the square's corners are the images of
+    the witness's edge midpoints, whose distances to the body the
+    certificate measures; :func:`case_machine` checks those instead.
     """
     # The float square has the exact one's coordinates: float contacts would
     # turn its Fractions into the same floats.
@@ -208,7 +209,7 @@ def build_octagon(body: Union[ConvexPolygon, Support], contacts: ContactBox) -> 
     octagon = convex_hull(list(square.vertices) + list(contacts.contacts))
     area = octagon.area
     ident = contacts.x + contacts.y
-    slack = _slack(ident, *_candidates(body, 1, 0)[0])
+    slack = _slack(ident)
     if abs(area - ident) > slack * max(1, abs(ident)):
         raise AreaIdentityViolated(f"octagon area {area} != box half-perimeter {ident}")
     if isinstance(body, ConvexPolygon) and not contains_polygon(body, octagon, slack):
@@ -488,7 +489,8 @@ def _classify_normalized(
     diameter: the octagon rung requires each within the slack, in place of
     :func:`build_octagon`'s containment test.  ``witness`` and
     ``empirical_ratio`` are passed through to the report; the ladder adds
-    the evidence of each rung it reaches.
+    the evidence of each rung it reaches.  Every rung reports the one case
+    factor, ``consts.case_factor()``.
     """
     contacts = axis_box_with_contacts(norm_body)
     report = partial(
@@ -498,7 +500,7 @@ def _classify_normalized(
         normalizing_map=norm_body.affine,
         contacts=contacts,
     )
-    f1, f2, f3 = consts.case_factors()
+    factor = consts.case_factor()
     c1 = float(consts.c1)
     c2 = consts.c2_value()
     r = consts.r_value()
@@ -506,9 +508,9 @@ def _classify_normalized(
     slack = _slack(contacts.x)
 
     if x * y > 8 * c1 + slack:
-        return report(CaseId.BOX_LARGE, f1)
+        return report(CaseId.BOX_LARGE, factor)
     if x > c2 * y + slack or y > c2 * x + slack:
-        return report(CaseId.BOX_SKEWED, f2)
+        return report(CaseId.BOX_SKEWED, factor)
 
     scene8 = build_octagon(norm_body, contacts)
     if any(d > slack for d in corner_residuals):
@@ -520,7 +522,7 @@ def _classify_normalized(
     if gap > r + slack:
         return report(
             CaseId.BODY_EXCEEDS_OCTAGON,
-            f3,
+            factor,
             octagon_area=octagon_area,
             max_octagon_gap=gap,
         )
@@ -538,7 +540,7 @@ def _classify_normalized(
         )
     return report(
         CaseId.OCTAGON_IMPROVED,
-        min(f1, f2, f3),
+        factor,
         octagon_area=octagon_area,
         max_octagon_gap=gap,
         lemma_branch=branch,

@@ -1,5 +1,6 @@
 """Certified verification of the improvement constants."""
 
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -30,6 +31,13 @@ class TestTheoremConstants:
             TheoremConstants(c3=F(5, 2))
         with pytest.raises(BadParams):
             TheoremConstants(delta=F(1, 5))
+        malformed = (
+            {"c1": "abc"}, {"c1": math.nan}, {"c1": None},
+            {"c3": math.inf}, {"delta": "1/0"},
+        )
+        for bad in malformed:
+            with pytest.raises(BadParams, match=next(iter(bad))):
+                TheoremConstants(**bad)
 
     def test_derived_values(self):
         c = TheoremConstants()
@@ -37,7 +45,12 @@ class TestTheoremConstants:
         assert c.r_value() == pytest.approx(2.9120e-3, abs=1e-6)
 
     def test_case_factors_coincide(self):
-        f1, f2, f3 = TheoremConstants().case_factors()
+        # The second and third factors, from the float c2 and r.
+        c = TheoremConstants()
+        c1, c2, r = float(c.c1), c.c2_value(), c.r_value()
+        f2 = 1.0 / math.sqrt(1.0 + (c2 - 1.0) ** 2 / (8.0 * c1))
+        f3 = 1.0 / (1.0 + r * r / 32.0)
+        f1 = c.case_factor()
         assert f1 == pytest.approx(f2, abs=1e-12)
         assert f1 == pytest.approx(f3, abs=1e-12)
         assert f1 == pytest.approx(1 - 2.65e-7, abs=2e-9)
@@ -45,12 +58,12 @@ class TestTheoremConstants:
 
 class TestFloatView:
     def test_bit_for_bit(self):
-        # Midpoints of the 64-bit enclosures of c2 and r, and the factors
-        # computed from them in floats.
+        # Midpoints of the 64-bit enclosures of c2 and r, and 1/sqrt(c1)
+        # in floats.
         c = TheoremConstants()
         assert c.c2_value() == 1.0020591265738656
         assert c.r_value() == 0.002912043762789332
-        assert c.case_factors() == (0.9999997350001054,) * 3
+        assert c.case_factor() == 0.9999997350001054
 
     def test_derived_once_across_bodies(self, monkeypatch):
         calls = Counter()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circumquad.corpus import regular_polygon
+from circumquad.corpus import gen_corpus, regular_polygon
 from circumquad.errors import BadParams, DegenerateInput, ParallelLines, SingularMap
 from circumquad.geometry import (
     AffineMap,
@@ -73,13 +73,18 @@ class TestConvexPolygon:
         with pytest.raises(DegenerateInput):
             ConvexPolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None, "1/0"])
     def test_rejects_non_finite(self, bad):
         # A NaN fails no convexity test, since every comparison with it is False.
         with pytest.raises(BadParams):
             ConvexPolygon([(0, 0), (1, 0), (0, bad)])
         with pytest.raises(BadParams):
             ConvexPolygon([(0, 0), (1, 0), (1, 1), (bad, 1)])
+        # Beside a float coordinate, and as the only entry of a point.
+        with pytest.raises(BadParams):
+            ConvexPolygon([(0.0, 0), (1, 0), (1, 1), (bad, 1)])
+        with pytest.raises(BadParams):
+            ConvexPolygon([(0, 0), (1, 0), (1, 1), (bad,)])
 
     def test_exactness_tracking(self):
         exact = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
@@ -133,10 +138,12 @@ class TestHull:
             Point(F(0), F(2)),
         }
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None, "1/0"])
     def test_hull_rejects_non_finite(self, bad):
         with pytest.raises(BadParams):
             convex_hull([(0, 0), (1, 0), (0, bad), (1, 1)])
+        with pytest.raises(BadParams):
+            convex_hull([(0, 0), (1, 0), (bad,), (1, 1)])
 
     def test_hull_collinear_raises(self):
         with pytest.raises(DegenerateInput):
@@ -252,6 +259,10 @@ class TestContainment:
         inner = ConvexPolygon([(-1, -1), (1, -1), (0, 1)])
         assert contains_polygon(outer, inner)
         assert not contains_polygon(inner, outer)
+        # A list of points at every tol, as a polygon's vertices.
+        for tol in (0, F(1, 10)):
+            assert contains_polygon(outer, list(inner.vertices), tol)
+            assert not contains_polygon(inner, list(outer.vertices), tol)
 
     @pytest.mark.parametrize("s", [1e100, 1e140])
     def test_tolerance_on_huge_floats(self, s):
@@ -727,3 +738,28 @@ def test_support_containment_is_exact(pts, outer, m):
     mapped = apply_affine(m, poly)
     assert contains_polygon(outer, oracle) == contains_polygon(outer, mapped)
     assert linf_distance_to_polygon(oracle, outer) == linf_distance_to_polygon(mapped, outer)
+
+
+@pytest.mark.parametrize("kind, n", [("pentagon", None), ("random", 8), ("ellipse", 64)])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_support_containment_queries_once_per_edge(kind, n, exact):
+    """Containment of an oracle reads one query per edge of the outer polygon."""
+    queries = []
+
+    class Counted(Support):
+        __slots__ = ()
+
+        def extreme(self, ux, uy):
+            queries.append((ux, uy))
+            return super().extreme(ux, uy)
+
+    body = gen_corpus(kind, 1, seed=11, vertices=n)[0]
+    if exact:
+        body = convex_hull([(F(x), F(y)) for x, y in body.vertices])
+    cx = sum(v.x for v in body.vertices) / len(body)
+    cy = sum(v.y for v in body.vertices) / len(body)
+    outer = convex_hull([(2 * x - cx, 2 * y - cy) for x, y in body.vertices])
+    for tol in (0, 1e-9):
+        queries.clear()
+        assert contains_polygon(outer, Counted(body), tol)
+        assert len(queries) == len(outer)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circumquad.constants import TheoremConstants, certify_constants
 from circumquad.errors import (
     BadParams,
     DivisionByIntervalContainingZero,
@@ -82,6 +83,11 @@ class TestSqrtEnclosure:
     def test_low_precision_rejected(self):
         with pytest.raises(BadParams):
             sqrt_enclosure(F(2), 4)
+        for bits in ("128", 12.5):
+            with pytest.raises(BadParams, match="precision_bits"):
+                sqrt_enclosure(F(2), bits)
+            with pytest.raises(BadParams, match="precision_bits"):
+                certify_constants(TheoremConstants(), bits)
 
     @settings(max_examples=60)
     @given(st.fractions(min_value=0, max_value=1000, max_denominator=997))

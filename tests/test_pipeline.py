@@ -156,6 +156,26 @@ class TestBuildOctagon:
         with pytest.raises(AreaIdentityViolated):
             build_octagon(body, cb)
 
+    @pytest.mark.parametrize("kind, n", [("pentagon", None), ("random", 8), ("ellipse", 64)])
+    def test_oracle_is_not_queried(self, kind, n):
+        queries = []
+
+        class Counted(Support):
+            __slots__ = ()
+
+            def extreme(self, ux, uy):
+                queries.append((ux, uy))
+                return super().extreme(ux, uy)
+
+        body = gen_corpus(kind, 1, seed=11, vertices=n)[0].to_float()
+        quad, _ = min_circumscribed_quadrilateral(body)
+        oracle = Counted(apply_affine(normalize_to_square(quad), body))
+        contacts = axis_box_with_contacts(oracle)
+        queries.clear()
+        scene = build_octagon(oracle, contacts)
+        assert queries == []
+        assert scene.octagon_area == pytest.approx(contacts.x + contacts.y, rel=1e-8)
+
     def test_octagon_escaping_body_detected(self):
         cb = box(F(-3, 2), F(-3, 2), F(3, 2), F(3, 2))
         slim = ConvexPolygon(
@@ -573,7 +593,7 @@ class TestClassifier:
         body = self.octagon_body(F(29, 20), F(27, 20), F(29, 20), F(27, 20))
         rep = self.classify(body)
         assert rep.case_id is CaseId.BOX_SKEWED
-        assert rep.certified_factor == pytest.approx(self.CONSTS.case_factors()[1])
+        assert rep.certified_factor == self.CONSTS.case_factor()
         assert (rep.contacts.x, rep.contacts.y) == pytest.approx((2.9, 2.7))
         assert rep.octagon_area is None and rep.max_octagon_gap is None
 
@@ -582,6 +602,7 @@ class TestClassifier:
         body = self.octagon_body(s, s, s, s)
         rep = self.classify(body)
         assert rep.case_id is CaseId.OCTAGON_IMPROVED
+        assert rep.certified_factor == self.CONSTS.case_factor()
         assert rep.lemma_branch is LemmaBranch.MIDPOINT_CASE
         assert rep.reflections == (False, False)
         assert rep.max_octagon_gap == 0.0
@@ -591,6 +612,7 @@ class TestClassifier:
         body = self.octagon_body(F(2), F(2), F(2), F(2))
         rep = self.classify(body)
         assert rep.case_id is CaseId.BOX_LARGE
+        assert rep.certified_factor == self.CONSTS.case_factor()
         assert rep.contacts.box_area == 16.0
         assert rep.lemma_branch is None
 

@@ -6,9 +6,10 @@ Usage::
 
 OLD_SRC and NEW_SRC are directories that hold a ``circumquad`` package (the
 ``src`` directory of two checkouts).  Each tree runs in a child process of
-its own, with only that tree's package importable.  Per body the child
-hashes the ``repr`` of the ``case_machine`` report and of the solver's
-``(quad, certificate)``, or of the ``CircumquadError`` either raised, on:
+its own, with only that tree's package importable.  The child hashes the
+``repr`` of each answer, or of the ``CircumquadError`` it raised, in three
+sets.  Per body, the ``case_machine`` report and the solver's
+``(quad, certificate)``, on:
 
 * the acceptance corpus (``build_corpus`` of ``tests/conftest.py``);
 * the held-out corpus: ``build_corpus`` from base seed 777001;
@@ -16,13 +17,18 @@ hashes the ``repr`` of the ``case_machine`` report and of the solver's
 * the ``solve-mixed`` inputs of seeds 1-3 and the ``solve-dense`` inputs of
   seeds 1-2, read from ``bench/workloads.py``.
 
-It prints the number of bodies and the number that differ, naming the first
-few, and exits 1 on any difference.
+Per ``exact-proof`` round of seeds 1-3, the outcome of ``proof.run_round``,
+which runs the exact containment tests and ``certify_constants``.  Per
+precision of 8, 64 and 128 bits, ``certify_constants(TheoremConstants())``.
+
+It prints, per set, the number of answers and the number that differ,
+naming the first few, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import subprocess
@@ -31,16 +37,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 777001
-SHOWN = 10  # differing bodies named in the output
+SHOWN = 10  # differing answers named per set
 
 
-def _bodies():
+def _bodies(conftest, workloads):
     """(name, body) for every gate body, from the circumquad on the path."""
     from circumquad import regular_polygon
-
-    sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "bench")]
-    import conftest
-    import workloads
 
     corpora = (("acceptance", conftest.CORPUS_SEED), ("held-out", HELD_OUT_SEED))
     for label, base in corpora:
@@ -55,13 +57,23 @@ def _bodies():
 
 
 def _hashes(src: str) -> None:
-    """Print one JSON line [name, report hash, solver hash] per gate body."""
+    """Print one JSON line [set, name, hash, ...] per answer compared."""
     sys.path.insert(0, str(Path(src).resolve()))
     import circumquad
-    from circumquad import CircumquadError, case_machine, min_circumscribed_quadrilateral
+    from circumquad import (
+        CircumquadError,
+        TheoremConstants,
+        case_machine,
+        certify_constants,
+        min_circumscribed_quadrilateral,
+    )
 
     if not Path(circumquad.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {circumquad.__file__}, not the tree {src}")
+    sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "bench")]
+    import conftest
+    import proof
+    import workloads
 
     def digest(call, body) -> str:
         try:
@@ -70,17 +82,28 @@ def _hashes(src: str) -> None:
             out = exc
         return hashlib.sha256(repr(out).encode()).hexdigest()
 
-    for name, body in _bodies():
-        line = [name, digest(case_machine, body), digest(min_circumscribed_quadrilateral, body)]
-        print(json.dumps(line))
+    for name, body in _bodies(conftest, workloads):
+        hashes = [digest(case_machine, body), digest(min_circumscribed_quadrilateral, body)]
+        print(json.dumps(["bodies", name, *hashes]))
+    for seed in (1, 2, 3):
+        for i, rnd in enumerate(workloads.WORKLOADS["exact-proof"].generate(seed)):
+            outcome = digest(lambda r: proof.run_round(r, lambda name: contextlib.nullcontext()), rnd)
+            print(json.dumps(["exact-proof rounds", f"{seed}/{i}", outcome]))
+    for bits in (8, 64, 128):
+        checks = digest(lambda b: certify_constants(TheoremConstants(), b), bits)
+        print(json.dumps(["certify_constants precisions", str(bits), checks]))
 
 
 def _run(src: str) -> dict:
+    """{set: {name: hashes}} of one tree."""
     child = subprocess.run(
         [sys.executable, __file__, "--hashes", src],
         capture_output=True, text=True, check=True, cwd=ROOT,
     )
-    return {name: hashes for name, *hashes in map(json.loads, child.stdout.splitlines())}
+    sets: dict = {}
+    for kind, name, *hashes in map(json.loads, child.stdout.splitlines()):
+        sets.setdefault(kind, {})[name] = hashes
+    return sets
 
 
 def main(argv=None) -> int:
@@ -93,12 +116,16 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD_SRC NEW_SRC")
-    old, new = (_run(src) for src in args.trees)
-    differ = sorted(set(old) ^ set(new)) + [n for n in old if n in new and old[n] != new[n]]
-    print(f"{len(old)} bodies, {len(differ)} differ")
-    for name in differ[:SHOWN]:
-        print(f"  {name}")
-    return 1 if differ else 0
+    old_sets, new_sets = (_run(src) for src in args.trees)
+    differing = 0
+    for kind in {**old_sets, **new_sets}:
+        old, new = old_sets.get(kind, {}), new_sets.get(kind, {})
+        differ = sorted(set(old) ^ set(new)) + [n for n in old if n in new and old[n] != new[n]]
+        print(f"{len(old)} {kind}, {len(differ)} differ")
+        for name in differ[:SHOWN]:
+            print(f"  {name}")
+        differing += len(differ)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
