@@ -1,44 +1,67 @@
 """Minimum-area circumscribed quadrilaterals.
 
-A circumscribed quadrilateral is parametrized by four support directions
-(angles on the circle): each direction contributes the supporting line of the
-body, and consecutive lines intersect in the corners.  A quadruple is feasible
-iff consecutive angle gaps stay below pi; a side may then have zero length,
-and the quadruple is a circumscribed triangle.
+A circumscribed quadrilateral is cut out by four support lines of the body
+at ascending outward normal angles, each gap between consecutive ones in
+(0, pi); a side may then have zero length, and it is a triangle.  Grouped by
+corner, with h the support values and g the gap from line i to line j,
 
-Both entry points share one exhaustive scan over a sorted set of directions.
-It splits the doubled area into four corner terms, one per pair of
-consecutive lines, and minimizes their sum over 4-cycles of directions with
-one min-plus product of the corner-term matrix with itself, a loop over the
-middle line: O(n^3) time and O(n^2) memory on n directions.
+    2A(a, b, c, d) = W(a, b) + W(b, c) + W(c, d) + W(d, a),
+    W(i, j) = (2 h_i h_j - (h_i^2 + h_j^2) cos g) / sin g.
 
-* :func:`brute_force_min_quad` scans a uniform angle grid and returns the
-  best quadruple, or the triangle it is when a side has collapsed.  It is
-  the reference oracle: exhaustive, no refinement, and its directions do not
-  depend on the body.
-* :func:`min_circumscribed_quadrilateral` scans the body's own edge normals.
-  At every coordinatewise minimum two adjacent sides lie flush with body
-  edges (Aggarwal, Chang and Yap, 1985), so these are the natural starts.
-  It refines the best few quadruples by exact cyclic coordinate descent, each
-  side moving in turn to its best angle by bisection over the body vertices
-  it can pivot about, with the other two corners held fixed.  A move is a
-  function of its neighbours' lines and angles and of the line opposite, and
-  takes just these as arguments, so the starts of one solve share one cache
-  of moves on them: a start that reaches a state an earlier start passed
-  through replays that start's moves instead of running them again.  At a
-  local minimum every side touches the body at the side's midpoint, which is
-  exactly the optimality condition the certificate measures.
+The structure of a minimum:
 
-The solver never assumes success: its output is wrapped in a
-:class:`CircumscriptionCertificate` with containment re-checked geometrically.
+* Midpoint property.  Each side of a locally minimal quadrilateral is flush
+  with a body edge or pivots at a body vertex that is its midpoint: turning
+  a side about a vertex changes the area by the triangle it sweeps, least
+  where the vertex bisects the side (:func:`midpoint_certificate` measures
+  this).
+* No two opposite pivots.  Opposite sides a and c meet at an apex A, and
+  the area is T - t: T the triangle of a, c and the side away from A, t the
+  triangle the side near A cuts off.  Among the lines through a vertex, the
+  cut-off triangle is least at the midpoint chord and grows either way, so
+  the far side pivots at its midpoint or is flush, and the near side, which
+  should make t large, is flush at an end of its vertex's normal cone.  If
+  a is parallel to c, the area is monotone in the pivot's angle.  So some
+  minimum is of one of three types:
+  (i) four flush sides: the least W(x, b) + W(b, y) + W(y, m) + W(m, x),
+      from the min-plus product M[x, y] = min over m of W(x, m) + W(m, y),
+      m running round the circle from x to y;
+  (ii) three flush sides x, y, m and a pivot b, the far side of the pair
+      (x, y), whose gap exceeds pi: line x reflected through b's vertex v
+      meets line y at the side's far corner R, b = vR, and the area is
+      W(x, b) + W(b, y) + M[y, x];
+  (iii) flush c, d and adjacent pivots a at u, b at w: their corner X is
+      where d reflected through u meets c reflected through w; a = uX,
+      b = wX.
+  A pivot counts only if its normal lies in its vertex's cone and every gap
+  lies in (0, pi).  On exact input (ii) and (iii) are rational.
+* For (ii) the two vertices of the flush argmin's edge suffice.  While b
+  turns from x to y, let lam be its contact's position on b, 0 at the
+  corner on x and 1 on y.  About one vertex the triangle x, b, y is
+  C / (lam (1 - lam)), and lam grows as b turns, also where the contact
+  steps along an edge.  So the area is unimodal in the turn: it falls while
+  lam < 1/2 and rises after, and its least lies in the cone of an end of
+  the edge k* of least flush area, or at k* when k* holds the midpoint.
+
+Type (iii) is not searched: the tests enumerate it, and every pivot vertex
+of type (ii), on random hulls, and neither has beaten (i) and (ii).
+
+* :func:`brute_force_min_quad`, the reference oracle, scans type (i) on a
+  uniform angle grid, anchored at the smallest index (no middle line passes
+  index 0), and returns the best quadruple, or the triangle it is when a
+  side has collapsed.
+* :func:`min_circumscribed_quadrilateral` solves (i) and (ii) on the body's
+  edge normals in one vectorized pass, :func:`_flush_and_pivot`: O(n^3)
+  time and O(n^2) memory.  Above 90 edges the pass runs on every k-th
+  normal, then on the true normals in windows around its four lines.  Its
+  output is wrapped in a :class:`CircumscriptionCertificate`, with
+  containment re-checked geometrically.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import List, Optional, Tuple
@@ -67,27 +90,19 @@ from .geometry import (
 
 # Two lines whose gap g has ``sin g`` at or below this meet in no corner of a
 # circumscribed quadrilateral: the gap is 0 or at least pi, or so near either
-# that the corner is lost to rounding.  The scan, the side moves and the
-# choice of scanned normals all use it.
+# that the corner is lost to rounding.  The scans, the pivots and the choice
+# of scanned normals all use it.
 _SIN_GAP_MIN = 1e-12
-# Relative tolerance of the solver: descent stops once a cycle gains less than
-# this fraction of the area, and it is the relative slack of the containment
-# check on float input.
+# Relative slack of the certificate's containment check on float input.
 _TOL = 1e-9
-# Coordinate descent can stop in a local minimum that another start beats.
-# The starts are the best (anchor, opposite) pairs of the edge-normal scan.
-# On the acceptance and held-out corpora 4 starts leave no body above the
-# uniform 90-grid solver this scan replaced (3 leave one 5e-3 above); 6 keeps
-# a margin.  A start costs only the side moves no earlier start of the solve
-# made: the others come from the solve's cache of moves (see _refine).
-_MAX_STARTS = 6
-# The solver scans about this many of the body's edge normals at most, so
-# that the O(n^3) scan stays under about 2 ms (1.6-1.9 ms for the 86 it
-# keeps of an ellipse 1024-gon, 2-core VM); see _scan_normals.
+# The solver's pass runs on about this many of the body's edge normals at
+# most, so that its O(n^3) product stays near 1 ms (2-core VM); see
+# _scan_normals.  A second pass takes at most _MAX_DIRECTIONS // 8 normals
+# either side of each of the first pass's four lines.
 _MAX_DIRECTIONS = 90
-# Descent cycles per start.  Refinement stops earlier once a cycle gains less
-# than ``_TOL``, which on the corpus families takes 2 to 4 cycles.
-_REFINE_CYCLES = 30
+# Wide pairs searched for pivots per vectorized step: on an ellipse 64-gon,
+# 4 steps of at most 0.1 MB of arrays, below the peak of building W.
+_PAIRS_PER_STEP = 512
 # Largest sup-norm diameter of a body the solver accepts.  The scan's support
 # values about the vertex mean are at most sqrt(2) times the diameter, so each
 # feasible corner term is below 8 * diam**2 / _SIN_GAP_MIN, and the scan's
@@ -209,20 +224,7 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     n = len(angles)
     cj, sj = np.cos(angles), np.sin(angles)
     hj = (V @ np.stack([cj, sj])).max(axis=0)
-    ci, si, hi = cj[:, None], sj[:, None], hj[:, None]
-    # The infeasible pairs may overflow; they are masked below.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sin_g = ci * sj
-        sin_g -= si * cj
-        cos_g = ci * cj
-        cos_g += si * sj
-        W = hi * hi + hj * hj
-        W *= cos_g
-        del cos_g
-        np.subtract(2.0 * hi * hj, W, out=W)
-        W /= sin_g
-    W[sin_g <= _SIN_GAP_MIN] = np.inf
-    del sin_g
+    W = _corner_terms(cj, sj, hj)
     M = _min_plus_product(W)
     # total[a, c]: the best doubled area with anchor a and opposite line c.
     total = M + M.T
@@ -242,6 +244,24 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
         (v, (a_, b_, c_, d_))
         for v, a_, b_, c_, d_ in zip(area.tolist(), a.tolist(), b, c.tolist(), d)
     ]
+
+
+def _corner_terms(c: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """W(i, j) of the lines (c, s, h); inf where ``sin g <= _SIN_GAP_MIN``."""
+    ci, si, hi = c[:, None], s[:, None], h[:, None]
+    # The infeasible pairs may overflow; they are masked below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sin_g = ci * s
+        sin_g -= si * c
+        cos_g = ci * c
+        cos_g += si * s
+        W = hi * hi + h * h
+        W *= cos_g
+        del cos_g
+        np.subtract(2.0 * hi * h, W, out=W)
+        W /= sin_g
+    W[sin_g <= _SIN_GAP_MIN] = np.inf
+    return W
 
 
 def _min_plus_product(W: np.ndarray) -> np.ndarray:
@@ -272,6 +292,128 @@ def _middles(W: np.ndarray, a, c, area):
     return b.tolist(), d.tolist()
 
 
+def _cyclic_product(D: np.ndarray):
+    """The min-plus product of the corner terms round the circle, by offset.
+
+    Indices run mod n, and entry [x, d] concerns the pair (x, y = x + d).
+    ``D[x, d] = W(x, y)``, stacked twice so that row x + n is row x.
+    Returns M[x, d] = min over m of W(x, m) + W(m, y), and K[x, d] the least
+    offset m - x attaining it.  Two finite terms have gaps in (0, pi), which
+    add up to the gap from x to y, so m runs round the circle from x to y,
+    also past index 0.  One step per first offset e is a rectangle: every
+    row x, second offsets 1..E, E the largest offset of a finite term.
+    """
+    n = len(D) // 2
+    E = int(np.isfinite(D[:n]).any(axis=0).nonzero()[0].max(initial=0))
+    M = np.full((n, n), np.inf)
+    K = np.zeros((n, n), dtype=np.int16)
+    sums = np.empty((n, E))
+    lower = np.empty((n, E), dtype=bool)
+    for e in range(1, min(E, n - 2) + 1):
+        L = min(E, n - 1 - e)
+        s, b, m = sums[:, :L], lower[:, :L], M[:, e + 1 : e + 1 + L]
+        np.add(D[:n, e, None], D[e : e + n, 1 : L + 1], out=s)
+        np.less(s, m, out=b)
+        np.minimum(m, s, out=m)
+        np.putmask(K[:, e + 1 : e + 1 + L], b, e)
+    return M, K
+
+
+def _pivots(nrm, h, v, K, x, d):
+    """Type-(ii) candidates of the wide pairs (x, y = x + d), indices mod n.
+
+    ``nrm`` and ``v`` hold each line's unit normal and first vertex as
+    complex numbers, ``h`` its support value.  The flush argmin k = x + K[x,
+    d] has its side's midpoint before edge k, after it, or on it; the least
+    pivot then turns about vertex k, about vertex k + 1, or is k itself, and
+    the pair is dropped.  The side bisected by vertex v has normal along
+    -(h'_y n_x + h'_x n_y), h'_x and h'_y being v's distances to lines x and
+    y.  Returns the kept pairs' indices and their (y, vertex, normal, W(x, b)
+    + W(b, y)), the last inf where b's normal leaves v's cone or a gap
+    leaves (0, pi).
+    """
+    n = len(nrm)
+    y, k = (x + d) % n, (x + K[x, d]) % n
+    k1 = (k + 1) % n
+    nx, ny, nk, hx, hy, hk = nrm[x], nrm[y], nrm[k], h[x], h[y], h[k]
+    gx, gy = nx.conjugate() * nk, nk.conjugate() * ny  # cos + i sin of the gaps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Twice the midpoint and the edge's ends, as positions along k's tangent.
+        mid = (hk * gx.real - hx) / gx.imag + (hy - hk * gy.real) / gy.imag
+    first = mid < 2.0 * (nk.conjugate() * v[k]).imag
+    kept = np.flatnonzero(first | (mid > 2.0 * (nk.conjugate() * v[k1]).imag))
+    j = np.where(first, k, k1)[kept]
+    nx, ny, hx, hy, y = nx[kept], ny[kept], hx[kept], hy[kept], y[kept]
+    vj = v[j]
+    u = (hy - (ny.conjugate() * vj).real) * nx
+    u += (hx - (nx.conjugate() * vj).real) * ny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u /= -np.abs(u)
+        hb = (u.conjugate() * vj).real
+        gx, gy = nx.conjugate() * u, u.conjugate() * ny
+        area = (2.0 * hx * hb - (hx * hx + hb * hb) * gx.real) / gx.imag
+        area += (2.0 * hb * hy - (hb * hb + hy * hy) * gy.real) / gy.imag
+    ok = (gx.imag > _SIN_GAP_MIN) & (gy.imag > _SIN_GAP_MIN)
+    ok &= (nrm[j - 1].conjugate() * u).imag >= 0.0  # b's normal in the cone
+    ok &= (u.conjugate() * nrm[j]).imag >= 0.0
+    area[~ok] = np.inf
+    return kept, (y, j, u, area)
+
+
+def _flush_and_pivot(c: np.ndarray, s: np.ndarray, h: np.ndarray, v: np.ndarray):
+    """Least doubled area over the quadrilaterals of types (i) and (ii).
+
+    The lines have unit outward normals (c, s) at sorted angles and support
+    values ``h``; they cut out a polygon around the body whose vertex
+    between lines j - 1 and j is ``v[j]``, complex, nan if they do not meet.
+    Both are taken about a point near the body, so that W does not cancel.
+    Returns (doubled area, sides), the sides in ccw order: (k, None) for the
+    flush line k, (j, (cos, sin)) for a pivot at vertex j.  Type (ii) takes
+    the wide pairs ``_PAIRS_PER_STEP`` at a time.  The first pair in
+    row-major order wins ties, and flush sides beat a pivot of equal area.
+    Raises NoFeasibleQuadruple when no four lines have gaps in (0, pi).
+    """
+    n = len(c)
+    W = _corner_terms(c, s, h)
+    # Entry [x, d] concerns the pair (x, y = x + d mod n).
+    x, d = np.arange(n)[:, None], np.arange(n)
+    D = np.take(W, x * n + (x + d) % n)
+    del W
+    wide = np.isinf(D)
+    D = np.concatenate([D, D])
+    M, K = _cyclic_product(D)
+    del D
+    back = np.take(M, (x + d) % n * n + (n - d) % n)  # M[y, x]
+    total = M + back
+    i = int(total.argmin())
+    area = float(total.flat[i])
+    if not math.isfinite(area):
+        raise NoFeasibleQuadruple(
+            f"no four of the {n} directions have consecutive gaps below pi"
+        )
+    pairs = np.flatnonzero(wide & np.isfinite(total))
+    back = back.flat[pairs]
+    del M, total, wide
+
+    def sides_of(x, y, b):  # the flush pair x, y, the side b after x, the middle after y
+        return (x, None), b, (y, None), ((y + int(K[y, (x - y) % n])) % n, None)
+
+    x, d = divmod(i, n)
+    sides = sides_of(x, (x + d) % n, ((x + int(K[x, d])) % n, None))
+    nrm = c + 1j * s
+    for lo in range(0, len(pairs), _PAIRS_PER_STEP):
+        step = slice(lo, lo + _PAIRS_PER_STEP)
+        x, d = np.divmod(pairs[step], n)
+        kept, (y, j, u, value) = _pivots(nrm, h, v, K, x, d)
+        value += back[step][kept]
+        if len(value) and value.min() < area:
+            p = int(value.argmin())
+            area = float(value[p])
+            sides = sides_of(int(x[kept[p]]), int(y[p]), (int(j[p]), (float(u[p].real), float(u[p].imag))))
+        del kept, y, j, u, value  # before the next step's arrays
+    return area, sides
+
+
 def _scan_normals(normals: List[float]) -> List[float]:
     """The edge normals the solver scans: all of them up to 90 edges.
 
@@ -279,6 +421,8 @@ def _scan_normals(normals: List[float]) -> List[float]:
     would lie pi or more apart: every normal between them is kept there, for
     no quadruple spans such a gap (a half-disk's flat side makes one).
     """
+    if len(normals) <= _MAX_DIRECTIONS:
+        return list(normals)
     step = math.ceil(len(normals) / _MAX_DIRECTIONS)
     picked = []
     for i in range(0, len(normals), step):
@@ -311,11 +455,10 @@ def _float_support(
 def _quad_from_lines(lines, tiny: float):
     """Area and corners of the quadrilateral cut out by four support lines.
 
-    ``lines`` holds (cos, sin, h) per side, at ascending angles that span
-    less than 2*pi; three lines give a triangle.  Returns (inf, None) for
-    infeasible configurations: a gap outside (0, pi), a crossed edge, or an
-    edge no longer than ``tiny``, which has collapsed into a corner and
-    leaves a triangle no side move can leave.
+    ``lines`` holds (cos, sin, h) per side, in ccw order spanning less than
+    2*pi; three lines give a triangle.  Returns (inf, None) for infeasible
+    configurations: a gap outside (0, pi), a crossed edge, or an edge no
+    longer than ``tiny``, which has collapsed into a corner.
     """
     k = len(lines)
     corners = []
@@ -335,202 +478,6 @@ def _quad_from_lines(lines, tiny: float):
             return math.inf, None
         twice += xi * yj - yi * xj
     return twice / 2.0, corners
-
-
-def _side_evaluator(prev_line, next_line, opposite_line, i: int, tiny: float):
-    """Area of a quadrilateral as a function of side i's line alone.
-
-    The other three (cos, sin, h) lines are fixed: side i's neighbours and
-    the line opposite.  A move of side i changes only the two corners on it.
-    The other two corners, the side between them and its shoelace term are
-    computed once here; the returned ``area(c, s, h)`` then needs two
-    intersections, three side checks and the four shoelace terms, added in
-    the order of :func:`_quad_from_lines`, whose value it equals bit for
-    bit.  Returns None when the fixed part is infeasible, so that every
-    position of side i is.
-    """
-    cp, sp, hp = prev_line
-    cn, sn, hn = next_line
-    co, so, ho = opposite_line
-    det = cn * so - co * sn
-    if det <= _SIN_GAP_MIN:
-        return None
-    x1, y1 = (hn * so - ho * sn) / det, (cn * ho - co * hn) / det  # corner i+1
-    det = co * sp - cp * so
-    if det <= _SIN_GAP_MIN:
-        return None
-    x2, y2 = (ho * sp - hp * so) / det, (co * hp - cp * ho) / det  # corner i+2
-    if co * (y2 - y1) - so * (x2 - x1) <= tiny:
-        return None
-    fixed = x1 * y2 - y1 * x2
-
-    def area(c: float, s: float, h: float) -> float:
-        det = cp * s - c * sp
-        if det <= _SIN_GAP_MIN:
-            return math.inf
-        xa, ya = (hp * s - h * sp) / det, (cp * h - c * hp) / det  # corner i-1
-        det = c * sn - cn * s
-        if det <= _SIN_GAP_MIN:
-            return math.inf
-        xb, yb = (h * sn - hn * s) / det, (c * hn - cn * h) / det  # corner i
-        if (
-            cp * (ya - y2) - sp * (xa - x2) <= tiny
-            or c * (yb - ya) - s * (xb - xa) <= tiny
-            or cn * (y1 - yb) - sn * (x1 - xb) <= tiny
-        ):
-            return math.inf
-        ta, tb, tc = xa * yb - ya * xb, xb * y1 - yb * x1, x2 * ya - y2 * xa
-        if i == 0:
-            return (tb + fixed + tc + ta) / 2.0
-        if i == 1:
-            return (ta + tb + fixed + tc) / 2.0
-        if i == 2:
-            return (tc + ta + tb + fixed) / 2.0
-        return (fixed + tc + ta + tb) / 2.0
-
-    return area
-
-
-def _side_move(support: Support, i: int, prev_angle: float, next_angle: float,
-               prev_line, next_line, opposite_line):
-    """(area, angle, line) of side i's best position, or None if it has none.
-
-    Side i may turn between its neighbours' angles, up to pi from either.  On
-    each piece of that range between two edge normals it pivots about one
-    contact p, and the area is a constant plus or minus the triangle that
-    side i cuts from its neighbouring lines; that triangle is smallest where
-    p bisects the side.  If the neighbours' normals are over pi apart it
-    adds, and the piece's candidate is the bisecting angle clipped to the
-    piece; else it subtracts, and the candidate is the piece end.  A
-    candidate at the piece start is none: the previous piece's is no higher.
-    Piece j has contact ``contacts[(k0 + j) % m]`` and ends at the matching
-    normal, unrolled past 2*pi, so any candidate costs O(1).
-
-    The best position is the first candidate of least area, as a walk over
-    every piece finds it; the range is bisected for it (see :func:`_refine`).
-
-    The solver caches moves on their arguments (see :func:`_refine`).  The
-    cache compares floats by value, so ``0.0`` and ``-0.0`` share an entry,
-    and a state that differs from an earlier one only in the sign of a zero
-    gets the earlier state's move.
-    """
-    prev = prev_angle - (_TWO_PI if i == 0 else 0.0)
-    nxt = next_angle + (_TWO_PI if i == 3 else 0.0)
-    lo, hi = max(prev, nxt - math.pi), min(prev + math.pi, nxt)
-    area_of = _side_evaluator(prev_line, next_line, opposite_line, i, support.tiny)
-    if area_of is None or not lo < hi:
-        return None
-    normals, contacts = support.normals, support.contacts
-    m = len(normals)
-    k0 = bisect_right(normals, lo % _TWO_PI)
-    base = lo - lo % _TWO_PI
-    # The normals past 2*pi end their pieces at wrapped + normal, summed in
-    # this order: another rounding picks another of a regular hexagon's equal
-    # minima, and with it another case.
-    wrapped = base + _TWO_PI
-    # The last piece is the first whose normal lies at or past hi.
-    last = bisect_left(normals, hi, k0, m, key=lambda phi: base + phi) - k0
-    if k0 + last == m:
-        last += bisect_left(normals, hi, 0, m, key=lambda phi: wrapped + phi)
-
-    cp, sp, hp = prev_line
-    cn, sn, hn = next_line
-    det = cp * sn - cn * sp  # sin(nxt - prev)
-
-    def candidate(j: int):
-        """(area, angle, line) of piece j's candidate; (inf, None, None) if none."""
-        k = k0 + j
-        if j == 0:
-            start = lo
-        else:
-            start = base + normals[k - 1] if k <= m else wrapped + normals[k - 1 - m]
-        end = base + normals[k] if k < m else wrapped + normals[k - m]
-        if end > hi:
-            end = hi
-        px, py = contacts[k % m]
-        theta = end
-        if det < 0.0:
-            b1 = hp - (cp * px + sp * py)
-            b2 = (cn * px + sn * py) - hn
-            # p + s lies on the previous line and p - s on the next one.
-            sx = (b1 * sn - b2 * sp) / det
-            sy = (cp * b2 - cn * b1) / det
-            mid = 0.5 * (start + end)
-            theta = mid + math.remainder(math.atan2(sx, -sy) - mid, _TWO_PI)
-            theta = start if theta < start else end if theta > end else theta
-        if theta <= start:
-            return math.inf, None, None
-        c, s = math.cos(theta), math.sin(theta)
-        h = px * c + py * s
-        return area_of(c, s, h), theta, (c, s, h)
-
-    found = [None] * (last + 1)
-
-    def value(j: int) -> float:
-        if found[j] is None:
-            found[j] = candidate(j)
-        return found[j][0]
-
-    a, b = 0, last
-    while a < b:
-        j = (a + b) // 2
-        if value(j + 1) >= value(j):
-            b = j
-        else:
-            a = j + 1
-    # Widen to the near-flat stretch around the bisection's piece; an
-    # infeasible piece widens it to the whole range.
-    near = value(a)
-    near += 1e-12 * abs(near)
-    b = a
-    while a > 0 and value(a - 1) <= near:
-        a -= 1
-    while b < last and value(b + 1) <= near:
-        b += 1
-    area, theta, line = min(found[a : b + 1], key=itemgetter(0))  # the first of least area
-    return None if line is None else (area, theta, line)
-
-
-def _refine(support: Support, angles: List[float], move):
-    """Cyclic exact coordinate descent over the four side angles.
-
-    Each side in turn moves to its best position if that lowers the area.
-    ``move`` is :func:`_side_move` with ``support`` bound.  The solver
-    passes every start of a solve one ``functools.cache`` of it, so each
-    distinct move runs once per solve, and a start that reaches a state an
-    earlier start passed through replays that start's moves; a cached move
-    is the computed one, so the cache changes no result.
-    A move's candidates, one per piece of its range (:func:`_side_move`), are
-    taken to have areas that fall and then rise along the range, as the
-    area's derivative has the sign of the contact's offset from the side's
-    midpoint.  With that shape a bisection finds the first piece whose
-    successor is not lower in O(log m) area evaluations.  The shape does not
-    always hold: on ``gen_corpus("random", 12, seed=900228, vertices=48)[11]``
-    from the start at scanned normals (1, 5, 7, 10), side 1's candidate
-    areas fall, rise and fall again, the move takes a worse candidate than a
-    walk over every piece would, and the descent from that start ends 2.2%
-    above the walk's.  Another start recovers the answer there;
-    ``TestSideMove::test_bisection_is_the_walk`` pins the walk's result on
-    the test bodies.  Rounding makes equal minima (of a pentagon, a hexagon
-    or an ellipse) unequal, so the move then takes the first least area over
-    the stretch around that piece within 1e-12 of it, as a walk over every
-    piece would; if the bisection ends on an infeasible piece, that stretch
-    is the whole range.  Each evaluation holds the two corners off side i
-    fixed (:func:`_side_evaluator`), and equals the full shoelace sum bit for
-    bit.
-    """
-    lines = [support.line(theta) for theta in angles]
-    area, _ = _quad_from_lines(lines, support.tiny)
-    for _ in range(_REFINE_CYCLES):
-        area_before = area
-        for i in range(4):
-            best = move(i, angles[i - 1], angles[(i + 1) % 4],
-                        lines[i - 1], lines[(i + 1) % 4], lines[(i + 2) % 4])
-            if best is not None and best[0] < area:
-                area, angles[i], lines[i] = best
-        if area_before - area <= _TOL * abs(area):
-            break
-    return area, lines
 
 
 def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
@@ -566,17 +513,55 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
     return ConvexPolygon(corners)
 
 
+def _solve_on(support: Support, picked: np.ndarray, origin: np.ndarray):
+    """(doubled area, lines) of :func:`_flush_and_pivot` on some edge normals.
+
+    ``picked`` are ascending indices into ``support.normals``.  Their edge
+    lines cut out a polygon around the body, whose vertex between two lines
+    is the body's own where the normals are consecutive, and the lines'
+    corner elsewhere.  The pass runs about ``origin``; the four (cos, sin,
+    h) lines come back in the body's frame at ascending angles.
+    """
+    angles = np.array(support.normals)[picked]
+    c, s = np.cos(angles), np.sin(angles)
+    px, py = np.array(support.contacts)[picked].T  # each edge's first vertex
+    h = px * c + py * s
+    if len(picked) < len(support.normals):
+        # Where lines i - 1 and i hold edges that do not meet, their corner is the vertex.
+        i = np.flatnonzero((picked - np.roll(picked, 1)) % len(support.normals) != 1)
+        p = i - 1
+        det = c[p] * s[i] - c[i] * s[p]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            px[i] = (h[p] * s[i] - h[i] * s[p]) / det
+            py[i] = (c[p] * h[i] - c[i] * h[p]) / det
+        px[i[det <= _SIN_GAP_MIN]] = np.nan  # the lines meet in no corner
+    ox, oy = origin
+    area, sides = _flush_and_pivot(c, s, h - (ox * c + oy * s), (px - ox) + 1j * (py - oy))
+    found = []
+    for j, pivot in sides:
+        if pivot is None:
+            theta = support.normals[picked[j]]
+            found.append((theta, support.line(theta)))
+        else:
+            cb, sb = pivot
+            line = (cb, sb, float(px[j] * cb + py[j] * sb))
+            found.append((math.atan2(sb, cb) % _TWO_PI, line))
+    found.sort(key=itemgetter(0))
+    return area, [line for _, line in found]
+
+
 def min_circumscribed_quadrilateral(
     body: ConvexPolygon, support: Optional[Support] = None
 ) -> Tuple[ConvexPolygon, CircumscriptionCertificate]:
     """Minimum-area quadrilateral containing ``body``, with certificate.
 
-    Scans quadruples of the body's own edge normals (every k-th one on a body
-    of more than 90 edges) for global structure, then refines the best few
-    distinct starts locally.  The result never exceeds the best scanned
-    candidate.  A triangular body is its own witness: the result is then the
-    body's 3-vertex polygon (no strictly smaller quadrilateral exists),
-    otherwise a :class:`Quadrilateral`.
+    Solves types (i) and (ii) of the module docstring on the body's edge
+    normals in one pass.  On a body of more than 90 edges that pass runs on
+    every k-th normal, and the same pass then runs once more on the true
+    normals within k (at most 11) of each of the four lines it found; the
+    lesser answer wins.  A triangular body is its own witness: the result
+    is then the body's 3-vertex polygon (no strictly smaller quadrilateral
+    exists), otherwise a :class:`Quadrilateral`.
 
     ``support`` is the :class:`Support` oracle of the body in floats, when the
     caller holds one; the solver and the certificate read the body through it.
@@ -585,18 +570,21 @@ def min_circumscribed_quadrilateral(
     if len(poly) == 3:
         return poly, midpoint_certificate(poly, poly, support)
 
-    normals = _scan_normals(support.normals)
-    move = functools.cache(functools.partial(_side_move, support))
-    area, lines = min(
-        _refine(support, [normals[k] for k in idx], move)
-        for _, idx in _scan_support_directions(poly, np.array(normals), _MAX_STARTS)
-    )
-    if not math.isfinite(area):
-        raise NoFeasibleQuadruple("refinement lost every candidate")
+    normals = support.normals
+    origin = np.asarray(poly.vertices, dtype=float).mean(axis=0)
+    picked = np.searchsorted(normals, _scan_normals(normals))
+    area, lines = _solve_on(support, picked, origin)
+    if len(picked) < len(normals):
+        half = min(math.ceil(len(normals) / _MAX_DIRECTIONS), _MAX_DIRECTIONS // 8)
+        found = np.searchsorted(normals, [math.atan2(s, c) % _TWO_PI for c, s, _ in lines])
+        window = np.unique((found + np.arange(-half, half + 1)[:, None]) % len(normals))
+        area, lines = min((area, lines), _solve_on(support, window, origin), key=itemgetter(0))
 
     _, corners = _quad_from_lines(lines, support.tiny)
+    if corners is None:
+        raise NoFeasibleQuadruple("the least quadrilateral has a side of zero length")
     quad = Quadrilateral(corners)
     cert = midpoint_certificate(poly, quad, support)
     if not cert.contains_body:
-        raise SolverFailure("refined quadrilateral fails the containment check")
+        raise SolverFailure("the solver's quadrilateral fails the containment check")
     return quad, cert

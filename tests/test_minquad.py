@@ -1,7 +1,5 @@
 """Minimum circumscribed quadrilateral solver and the midpoint identity."""
 
-import bisect
-import functools
 import itertools
 import math
 import random
@@ -15,7 +13,6 @@ from hypothesis import strategies as st
 
 from circumquad import (
     BadParams,
-    CircumquadError,
     ConvexPolygon,
     DegenerateBody,
     DegenerateInput,
@@ -40,13 +37,8 @@ from circumquad.geometry import (
     midpoint,
 )
 from circumquad.minquad import (
-    _float_support,
-    _quad_from_lines,
-    _refine,
     _scan_normals,
     _scan_support_directions,
-    _side_evaluator,
-    _side_move,
     midpoint_certificate,
 )
 
@@ -64,11 +56,6 @@ def random_rational_quad(rng):
             continue
         if len(hull) == 4:
             return Quadrilateral(tuple(hull.vertices))
-
-
-def side_move_miss():
-    """A 12-vertex hull on which a bisecting side move misses the walk's choice."""
-    return gen_corpus("random", 12, seed=900228, vertices=48)[11]
 
 
 def half_disk(n):
@@ -676,248 +663,187 @@ class TestMidpointCertificate:
         assert len(queries) == 4
 
 
-TWO_PI = 2 * math.pi
+def _lines_area(normals, h):
+    """Area of each quadrilateral cut out by four (normal, h) lines in ccw order.
+
+    ``normals`` has shape (count, 4, 2) and ``h`` (count, 4).  A quadruple
+    whose gaps do not wind once round the circle, each in (0, pi), is nan.
+    """
+    nxt = np.roll(normals, -1, axis=1)
+    sin = normals[..., 0] * nxt[..., 1] - normals[..., 1] * nxt[..., 0]
+    cos = (normals * nxt).sum(axis=-1)
+    gaps = np.arctan2(sin, cos) % (2 * math.pi)
+    hn = np.roll(h, -1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (h * nxt[..., 1] - hn * normals[..., 1]) / sin
+        y = (normals[..., 0] * hn - nxt[..., 0] * h) / sin
+        twice = (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
+    ok = (sin > 1e-12).all(axis=1) & np.isclose(gaps.sum(axis=1), 2 * math.pi)
+    return np.where(ok, twice / 2, np.nan)
+
+
+def _through(v, far):
+    """Unit normals of the sides from the corner ``2 v - far`` to ``far``, in ccw order."""
+    t = far - v
+    normal = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+
+
+def _reflect(normal, h, v):
+    """Support value of the line (normal, h) reflected through v."""
+    return 2 * (normal * v).sum(axis=-1) - h
+
+
+def _meet(n1, h1, n2, h2):
+    det = n1[..., 0] * n2[..., 1] - n1[..., 1] * n2[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([(h1 * n2[..., 1] - h2 * n1[..., 1]) / det,
+                         (n1[..., 0] * h2 - n2[..., 0] * h1) / det], axis=-1)
+
+
+def enumerate_stationary(poly):
+    """Least area of each type of stationary quadrilateral, by brute force.
+
+    Independent of the solver: every 4-set of edge lines (type i); every
+    pivot at every vertex between any two edge lines x and y, with a third
+    edge line after y (type ii); every two adjacent pivots at any two
+    vertices u and w followed by any two edge lines c and d (type iii).  A
+    pivot is the side whose midpoint is its vertex, and counts only if its
+    normal lies in the vertex's cone.  Returns {type: least area}.
+    """
+    V = np.array(poly.vertices, dtype=float)
+    n = len(V)
+    edge = np.roll(V, -1, axis=0) - V  # edge i runs from vertex i to i + 1
+    N = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    H = (N * V).sum(axis=1)
+
+    def in_cone(normal, v):
+        # Vertex v lies between edges v - 1 and v.
+        before, after = N[v - 1], N[v]
+        return ((before[..., 0] * normal[..., 1] - before[..., 1] * normal[..., 0] >= 0)
+                & (normal[..., 0] * after[..., 1] - normal[..., 1] * after[..., 0] >= 0))
+
+    def least(area, valid=True):
+        return float(np.min(area[valid & ~np.isnan(area)], initial=np.inf))
+
+    best = {}
+    four = np.array(list(itertools.combinations(range(n), 4)))
+    best["i"] = least(_lines_area(N[four], H[four]))
+
+    x, y, m, v = (a.ravel() for a in np.meshgrid(*[np.arange(n)] * 4, indexing="ij"))
+    keep = (x != y) & (y != m) & (m != x)
+    x, y, m, v = x[keep], y[keep], m[keep], v[keep]
+    far = _meet(N[x], _reflect(N[x], H[x], V[v]), N[y], H[y])  # the corner on y
+    nb = _through(V[v], far)
+    hb = (nb * V[v]).sum(axis=1)
+    area = _lines_area(np.stack([N[x], nb, N[y], N[m]], axis=1),
+                       np.stack([H[x], hb, H[y], H[m]], axis=1))
+    best["ii"] = least(area, in_cone(nb, v))
+
+    c, d, u, w = (a.ravel() for a in np.meshgrid(*[np.arange(n)] * 4, indexing="ij"))
+    keep = (c != d) & (u != w)
+    c, d, u, w = c[keep], d[keep], u[keep], w[keep]
+    X = _meet(N[d], _reflect(N[d], H[d], V[u]), N[c], _reflect(N[c], H[c], V[w]))
+    na = _through(V[u], X)  # from the corner on d to X
+    nb = _through(V[w], 2 * V[w] - X)  # from X to the corner on c
+    ha, hb = (na * V[u]).sum(axis=1), (nb * V[w]).sum(axis=1)
+    area = _lines_area(np.stack([na, nb, N[c], N[d]], axis=1),
+                       np.stack([ha, hb, H[c], H[d]], axis=1))
+    best["iii"] = least(area, in_cone(na, u) & in_cone(nb, w))
+    return best
+
+
+# Bodies on which coordinate descent from the edge-normal scan's starts
+# stopped above the minimum, with the area it returned.
+DESCENT_MISSES = {
+    "acceptance-186": (lambda: gen_corpus("random", 150, seed=20260815, vertices=16)[36], 2.336783540096403),
+    "random-6-625": (lambda: gen_corpus("random", 1000, seed=424248, vertices=6)[625], 1.4752769655931162),
+    "random-9-434": (lambda: gen_corpus("random", 1000, seed=424251, vertices=9)[434], 1.920956321491124),
+    "random-10-367": (lambda: gen_corpus("random", 1000, seed=424252, vertices=10)[367], 2.1312588363139358),
+    "random-10-394": (lambda: gen_corpus("random", 1000, seed=424252, vertices=10)[394], 2.3503800362872256),
+    "random-12-665": (lambda: gen_corpus("random", 1000, seed=424254, vertices=12)[665], 1.6339678224049528),
+}
 
 
 @st.composite
-def four_lines(draw):
-    """Four (cos, sin, h) lines at ascending angles.
-
-    Most are support lines of a few points, at gaps that mostly lie in
-    (0, pi): feasible quadrilaterals.  The others have free support values,
-    which cross edges; three lines through one point, which leave a side of
-    zero length; or gaps from below 0 to above pi.
-    """
-    kind = draw(st.sampled_from(["support"] * 3 + ["free", "pinched", "wide"]))
-    if kind == "wide":
-        gaps = draw(st.lists(st.floats(-0.5, 3.6), min_size=3, max_size=3))
-    else:
-        weights = draw(st.lists(st.floats(0.3, 1.0), min_size=4, max_size=4))
-        gaps = [TWO_PI * w / sum(weights) for w in weights[:3]]
-    angles = [draw(st.floats(0, TWO_PI))]
-    for g in gaps:
-        angles.append(angles[-1] + g)
-    cs = [(math.cos(a), math.sin(a)) for a in angles]
-    if kind in ("support", "wide"):
-        point = st.tuples(st.floats(-5, 5), st.floats(-5, 5))
-        pts = draw(st.lists(point, min_size=3, max_size=6))
-        hs = [max(x * c + y * s for x, y in pts) for c, s in cs]
-    else:
-        hs = draw(st.lists(st.floats(-3, 3), min_size=4, max_size=4))
-    if kind == "pinched":
-        x, y = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
-        j = draw(st.integers(0, 3))
-        for k in (j - 1, j, (j + 1) % 4):
-            hs[k] = x * cs[k][0] + y * cs[k][1]
-    return [(c, s, h) for (c, s), h in zip(cs, hs)]
+def small_hulls(draw):
+    """The float hull of 4 to 12 integer points, with at least 4 vertices."""
+    pts = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                        min_size=4, max_size=12, unique=True))
+    try:
+        hull = convex_hull(pts)
+    except DegenerateInput:
+        assume(False)
+    assume(len(hull) >= 4)
+    return hull.to_float()
 
 
-class TestSideMove:
-    @settings(max_examples=400, deadline=None)
-    @given(four_lines(), st.sampled_from([0.0, 1e-12, 1e-3]))
-    def test_side_evaluation_is_bit_for_bit(self, lines, tiny):
-        # The area with three lines held fixed equals the full shoelace sum
-        # exactly, so that descent takes the same steps either way.
-        expected, _ = _quad_from_lines(lines, tiny)
-        for i in range(4):
-            area = _side_evaluator(lines[i - 1], lines[(i + 1) % 4], lines[(i + 2) % 4], i, tiny)
-            if area is None:
-                assert expected == math.inf
-            else:
-                assert area(*lines[i]) == expected
+class TestFlushAndPivot:
+    @pytest.mark.parametrize("name", sorted(DESCENT_MISSES))
+    def test_descent_misses_are_found(self, name):
+        body, descent = DESCENT_MISSES[name]
+        body = body()
+        quad, cert = min_circumscribed_quadrilateral(body)
+        assert cert.contains_body
+        assert float(quad.area) <= descent * (1 - 1e-4)
+        oracle = brute_force_min_quad(body, grid=180)
+        assert float(quad.area) <= float(oracle.area) + 1e-6 * float(body.area)
+        stationary = enumerate_stationary(body.to_float())
+        assert float(quad.area) == pytest.approx(min(stationary.values()), rel=1e-12)
 
-    @staticmethod
-    def walk_candidates(support, angles, lines, i):
-        """(angle, line) of side i's candidate on every piece of its range, in order."""
-        prev = angles[i - 1] - (TWO_PI if i == 0 else 0.0)
-        nxt = angles[(i + 1) % 4] + (TWO_PI if i == 3 else 0.0)
-        lo, hi = max(prev, nxt - math.pi), min(prev + math.pi, nxt)
-        cp, sp, hp = lines[i - 1]
-        cn, sn, hn = lines[(i + 1) % 4]
-        det = cp * sn - cn * sp
-        k = bisect.bisect_right(support.normals, lo % TWO_PI)
-        base = lo - lo % TWO_PI
-        start = lo
-        while start < hi:
-            if k == len(support.normals):
-                k, base = 0, base + TWO_PI
-            end = min(base + support.normals[k], hi)
-            px, py = support.contacts[k]
-            theta = end
-            if det < 0.0:
-                b1 = hp - (cp * px + sp * py)
-                b2 = (cn * px + sn * py) - hn
-                sx = (b1 * sn - b2 * sp) / det
-                sy = (cp * b2 - cn * b1) / det
-                mid = 0.5 * (start + end)
-                theta = mid + math.remainder(math.atan2(sx, -sy) - mid, TWO_PI)
-                theta = min(max(theta, start), end)
-            if theta > start:
-                c, s = math.cos(theta), math.sin(theta)
-                yield theta, (c, s, px * c + py * s)
-            start, k = end, k + 1
+    @settings(max_examples=120, deadline=None)
+    @given(small_hulls())
+    @example(poly=DESCENT_MISSES["random-6-625"][0]().to_float())
+    @example(poly=regular_polygon(6).to_float())
+    def test_no_stationary_quadrilateral_is_smaller(self, poly):
+        # Types (i) and (ii) with the two contacts next to the flush
+        # argmin are the solver's; every pivot vertex and type (iii) are not.
+        quad, _ = min_circumscribed_quadrilateral(poly)
+        stationary = enumerate_stationary(poly)
+        assert float(quad.area) <= min(stationary.values()) * (1 + 1e-12)
 
-    def walk_refine(self, support, angles):
-        """Coordinate descent that evaluates every piece and keeps the first least area."""
-        lines = [support.line(theta) for theta in angles]
-        area, _ = _quad_from_lines(lines, support.tiny)
-        for _ in range(minquad._REFINE_CYCLES):
-            area_before = area
-            for i in range(4):
-                cand = list(lines)
-                for theta, line in self.walk_candidates(support, angles, lines, i):
-                    cand[i] = line
-                    value, _ = _quad_from_lines(cand, support.tiny)
-                    if value < area:
-                        area, angles[i], lines[i] = value, theta, line
-            if area_before - area <= minquad._TOL * abs(area):
-                break
-        return area, lines
-
-    @pytest.mark.parametrize(
-        "name",
-        [f"regular-{k}" for k in range(4, 13)]
-        + sorted(n for n in SCAN_BODIES if "triangle" not in n)
-        + ["ellipse-1024", "half-disk-201"]
-        + [
-            pytest.param(
-                "random-900228",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=AssertionError,
-                    reason="the candidate areas along one side's range are not unimodal",
-                ),
-            )
-        ],
-    )
-    def test_bisection_is_the_walk(self, name):
-        # Triangles have no starts: the scan finds no quadruple on 3 normals.
-        if name.startswith("regular-"):
-            body = regular_polygon(int(name.split("-")[1]))
-        elif name == "ellipse-1024":
-            body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
-        elif name == "random-900228":
-            body = side_move_miss()
-        elif name == "half-disk-201":
-            body = half_disk(200)
+    @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
+    @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
+    def test_cyclic_product_is_the_direct_minimum(self, name, directions):
+        # M[x, d] and K[x, d] of the pair (x, x + d) against a loop over the
+        # middle line m, the first offset from x of least sum winning.
+        poly = SCAN_BODIES[name].to_float()
+        if directions == "edges":
+            angles = np.array(edge_normals(poly))
         else:
-            body = SCAN_BODIES[name]
-        poly, support = _float_support(body)
-        normals = _scan_normals(support.normals)
-        starts = _scan_support_directions(poly, np.array(normals), minquad._MAX_STARTS)
-        for _, idx in starts:
-            angles = [normals[k] for k in idx]
-            uncached = functools.partial(_side_move, support)
-            assert _refine(support, list(angles), uncached) == self.walk_refine(support, list(angles))
+            angles = np.array([2 * math.pi * k / directions for k in range(directions)])
+        n = len(angles)
+        c, s = np.cos(angles), np.sin(angles)
+        h = (np.array(poly.vertices) @ np.stack([c, s])).max(axis=0)
+        W = minquad._corner_terms(c, s, h)
+        D = np.array([[W[x, (x + e) % n] for e in range(n)] for x in range(n)])
+        M, K = minquad._cyclic_product(np.concatenate([D, D]))
+        for x in range(n):
+            for d in range(n):
+                sums = [W[x, (x + e) % n] + W[(x + e) % n, (x + d) % n] for e in range(1, d)]
+                least = min(sums, default=math.inf)
+                assert M[x, d] == least
+                if math.isfinite(least):
+                    assert K[x, d] == 1 + sums.index(least)
 
-    def test_another_start_recovers_the_side_move_miss(self):
-        # Starts (1, 5, 7, 10) and (1, 5, 8, 10) end at 3.012743 by
-        # bisection, where the walk ends at 2.947470; another start reaches it.
-        quad, _ = min_circumscribed_quadrilateral(side_move_miss())
-        assert float(quad.area) == pytest.approx(2.947470144478123, rel=1e-12)
+    def test_solver_memory(self):
+        # The pivot pass takes wide pairs in steps, so that the solve's peak
+        # stays that of building the corner terms, which the grid scan shares.
+        poly = SCAN_BODIES["ellipse-64"].to_float()
+        support = Support(poly)
 
-    @staticmethod
-    def assert_memo_changes_no_result(body):
-        # The solver again with an uncached move for each start, as if no
-        # move were shared: the same answer bit for bit, or the same error.
-        def outcome():
+        def peak(call):
+            tracemalloc.start()
             try:
-                quad, cert = min_circumscribed_quadrilateral(body)
-            except CircumquadError as exc:
-                return repr(exc)
-            return repr((quad.vertices, cert))
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        shared = outcome()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                minquad,
-                "_refine",
-                lambda support, angles, move: _refine(
-                    support, angles, functools.partial(minquad._side_move, support)
-                ),
-            )
-            assert outcome() == shared
-
-    @pytest.mark.parametrize(
-        "name", sorted(n for n in SCAN_BODIES if "triangle" not in n) + ["random-900228"]
-    )
-    def test_memo_changes_no_result(self, name):
-        body = side_move_miss() if name == "random-900228" else SCAN_BODIES[name]
-        self.assert_memo_changes_no_result(body)
-
-    def test_memo_changes_no_result_with_negative_zero_keys(self, monkeypatch):
-        # A vertex at the origin gives support values of -0.0, which the
-        # cache of moves does not tell from 0.0.
-        body = convex_hull([(0, 0), (2, 4), (3, -3), (1, -3), (0, 4), (5, 0), (4, -3)])
-        signs = set()
-
-        def spied_move(support, i, prev_angle, next_angle, *lines):
-            for line in lines:
-                signs.update(math.copysign(1.0, x) for x in line if x == 0.0)
-            return _side_move(support, i, prev_angle, next_angle, *lines)
-
-        monkeypatch.setattr(minquad, "_side_move", spied_move)
-        self.assert_memo_changes_no_result(body)
-        assert -1.0 in signs
-
-    @settings(max_examples=60, deadline=None)
-    @given(solver_normals())
-    def test_memo_changes_no_result_on_random_bodies(self, case):
-        poly, _ = case
-        assume(len(poly) > 3)
-        self.assert_memo_changes_no_result(poly)
-
-    # On random-16, 35 distinct moves answer 64 calls; an ellipse 64-gon
-    # repeats no move.
-    @pytest.mark.parametrize("name, calls, lookups", [("random-16", 35, 64), ("ellipse-64", 24, 24)])
-    def test_each_distinct_move_runs_once_per_solve(self, monkeypatch, name, calls, lookups):
-        made, passed = [0], []
-
-        def counted_move(*args):
-            made[0] += 1
-            return _side_move(*args)
-
-        def counted_refine(support, angles, move):
-            passed.append(move)
-            return _refine(support, angles, move)
-
-        monkeypatch.setattr(minquad, "_side_move", counted_move)
-        monkeypatch.setattr(minquad, "_refine", counted_refine)
-        min_circumscribed_quadrilateral(SCAN_BODIES[name])
-        assert len(passed) > 1 and all(move is passed[0] for move in passed)
-        info = passed[0].cache_info()
-        assert made[0] == info.misses == info.currsize == calls
-        assert info.hits + info.misses == lookups
-        # The next solve gets a cache of its own.
-        min_circumscribed_quadrilateral(SCAN_BODIES[name])
-        assert passed[-1] is not passed[0]
-
-    def test_evaluation_count(self, monkeypatch):
-        # The walk makes 33,472 area evaluations on this body; the bisection
-        # about 1,300.
-        calls = [0]
-        quad_from_lines, side_evaluator = _quad_from_lines, _side_evaluator
-
-        def counted_quad(*args):
-            calls[0] += 1
-            return quad_from_lines(*args)
-
-        def counted_side(*args):
-            area = side_evaluator(*args)
-            if area is None:
-                return None
-
-            def counted(*line):
-                calls[0] += 1
-                return area(*line)
-
-            return counted
-
-        monkeypatch.setattr(minquad, "_quad_from_lines", counted_quad)
-        monkeypatch.setattr(minquad, "_side_evaluator", counted_side)
-        body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
-        min_circumscribed_quadrilateral(body)
-        assert 0 < calls[0] <= 33_472 // 2
+        scan = peak(lambda: _scan_support_directions(poly, np.array(support.normals), 6))
+        assert peak(lambda: min_circumscribed_quadrilateral(poly, support)) <= 1.1 * scan
 
 
 class TestHugeBodies:

@@ -22,7 +22,10 @@ which runs the exact containment tests and ``certify_constants``.  Per
 precision of 8, 64 and 128 bits, ``certify_constants(TheoremConstants())``.
 
 It prints, per set, the number of answers and the number that differ,
-naming the first few, and exits 1 on any difference.
+naming the first few, and exits 1 on any difference.  For each differing
+body it also prints both trees' ``empirical_ratio`` and ``case_id`` (or the
+error raised), and it counts the ratios that rose by more than 1e-12
+relative and the case changes.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 777001
-SHOWN = 10  # differing answers named per set
+SHOWN = 10  # differing answers named per set other than the bodies
 
 
 def _bodies(conftest, workloads):
@@ -75,16 +78,24 @@ def _hashes(src: str) -> None:
     import proof
     import workloads
 
-    def digest(call, body) -> str:
+    def answer(call, body):
         try:
-            out = call(body)
+            return call(body)
         except CircumquadError as exc:
-            out = exc
-        return hashlib.sha256(repr(out).encode()).hexdigest()
+            return exc
+
+    def digest(call, body) -> str:
+        return hashlib.sha256(repr(answer(call, body)).encode()).hexdigest()
 
     for name, body in _bodies(conftest, workloads):
-        hashes = [digest(case_machine, body), digest(min_circumscribed_quadrilateral, body)]
-        print(json.dumps(["bodies", name, *hashes]))
+        report = answer(case_machine, body)
+        summary = (
+            [report.empirical_ratio, report.case_id.value]
+            if not isinstance(report, CircumquadError) else [None, type(report).__name__]
+        )
+        hashes = [hashlib.sha256(repr(report).encode()).hexdigest(),
+                  digest(min_circumscribed_quadrilateral, body)]
+        print(json.dumps(["bodies", name, *hashes, summary]))
     for seed in (1, 2, 3):
         for i, rnd in enumerate(workloads.WORKLOADS["exact-proof"].generate(seed)):
             outcome = digest(lambda r: proof.run_round(r, lambda name: contextlib.nullcontext()), rnd)
@@ -94,16 +105,31 @@ def _hashes(src: str) -> None:
         print(json.dumps(["certify_constants precisions", str(bits), checks]))
 
 
-def _run(src: str) -> dict:
-    """{set: {name: hashes}} of one tree."""
+def _run(src: str):
+    """({set: {name: hashes}}, {body: [empirical_ratio, case_id]}) of one tree."""
     child = subprocess.run(
         [sys.executable, __file__, "--hashes", src],
         capture_output=True, text=True, check=True, cwd=ROOT,
     )
     sets: dict = {}
+    summaries = {}
     for kind, name, *hashes in map(json.loads, child.stdout.splitlines()):
+        if kind == "bodies":
+            *hashes, summaries[name] = hashes
         sets.setdefault(kind, {})[name] = hashes
-    return sets
+    return sets, summaries
+
+
+def _body_changes(names, old, new) -> None:
+    """Print each differing body's ratio and case in both trees, then the counts."""
+    rises = cases = 0
+    for name in names:
+        (r0, c0), (r1, c1) = old.get(name, [None, None]), new.get(name, [None, None])
+        change = f"{(r1 - r0) / r0:+.3g}" if r0 is not None and r1 is not None else "n/a"
+        print(f"  {name}: {c0} {r0!r} -> {c1} {r1!r} ({change})")
+        rises += r0 is not None and r1 is not None and r1 > r0 * (1 + 1e-12)
+        cases += c0 != c1
+    print(f"  {rises} rise by more than 1e-12 relative, {cases} change case")
 
 
 def main(argv=None) -> int:
@@ -116,14 +142,17 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD_SRC NEW_SRC")
-    old_sets, new_sets = (_run(src) for src in args.trees)
+    (old_sets, old_bodies), (new_sets, new_bodies) = (_run(src) for src in args.trees)
     differing = 0
     for kind in {**old_sets, **new_sets}:
         old, new = old_sets.get(kind, {}), new_sets.get(kind, {})
         differ = sorted(set(old) ^ set(new)) + [n for n in old if n in new and old[n] != new[n]]
         print(f"{len(old)} {kind}, {len(differ)} differ")
-        for name in differ[:SHOWN]:
-            print(f"  {name}")
+        if kind == "bodies":
+            _body_changes(differ, old_bodies, new_bodies)
+        else:
+            for name in differ[:SHOWN]:
+                print(f"  {name}")
         differing += len(differ)
     return 1 if differing else 0
 
