@@ -1,5 +1,6 @@
 """Minimum circumscribed quadrilateral solver and the midpoint identity."""
 
+import bisect
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from circumquad import (
     BadParams,
+    CircumquadError,
     ConvexPolygon,
     DegenerateBody,
     DegenerateInput,
@@ -37,6 +39,8 @@ from circumquad.geometry import (
     midpoint,
 )
 from circumquad.minquad import (
+    _float_support,
+    _quad_from_lines,
     _scan_normals,
     _scan_support_directions,
     midpoint_certificate,
@@ -56,6 +60,11 @@ def random_rational_quad(rng):
             continue
         if len(hull) == 4:
             return Quadrilateral(tuple(hull.vertices))
+
+
+def side_move_miss():
+    """A 12-vertex hull on which a bisecting side move once missed the walk's choice."""
+    return gen_corpus("random", 12, seed=900228, vertices=48)[11]
 
 
 def half_disk(n):
@@ -844,6 +853,138 @@ class TestFlushAndPivot:
 
         scan = peak(lambda: _scan_support_directions(poly, np.array(support.normals), 6))
         assert peak(lambda: min_circumscribed_quadrilateral(poly, support)) <= 1.1 * scan
+
+
+TWO_PI = 2 * math.pi
+
+
+def quad_lines(quad):
+    """(angle, (cos, sin, h)) of each side of ``quad``, at ascending angles."""
+    corners = [(float(p[0]), float(p[1])) for p in quad.vertices]
+    found = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        length = math.hypot(x1 - x0, y1 - y0)
+        c, s = (y1 - y0) / length, (x0 - x1) / length
+        found.append((math.atan2(s, c) % TWO_PI, (c, s, c * x0 + s * y0)))
+    return sorted(found)
+
+
+class TestSideMove:
+    """No exact move of one side lowers the solver's answer.
+
+    A minimum is a fixed point of every side move.  The walk moves one side
+    over every piece of its range, the cone of one contact vertex each,
+    taking each piece's least area in closed form, with the other three
+    sides held; the descent the closed-form pass replaced was checked
+    against it, and the pass must now end where the walk ends.
+    """
+
+    @staticmethod
+    def walk_candidates(support, angles, lines, i):
+        """(angle, line) of side i's candidate on every piece of its range, in order."""
+        prev = angles[i - 1] - (TWO_PI if i == 0 else 0.0)
+        nxt = angles[(i + 1) % 4] + (TWO_PI if i == 3 else 0.0)
+        lo, hi = max(prev, nxt - math.pi), min(prev + math.pi, nxt)
+        cp, sp, hp = lines[i - 1]
+        cn, sn, hn = lines[(i + 1) % 4]
+        det = cp * sn - cn * sp
+        k = bisect.bisect_right(support.normals, lo % TWO_PI)
+        base = lo - lo % TWO_PI
+        start = lo
+        while start < hi:
+            if k == len(support.normals):
+                k, base = 0, base + TWO_PI
+            end = min(base + support.normals[k], hi)
+            px, py = support.contacts[k]
+            theta = end
+            if det < 0.0:
+                b1 = hp - (cp * px + sp * py)
+                b2 = (cn * px + sn * py) - hn
+                sx = (b1 * sn - b2 * sp) / det
+                sy = (cp * b2 - cn * b1) / det
+                mid = 0.5 * (start + end)
+                theta = mid + math.remainder(math.atan2(sx, -sy) - mid, TWO_PI)
+                theta = min(max(theta, start), end)
+            if theta > start:
+                c, s = math.cos(theta), math.sin(theta)
+                yield theta, (c, s, px * c + py * s)
+            start, k = end, k + 1
+
+    def walk(self, support, quad):
+        """(area of ``quad``, least area of any one side's move over its pieces)."""
+        angles, lines = (list(a) for a in zip(*quad_lines(quad)))
+        area, _ = _quad_from_lines(lines, support.tiny)
+        least = area
+        for i in range(4):
+            cand = list(lines)
+            for _, line in self.walk_candidates(support, angles, lines, i):
+                cand[i] = line
+                least = min(least, _quad_from_lines(cand, support.tiny)[0])
+        return area, least
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"regular-{k}" for k in range(4, 13)]
+        + sorted(n for n in SCAN_BODIES if "triangle" not in n)
+        + ["ellipse-1024", "half-disk-201", "random-900228"],
+    )
+    def test_bisection_is_the_walk(self, name):
+        # Triangles are their own answer.  The bodies above 90 edges take
+        # the second pass on the true normals; random-900228 is the body
+        # on which a bisecting side move missed the walk.
+        if name.startswith("regular-"):
+            body = regular_polygon(int(name.split("-")[1]))
+        elif name == "ellipse-1024":
+            body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
+        elif name == "random-900228":
+            body = side_move_miss()
+        elif name == "half-disk-201":
+            body = half_disk(200)
+        else:
+            body = SCAN_BODIES[name]
+        _, support = _float_support(body)
+        quad, _ = min_circumscribed_quadrilateral(body)
+        area, least = self.walk(support, quad)
+        assert area == pytest.approx(float(quad.area), rel=1e-12)
+        assert least >= area * (1 - 1e-12)
+
+    def test_another_start_recovers_the_side_move_miss(self):
+        # Starts (1, 5, 7, 10) and (1, 5, 8, 10) ended at 3.012743 by
+        # bisection, where the walk ends at 2.947470; the pass finds it.
+        quad, _ = min_circumscribed_quadrilateral(side_move_miss())
+        assert float(quad.area) == pytest.approx(2.947470144478123, rel=1e-12)
+
+    @staticmethod
+    def assert_memo_changes_no_result(body):
+        # The pivot pass takes the wide pairs in steps to bound its memory.
+        # With one pair per step, or all at once: the same answer bit for
+        # bit, or the same error.
+        def outcome():
+            try:
+                quad, cert = min_circumscribed_quadrilateral(body)
+            except CircumquadError as exc:
+                return repr(exc)
+            return repr((quad.vertices, cert))
+
+        stepped = outcome()
+        for step in (1, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(minquad, "_PAIRS_PER_STEP", step)
+                assert outcome() == stepped
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in SCAN_BODIES if "triangle" not in n) + ["random-900228"]
+    )
+    def test_memo_changes_no_result(self, name):
+        body = side_move_miss() if name == "random-900228" else SCAN_BODIES[name]
+        self.assert_memo_changes_no_result(body)
+
+    @settings(max_examples=60, deadline=None)
+    @given(solver_normals())
+    def test_memo_changes_no_result_on_random_bodies(self, case):
+        poly, _ = case
+        assume(len(poly) > 3)
+        self.assert_memo_changes_no_result(poly)
 
 
 class TestHugeBodies:
