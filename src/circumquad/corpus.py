@@ -111,9 +111,10 @@ def gen_corpus(
     """Generate ``count`` bodies of the given kind, deterministically.
 
     ``vertices`` is the per-body size parameter: points drawn for ``random``
-    (default 32), k for ``regular_k_gon`` (default 7), sides for ``ellipse``
-    (default 64); ignored for ``affine_pentagon``.  ``pentagon`` is accepted
-    as an alias of ``affine_pentagon``.
+    (default 32, at least 4, as a hull of fewer than 4 vertices is redrawn),
+    k for ``regular_k_gon`` (default 7), sides for ``ellipse`` (default 64);
+    ignored for ``affine_pentagon``.  ``pentagon`` is accepted as an alias of
+    ``affine_pentagon``.
     """
     if kind == "pentagon":
         kind = "affine_pentagon"
@@ -121,8 +122,9 @@ def gen_corpus(
         raise BadParams(f"unknown corpus kind {kind!r}; expected one of {KINDS}")
     if _as_int(count, "count") < 1:
         raise BadParams("count must be positive")
-    if vertices is not None and _as_int(vertices, "vertices") < 3:
-        raise BadParams("vertices must be at least 3")
+    least = 4 if kind == "random" else 3
+    if vertices is not None and _as_int(vertices, "vertices") < least:
+        raise BadParams(f"vertices must be at least {least} for {kind}")
     # String seeds hash deterministically across processes (unlike tuples,
     # whose hash depends on PYTHONHASHSEED).
     rng = random.Random(f"{kind}:{seed}")

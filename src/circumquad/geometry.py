@@ -345,16 +345,16 @@ class Support:
       vertex in direction ``M^T u``, since ``h_{MK+t}(u) = h_K(M^T u) + <u, t>``.
 
     :meth:`under` returns the oracle of the image under an :class:`AffineMap`;
-    it shares the sorted normals.  An image vertex is computed with
-    ``AffineMap.apply``, the expression :func:`apply_affine` uses, so every
-    value read through the oracle equals the one read off the mapped polygon
-    bit for bit.  ``tiny`` is a length at the rounding level of the polygon's
+    it shares the sorted normals.  An image vertex is computed with the
+    expressions of ``AffineMap.apply``, so every value read through the
+    oracle equals the one read off the polygon of the mapped vertices bit
+    for bit.  ``tiny`` is a length at the rounding level of the polygon's
     coordinates.
     """
 
     __slots__ = (
         "normals", "contacts", "tiny", "affine",
-        "_starts", "_vertices", "_exact", "_reach", "_bounds", "_queries",
+        "_starts", "_vertices", "_exact", "_reach", "_bounds",
     )
 
     def __init__(self, poly: ConvexPolygon):
@@ -373,7 +373,6 @@ class Support:
         self.affine: Optional[AffineMap] = None
         self._exact = poly.is_exact
         self._bounds = (self._reach, self._reach)  # on |x| and |y| over the image
-        self._queries: dict = {}
 
     def under(self, affine: AffineMap) -> "Support":
         """The oracle of the polygon's image under ``affine``.
@@ -392,7 +391,6 @@ class Support:
             (abs(m11) + abs(m12)) * reach + abs(t1),
             (abs(m21) + abs(m22)) * reach + abs(t2),
         )
-        image._queries = {}
         return image
 
     def line(self, theta: float) -> Tuple[float, float, float]:
@@ -418,15 +416,8 @@ class Support:
         width cannot reach the largest value either, and a maximum of such an
         expression over the answer equals its maximum over every vertex, bit
         for bit.  Typically the answer is one vertex, or the two ends of an
-        edge normal to ``u``.  Answers are kept per direction.
+        edge normal to ``u``.
         """
-        key = (ux, uy)
-        found = self._queries.get(key)
-        if found is None:
-            found = self._queries[key] = self._walk(ux, uy)
-        return found
-
-    def _walk(self, ux: Scalar, uy: Scalar) -> Tuple[Point, ...]:
         vs, t = self._vertices, self.affine
         n = len(vs)
         if t is None:
@@ -561,25 +552,6 @@ def _edge_excesses(poly: ConvexPolygon, inner):
         points = _candidates(inner, ey, -ex)
         yield ex, ey, max([ey * (x - ax) - ex * (y - ay) for x, y in points])
         a = b
-
-
-def apply_affine(t: AffineMap, poly: ConvexPolygon) -> ConvexPolygon:
-    """The image of ``poly`` under ``t``, counterclockwise.
-
-    Exact input maps exactly.  A float vertex that rounding moves onto or
-    inside the line through its neighbours is dropped, as in
-    :meth:`ConvexPolygon.to_float`; DegenerateInput when the image is flat.
-    """
-    d = t.det
-    if d == 0:
-        raise SingularMap("cannot apply a singular map to a polygon")
-    imgs = [t.apply(v) for v in poly.vertices]
-    if d < 0:
-        imgs.reverse()
-    try:
-        return ConvexPolygon(imgs)
-    except DegenerateInput:
-        return convex_hull(imgs)
 
 
 def linf_distance_to_polygon(

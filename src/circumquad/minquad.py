@@ -159,23 +159,22 @@ def varignon(quad: Quadrilateral) -> ConvexPolygon:
 
 
 def midpoint_certificate(
-    body: ConvexPolygon, quad: ConvexPolygon, support: Optional[Support] = None
+    body: ConvexPolygon, quad: ConvexPolygon, support: Support
 ) -> CircumscriptionCertificate:
     """Containment (slack ``_TOL`` on float input) and midpoint optimality residuals.
 
     The body's bounding box and edge vectors are computed once, for its
     diameter and for the midpoint distances.  The containment test reads the
     body's extreme vertices along each edge normal of ``quad`` off one query
-    to ``support``, the body's :class:`Support` oracle (built here when not
-    given), instead of a pass over every vertex: one query per witness edge
-    and no other.
+    to ``support``, the body's :class:`Support` oracle, instead of a pass
+    over every vertex: one query per witness edge and no other.
     """
     box = body.bounding_box()
     diam = max(box[2] - box[0], box[3] - box[1])
     mids = [midpoint(a, b) for a, b in quad.edges()]
     residuals = tuple(d / diam for d in _point_distances(mids, body, box))
     tol = _TOL if _slack(*body.vertices[0], *quad.vertices[0]) else 0
-    contains = contains_polygon(quad, Support(body) if support is None else support, tol)
+    contains = contains_polygon(quad, support, tol)
     ratio = quad.area / body.area
     return CircumscriptionCertificate(contains, residuals, ratio)
 
@@ -183,41 +182,21 @@ def midpoint_certificate(
 # --- support-direction machinery ---------------------------------------------
 
 
-def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int):
-    """Exhaustive scan over the support-direction quadruples of a float body.
+def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray):
+    """The least quadrilateral cut out by support lines of a float body at ``angles``.
 
     ``angles`` are the outward normal angles of the candidate lines, sorted
-    in [0, 2*pi).  Returns the ``count`` best (anchor, opposite) pairs as a
-    sorted list of (doubled_area, index_quadruple): the anchor a is the
-    smallest index, the opposite index c the third, and b and d are the best
-    pair between them.
-
-    Line k has outward normal angle ``angles[k]`` and support value h_k,
-    taken about the vertex mean so that the squares below do not cancel.
-    The doubled area is the sum of h_i times the length of side i; grouped by
-    corner it is a sum of four corner terms
-
-        2A(a, b, c, d) = W(a, b) + W(b, c) + W(c, d) + W(d, a),
-        W(i, j) = (2 h_i h_j - (h_i^2 + h_j^2) cos g) / sin g,
-
-    g being the gap from line i to line j; a pair with
-    ``sin g <= _SIN_GAP_MIN`` is infeasible, as in :func:`_quad_from_lines`.
-    Both halves come from one min-plus product, M[x, y] = min over m > x of
-    W(x, m) + W(m, y): the best b gives M[a, c] and the best d gives M[c, a],
-    since W's infinite entries keep m between x and y, going round past 2*pi
-    where y < x.  The product is one loop over the middle line m
-    (:func:`_min_plus_product`): O(n^3) time, O(n^2) memory.
-
-    With every gap in (0, pi) the contact vertex of each line lies on its
-    side, so every quadruple circumscribes the body, but a side may have
-    zero length: three consecutive lines through one contact.  That
-    quadruple is a circumscribed triangle with a fourth line through a
-    corner, and its area is the triangle's.  On edge normals no side
-    collapses, as each line holds a body edge and its side holds the edge;
-    on a uniform grid one can, and :func:`brute_force_min_quad` then returns
-    the triangle.  b and d are read off W for the returned pairs only
-    (:func:`_middles`).  The sums, their minima and the stable order on ties
-    are those of a search over every quadruple.
+    in [0, 2*pi).  Returns (doubled_area, (a, b, c, d)), indices into
+    ``angles`` with a < b < c < d, of the least sum of corner terms W (module
+    docstring), the support values taken about the vertex mean so that the
+    squares do not cancel.  The best b gives M[a, c] of the min-plus product
+    (:func:`_min_plus_product`) and the best d gives M[c, a], since W's
+    infinite entries keep the middle line between the two, going round past
+    2*pi: O(n^3) time, O(n^2) memory.  Ties go to the first (a, c) in
+    row-major order, then to the first b that some d completes to the least
+    sum, then to the first such d.  A side may have zero length, three
+    consecutive lines through one contact: the quadruple is then a
+    circumscribed triangle with a fourth line through a corner.
     """
     V = np.asarray(poly.vertices, dtype=float)
     V = V - V.mean(axis=0)
@@ -230,20 +209,18 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray, count: int
     total = M + M.T
     del M
     np.copyto(total, np.inf, where=np.tri(n, dtype=bool))  # a >= c
-    total = total.ravel()
-    best = np.argsort(total, kind="stable")[:count]  # ties in (a, c) order
-    best = best[np.isfinite(total[best])]
-    if not len(best):
+    a, c = divmod(int(total.argmin()), n)
+    area = float(total[a, c])
+    if not math.isfinite(area):
         raise NoFeasibleQuadruple(
             f"no four of the {n} directions have consecutive gaps below pi"
         )
-    a, c = np.divmod(best, n)
-    area = total[best]
-    b, d = _middles(W, a, c, area)
-    return [
-        (v, (a_, b_, c_, d_))
-        for v, a_, b_, c_, d_ in zip(area.tolist(), a.tolist(), b, c.tolist(), d)
-    ]
+    F = W[a] + W[:, c]  # W(a, b) + W(b, c); inf unless a < b < c
+    G = W[c] + W[:, a]  # W(c, d) + W(d, a)
+    G[: c + 1] = np.inf  # a d below a would be the anchor
+    b = int((F + G.min() == area).argmax())
+    d = int((F[b] + G == area).argmax())
+    return area, (a, b, c, d)
 
 
 def _corner_terms(c: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -275,21 +252,6 @@ def _min_plus_product(W: np.ndarray) -> np.ndarray:
         if lo < m:
             np.minimum(M[lo:m], W[lo:m, m, None] + W[m], out=M[lo:m])
     return M
-
-
-def _middles(W: np.ndarray, a, c, area):
-    """b and d of each (anchor a, opposite c) pair whose best doubled area is ``area``.
-
-    Reads the sums off the corner-term matrix ``W``.  As an argmin over every
-    b-by-d sum would: the first b that some d completes to ``area``, then the
-    first such d.
-    """
-    F = W[a] + W[:, c].T  # W(a, b) + W(b, c); inf unless a < b < c
-    G = W[c] + W[:, a].T  # W(c, d) + W(d, a)
-    G[np.arange(len(W)) <= c[:, None]] = np.inf  # a d below a would be the anchor
-    b = (F + G.min(axis=1, keepdims=True) == area[:, None]).argmax(axis=1)
-    d = (F[np.arange(len(a)), b][:, None] + G == area[:, None]).argmax(axis=1)
-    return b.tolist(), d.tolist()
 
 
 def _cyclic_product(D: np.ndarray):
@@ -497,7 +459,7 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
         raise BadParams(f"grid must be between 16 and {_MAX_GRID}")
     poly, support = _float_support(body)
     angles = [_TWO_PI * k / grid for k in range(grid)]
-    _, idx = _scan_support_directions(poly, np.array(angles), 1)[0]
+    _, idx = _scan_support_directions(poly, np.array(angles))
     lines = [support.line(angles[k]) for k in idx]
     _, corners = _quad_from_lines(lines, support.tiny)
     if corners is not None:

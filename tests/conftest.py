@@ -5,13 +5,23 @@ the suite; acceptance criteria that need per-body results share one pass.
 Build durations are recorded in ``corpus_timings`` so the acceptance
 criterion that owns the corpus evaluation can count them against its
 runtime budget even though the work runs inside fixture setup.
+
+:func:`apply_affine`, the polygon of a body's mapped vertices, is the
+reference that the support oracle's images are checked against.
 """
 
 import time
 
 import pytest
 
-from circumquad import case_machine, gen_corpus
+from circumquad import (
+    ConvexPolygon,
+    DegenerateInput,
+    SingularMap,
+    case_machine,
+    convex_hull,
+    gen_corpus,
+)
 
 CORPUS_SEED = 20260814
 
@@ -54,3 +64,22 @@ def corpus_reports(corpus1000, corpus_timings):
             out.append((body, exc))
     corpus_timings["classify"] = time.perf_counter() - t0
     return out
+
+
+def apply_affine(t, poly):
+    """The image of ``poly`` under the :class:`AffineMap` ``t``, counterclockwise.
+
+    Exact input maps exactly.  A float vertex that rounding moves onto or
+    inside the line through its neighbours is dropped, as in
+    :meth:`ConvexPolygon.to_float`; DegenerateInput when the image is flat.
+    """
+    d = t.det
+    if d == 0:
+        raise SingularMap("cannot apply a singular map to a polygon")
+    imgs = [t.apply(v) for v in poly.vertices]
+    if d < 0:
+        imgs.reverse()
+    try:
+        return ConvexPolygon(imgs)
+    except DegenerateInput:
+        return convex_hull(imgs)

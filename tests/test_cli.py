@@ -184,6 +184,12 @@ class TestInputErrors:
     def test_bad_bench_kind(self, capsys):
         assert main(["bench", "--kind", "blobs", "--count", "1"]) == 2
 
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_random_kind_with_three_vertices(self, command, capsys):
+        # Three points make no hull of the 4 vertices a random body needs.
+        assert main([command, "--kind", "random", "--count", "1", "--vertices", "3"]) == 2
+        assert "vertices must be at least 4" in capsys.readouterr().err
+
     def test_bad_thread_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CIRCUMQUAD_THREADS", "zero")
         assert main(["bench", "--kind", "pentagon", "--count", "1"]) == 2

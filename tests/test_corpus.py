@@ -64,6 +64,9 @@ def test_bad_params():
         gen_corpus("random", 0)
     with pytest.raises(BadParams):
         gen_corpus("random", 1, vertices=2)
+    # Three points never make the 4-vertex hull the generator redraws for.
+    with pytest.raises(BadParams, match="vertices must be at least 4"):
+        gen_corpus("random", 1, vertices=3)
     with pytest.raises(BadParams):
         regular_polygon(2)
     with pytest.raises(BadParams):

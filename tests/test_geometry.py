@@ -16,7 +16,6 @@ from circumquad.geometry import (
     Line,
     Point,
     Support,
-    apply_affine,
     contains_point,
     contains_polygon,
     convex_hull,
@@ -26,6 +25,8 @@ from circumquad.geometry import (
     linf_distance_to_polygon,
     midpoint,
 )
+
+from conftest import apply_affine
 
 # Independent shoelace, deliberately written differently from the library.
 def shoelace(pts):

@@ -34,17 +34,20 @@ from circumquad import minquad
 from circumquad.geometry import (
     AffineMap,
     Support,
-    apply_affine,
     linf_distance_to_polygon,
     midpoint,
 )
 from circumquad.minquad import (
+    _corner_terms,
     _float_support,
+    _min_plus_product,
     _quad_from_lines,
     _scan_normals,
     _scan_support_directions,
     midpoint_certificate,
 )
+
+from conftest import apply_affine
 
 
 def random_rational_quad(rng):
@@ -298,13 +301,13 @@ def support_values(poly, angles):
 def reference_scan(poly, angles, skip_collapsed=False):
     """Every (anchor, opposite) pair's best quadruple, searched over all b and d.
 
-    Uses the scan's corner terms W, so its sums round as the scan's do, and
-    the scan must return a prefix of this list exactly: the least sum per
-    pair over every b and d, sorted by sum with ties in (a, c) order, b and
-    d the first of least sum.  ``skip_collapsed`` leaves out the quadruples
-    with a side of zero length, by a test on contact vertices: side i is
-    zero when its contact lies on both neighbouring lines, up to the
-    rounding level ``2 * tiny``.
+    Uses the scan's corner terms W, so its sums round as the scan's do: the
+    least sum per pair over every b and d, sorted by sum with ties in (a, c)
+    order, b and d the first of least sum.  The scan must return the first
+    entry exactly, and its product the per-pair sums.  ``skip_collapsed``
+    leaves out the quadruples with a side of zero length, by a test on
+    contact vertices: side i is zero when its contact lies on both
+    neighbouring lines, up to the rounding level ``2 * tiny``.
     """
     A = np.asarray(angles)
     n = len(A)
@@ -331,6 +334,33 @@ def reference_scan(poly, angles, skip_collapsed=False):
             if np.isfinite(S.flat[k]):
                 found.append((float(S.flat[k]), (a, b[k // len(d)], c, d[k % len(d)])))
     return sorted(found, key=lambda f: f[0])
+
+
+def reference_pairs(found):
+    """{(a, c): least doubled area} of a :func:`reference_scan` list."""
+    return {(a, c): value for value, (a, _, c, _) in found}
+
+
+def first_reference(poly, angles, found=None):
+    """The least entry of :func:`reference_scan` (or of ``found``), as the scan returns it."""
+    value, quad = (reference_scan(poly, angles) if found is None else found)[0]
+    return value, tuple(map(int, quad))
+
+
+def pair_minima(poly, angles):
+    """{(a, c): least doubled area} over a < c, off the scan's min-plus product.
+
+    M[a, c] + M[c, a] of :func:`_min_plus_product` on the scan's corner
+    terms, about the vertex mean; pairs with no quadruple are left out.
+    """
+    A = np.asarray(angles)
+    M = _min_plus_product(_corner_terms(np.cos(A), np.sin(A), support_values(poly, A)[0]))
+    total = M + M.T
+    return {
+        (a, c): float(total[a, c])
+        for a, c in zip(*np.nonzero(np.isfinite(total)))
+        if a < c
+    }
 
 
 def flagged_reference_scan(poly, angles):
@@ -432,7 +462,7 @@ class TestGridScan:
     def test_matches_direct_enumeration(self, name, directions):
         # 17 has no antiparallel directions; on 16 and 24 opposite sides of
         # a quadruple can be exactly parallel.  "edges" is the body's own
-        # edge normals, the solver's direction set.
+        # edge normals, on which no side collapses.
         poly = SCAN_BODIES[name].to_float()
         if directions == "edges":
             angles = edge_normals(poly)
@@ -441,18 +471,18 @@ class TestGridScan:
         expected = enumerate_quads(poly, angles)
         if not expected:  # a triangle's three normals
             with pytest.raises(NoFeasibleQuadruple):
-                _scan_support_directions(poly, np.array(angles), 1)
+                _scan_support_directions(poly, np.array(angles))
             return
-        minima = _scan_support_directions(poly, np.array(angles), len(angles) ** 2)
-        assert sorted((quad[0], quad[2]) for _, quad in minima) == sorted(expected)
-        for value, quad in minima:
-            assert value == pytest.approx(expected[quad[0], quad[2]], rel=1e-12, abs=0)
-            assert all(0 < quad[i + 1] - quad[i] for i in range(3))
-        assert [value for value, _ in minima] == sorted(value for value, _ in minima)
+        minima = pair_minima(poly, angles)
+        assert sorted(minima) == sorted(expected)
+        for pair, value in minima.items():
+            assert value == pytest.approx(expected[pair], rel=1e-12, abs=0)
+        value, quad = _scan_support_directions(poly, np.array(angles))
+        assert (value, quad) == first_reference(poly, angles)
+        assert all(0 < quad[i + 1] - quad[i] for i in range(3))
         if directions == "edges":  # no side collapses on edge normals
             zero = 1e-9 * poly.linf_diameter()
-            for _, quad in minima:
-                assert shortest_side(support_corners(poly, angles, quad)) > zero
+            assert shortest_side(support_corners(poly, angles, quad)) > zero
 
     @settings(max_examples=150, deadline=None)
     @given(scan_cases())
@@ -461,13 +491,15 @@ class TestGridScan:
         expected = enumerate_quads(poly, angles)
         if not expected:
             with pytest.raises(NoFeasibleQuadruple):
-                _scan_support_directions(poly, np.array(angles), 1)
+                _scan_support_directions(poly, np.array(angles))
             return
-        minima = _scan_support_directions(poly, np.array(angles), len(angles) ** 2)
-        assert sorted((quad[0], quad[2]) for _, quad in minima) == sorted(expected)
-        for value, quad in minima:
-            assert value == pytest.approx(expected[quad[0], quad[2]], rel=1e-12, abs=0)
-        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
+        minima = pair_minima(poly, angles)
+        assert sorted(minima) == sorted(expected)
+        for pair, value in minima.items():
+            assert value == pytest.approx(expected[pair], rel=1e-12, abs=0)
+        assert minima == reference_pairs(reference_scan(poly, angles))
+        found = _scan_support_directions(poly, np.array(angles))
+        assert found == first_reference(poly, angles)
 
     @settings(max_examples=60, deadline=None)
     @given(solver_normals())
@@ -489,10 +521,12 @@ class TestGridScan:
         expected = reference_scan(poly, normals)
         if not expected:
             with pytest.raises(NoFeasibleQuadruple):
-                _scan_support_directions(poly, np.array(normals), 1)
+                _scan_support_directions(poly, np.array(normals))
             return
-        minima = _scan_support_directions(poly, np.array(normals), len(normals) ** 2)
-        assert minima == [(v, tuple(map(int, q))) for v, q in expected]
+        minima = pair_minima(poly, normals)
+        assert minima == reference_pairs(expected)
+        value, quad = _scan_support_directions(poly, np.array(normals))
+        assert (value, quad) == first_reference(poly, normals)
         size = max(poly.linf_diameter(), max(abs(c) for v in poly.vertices for c in v))
         if min(math.dist(a, b) for a, b in poly.edges()) <= 1e-9 * size:
             return
@@ -501,10 +535,10 @@ class TestGridScan:
         if (on[k, k - 1] & on[k, (k + 1) % len(k)]).any():
             return
         flagged = flagged_reference_scan(poly, normals)
-        assert minima == [(v, tuple(map(int, q))) for v, q in flagged]
+        assert minima == reference_pairs(flagged)
+        assert (value, quad) == first_reference(poly, normals, flagged)
         zero = 1e-9 * poly.linf_diameter()
-        for _, quad in minima:
-            assert shortest_side(support_corners(poly, normals, quad)) > zero
+        assert shortest_side(support_corners(poly, normals, quad)) > zero
 
     def test_edge_normal_scan_keeps_a_side_below_rounding(self):
         # The edge from (0, 0) to (-2, 1e-84) is a true edge of the hull, and
@@ -516,28 +550,28 @@ class TestGridScan:
                               (-2.0, 9.917260693413039e-85)])
         normals = _scan_normals(edge_normals(poly))
         assert len(normals) == 5
-        minima = _scan_support_directions(poly, np.array(normals), len(normals) ** 2)
-        assert minima == [(v, tuple(map(int, q))) for v, q in reference_scan(poly, normals)]
-        flagged = [(v, tuple(map(int, q))) for v, q in flagged_reference_scan(poly, normals)]
-        assert minima[0] == flagged[0]
-        assert minima[1][1] == (0, 1, 2, 3) != flagged[1][1] == (0, 1, 2, 4)
-        assert minima[1][0] == pytest.approx(4.0, rel=1e-12)
-        assert flagged[1][0] == pytest.approx(5.0, rel=1e-12)
+        minima = pair_minima(poly, normals)
+        assert minima == reference_pairs(reference_scan(poly, normals))
+        flagged = flagged_reference_scan(poly, normals)
+        found = _scan_support_directions(poly, np.array(normals))
+        assert found == first_reference(poly, normals) == first_reference(poly, normals, flagged)
+        assert minima[0, 2] == pytest.approx(4.0, rel=1e-12)
+        assert reference_pairs(flagged)[0, 2] == pytest.approx(5.0, rel=1e-12)
 
     @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
     @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
     def test_equals_reference_search(self, name, directions):
-        # Bit for bit: the same sums, the same quadruples, the same order.
+        # Bit for bit: the same sums per pair, the same least quadruple.
         poly = SCAN_BODIES[name].to_float()
         if directions == "edges":
             angles = edge_normals(poly)
         else:
             angles = [2 * math.pi * k / directions for k in range(directions)]
-        expected = [(v, tuple(map(int, q))) for v, q in reference_scan(poly, angles)]
+        expected = reference_scan(poly, angles)
         if expected:
-            for count in (1, 6, len(angles) ** 2):
-                found = _scan_support_directions(poly, np.array(angles), count)
-                assert found == expected[:count]
+            assert pair_minima(poly, angles) == reference_pairs(expected)
+            found = _scan_support_directions(poly, np.array(angles))
+            assert found == first_reference(poly, angles, expected)
 
     @pytest.mark.parametrize("grid", [90, 96, 180])
     @pytest.mark.parametrize("k", range(3, 9))
@@ -567,34 +601,32 @@ class TestGridScan:
 
     def test_edge_normal_scan_is_pinned(self):
         # Literal minima of the scan as first written: a faster scan must
-        # return the same floats and quadruples in the same order.
+        # return the same float and quadruple, and the product the same
+        # least pair sums.
         poly = SCAN_BODIES["ellipse-64"].to_float()
-        minima = _scan_support_directions(poly, np.array(edge_normals(poly)), 6)
+        normals = edge_normals(poly)
         area = 41.32040106791186
-        assert minima == [
-            (area, (1, 17, 33, 49)),
-            (area, (5, 21, 37, 53)),
-            (area, (6, 22, 38, 54)),
-            (area, (9, 25, 41, 57)),
-            (area, (10, 26, 42, 58)),
-            (area, (12, 28, 44, 60)),
-        ]
+        assert _scan_support_directions(poly, np.array(normals)) == (area, (1, 17, 33, 49))
+        minima = pair_minima(poly, normals)
+        assert min(minima.values()) == area
+        for pair in [(5, 37), (6, 38), (9, 41), (10, 42), (12, 44)]:
+            assert minima[pair] == area
 
     def test_oracle_scan_is_pinned(self):
         poly = SCAN_BODIES["random-16"].to_float()
         angles = np.array([2 * math.pi * k / 180 for k in range(180)])
-        minima = _scan_support_directions(poly, angles, 1)
-        assert minima == [(3.4349440331939896, (4, 43, 73, 122))]
+        found = _scan_support_directions(poly, angles)
+        assert found == (3.4349440331939896, (4, 43, 73, 122))
 
     def test_solver_scan_memory(self):
-        # The scan holds W and the product M, then M and the pair minima,
-        # 32 kB each at 64 directions, plus one step's sums and numpy's
-        # iteration buffers for a broadcast sum: about 0.17 MB.
+        # The oracle's scan holds W and the product M, then M and the pair
+        # minima, 32 kB each at 64 directions, plus one step's sums and
+        # numpy's iteration buffers for a broadcast sum: about 0.17 MB.
         poly = SCAN_BODIES["ellipse-64"].to_float()
         angles = np.array(edge_normals(poly))
         tracemalloc.start()
         try:
-            _scan_support_directions(poly, angles, 6)
+            _scan_support_directions(poly, angles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,7 +652,7 @@ class TestMidpointCertificate:
         quad = Quadrilateral(
             (Point(F(0), F(0)), Point(F(1), F(0)), Point(F(1), F(1)), Point(F(0), F(1)))
         )
-        cert = midpoint_certificate(body, quad)
+        cert = midpoint_certificate(body, quad, Support(body))
         assert cert.contains_body
         assert all(r == 0 for r in cert.midpoint_residuals)
         assert cert.area_ratio == 2
@@ -631,7 +663,7 @@ class TestMidpointCertificate:
         half = 0.5 if isinstance(eps, float) else F(1, 2)
         body = ConvexPolygon([(half, -eps), (1, half), (half, 1), (0, half)])
         quad = Quadrilateral(((0, 0), (1, 0), (1, 1), (0, 1)))
-        assert midpoint_certificate(body, quad).contains_body is contained
+        assert midpoint_certificate(body, quad, Support(body)).contains_body is contained
 
     @pytest.mark.parametrize("kind, n", [("random", 8), ("random", 64), ("ellipse", 64)])
     def test_oracle_reads_the_body_alike(self, kind, n):
@@ -639,18 +671,18 @@ class TestMidpointCertificate:
         # bounding box: the certificate of the full scans, bit for bit.
         for body in gen_corpus(kind, 5, seed=11, vertices=n):
             poly = body.to_float()
+            support = Support(poly)
             quad, cert = min_circumscribed_quadrilateral(body)
             shrunk = Quadrilateral(midpoint(v, Point(0.0, 0.0)) for v in quad.vertices)
             for q in (quad, shrunk):
-                got = midpoint_certificate(poly, q, Support(poly))
-                assert got == midpoint_certificate(poly, q)
+                got = midpoint_certificate(poly, q, support)
                 assert got.contains_body == contains_polygon(q, poly, 1e-9)
                 assert got.midpoint_residuals == tuple(
                     linf_distance_to_polygon(midpoint(a, b), poly) / poly.linf_diameter()
                     for a, b in q.edges()
                 )
-            assert cert == midpoint_certificate(poly, quad)
-            assert not midpoint_certificate(poly, shrunk).contains_body
+            assert cert == midpoint_certificate(poly, quad, support)
+            assert not midpoint_certificate(poly, shrunk, support).contains_body
 
     @pytest.mark.parametrize(
         "kind, n", [("affine_pentagon", 5), ("random", 8), ("ellipse", 64)]
@@ -851,7 +883,7 @@ class TestFlushAndPivot:
             finally:
                 tracemalloc.stop()
 
-        scan = peak(lambda: _scan_support_directions(poly, np.array(support.normals), 6))
+        scan = peak(lambda: _scan_support_directions(poly, np.array(support.normals)))
         assert peak(lambda: min_circumscribed_quadrilateral(poly, support)) <= 1.1 * scan
 
 

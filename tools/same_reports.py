@@ -7,7 +7,7 @@ Usage::
 OLD_SRC and NEW_SRC are directories that hold a ``circumquad`` package (the
 ``src`` directory of two checkouts).  Each tree runs in a child process of
 its own, with only that tree's package importable.  The child hashes the
-``repr`` of each answer, or of the ``CircumquadError`` it raised, in three
+``repr`` of each answer, or of the ``CircumquadError`` it raised, in four
 sets.  Per body, the ``case_machine`` report and the solver's
 ``(quad, certificate)``, on:
 
@@ -16,6 +16,9 @@ sets.  Per body, the ``case_machine`` report and the solver's
 * ``regular_polygon(k)`` for k = 3..39;
 * the ``solve-mixed`` inputs of seeds 1-3 and the ``solve-dense`` inputs of
   seeds 1-2, read from ``bench/workloads.py``.
+
+Per body of the first three, the grid oracle's answer,
+``brute_force_min_quad(body, grid=90)``.
 
 Per ``exact-proof`` round of seeds 1-3, the outcome of ``proof.run_round``,
 which runs the exact containment tests and ``certify_constants``.  Per
@@ -40,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 777001
+ORACLE_BODIES = ("acceptance", "held-out", "regular")  # bodies the oracle set hashes
 SHOWN = 10  # differing answers named per set other than the bodies
 
 
@@ -66,6 +70,7 @@ def _hashes(src: str) -> None:
     from circumquad import (
         CircumquadError,
         TheoremConstants,
+        brute_force_min_quad,
         case_machine,
         certify_constants,
         min_circumscribed_quadrilateral,
@@ -96,6 +101,9 @@ def _hashes(src: str) -> None:
         hashes = [hashlib.sha256(repr(report).encode()).hexdigest(),
                   digest(min_circumscribed_quadrilateral, body)]
         print(json.dumps(["bodies", name, *hashes, summary]))
+        if name.split("/")[0] in ORACLE_BODIES:
+            quad = digest(lambda b: brute_force_min_quad(b, grid=90), body)
+            print(json.dumps(["oracle grid-90 quadrilaterals", name, quad]))
     for seed in (1, 2, 3):
         for i, rnd in enumerate(workloads.WORKLOADS["exact-proof"].generate(seed)):
             outcome = digest(lambda r: proof.run_round(r, lambda name: contextlib.nullcontext()), rnd)
