@@ -155,8 +155,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.precision < 8:
-        raise BadParams("precision must be at least 8 bits")
     overrides = {name: getattr(args, name) for name in ("c1", "c3", "delta")}
     consts = TheoremConstants(**{k: v for k, v in overrides.items() if v is not None})
     comparisons = certify_constants(consts, args.precision)
@@ -188,13 +186,10 @@ def cmd_certify(args) -> int:
 
 
 def _bench_one(task) -> Tuple[int, int, float, float, float, str, float, float]:
-    index, vertices, deterministic = task
-    body = ConvexPolygon(vertices)
+    index, body = task
     t0 = time.perf_counter()
     report = case_machine(body)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if deterministic:
-        elapsed_ms = 0.0
     area_k = float(abs(body.area))
     ratio = report.empirical_ratio
     return (
@@ -225,10 +220,7 @@ def _worker_count(n_tasks: int) -> int:
 
 def cmd_bench(args) -> int:
     bodies = gen_corpus(args.kind, args.count, seed=args.seed, vertices=args.vertices)
-    tasks = [
-        (i, tuple(b.to_float().vertices), args.deterministic)
-        for i, b in enumerate(bodies)
-    ]
+    tasks = [(i, b.to_float()) for i, b in enumerate(bodies)]
     workers = _worker_count(len(tasks))
     if workers == 1:
         rows = [_bench_one(t) for t in tasks]
@@ -240,9 +232,10 @@ def cmd_bench(args) -> int:
     for row in rows:
         (idx, nv, ak, aq, ratio, case_id, factor, ms) = row
         max_ratio = max(max_ratio, ratio)
+        runtime = 0 if args.deterministic else int(round(ms))
         print(
             f"{idx},{nv},{_fmt(ak)},{_fmt(aq)},{_fmt(ratio)},{case_id},"
-            f"{_fmt(factor)},{int(round(ms))}"
+            f"{_fmt(factor)},{runtime}"
         )
     print(f"# max empirical_ratio = {_fmt(max_ratio)}", file=sys.stderr)
     return 0
@@ -286,11 +279,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(f"--{name}", type=str, default=None, help=f"override {name}")
     sp.set_defaults(func=cmd_certify)
 
-    sp = sub.add_parser("bench", help="benchmark CSV over a generated corpus")
-    sp.add_argument("--kind", required=True, help=f"one of {KINDS} or 'pentagon'")
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--vertices", type=int, default=None, help="per-body size parameter")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--kind", required=True, help=f"one of {KINDS} or 'pentagon'")
+    corpus.add_argument("--count", type=int, required=True)
+    corpus.add_argument("--seed", type=int, default=0)
+    corpus.add_argument("--vertices", type=int, default=None, help="per-body size parameter")
+
+    sp = sub.add_parser("bench", parents=[corpus], help="benchmark CSV over a generated corpus")
     sp.add_argument(
         "--deterministic",
         action="store_true",
@@ -298,11 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_bench)
 
-    sp = sub.add_parser("gen", help="generate corpus body files")
-    sp.add_argument("--kind", required=True, help=f"one of {KINDS} or 'pentagon'")
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--vertices", type=int, default=None, help="per-body size parameter")
+    sp = sub.add_parser("gen", parents=[corpus], help="generate corpus body files")
     sp.add_argument("--out", type=str, default=None, help="directory for body files")
     sp.set_defaults(func=cmd_gen)
 

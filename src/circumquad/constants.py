@@ -128,7 +128,8 @@ def certify_constants(
     PROVEN at the default constants and 128 bits.  ``precision_bits`` must be
     an integer of at least 8, else BadParams.
     """
-    precision_bits = _as_int(precision_bits, "precision_bits")
+    if _as_int(precision_bits, "precision_bits") < 8:
+        raise BadParams("precision_bits must be at least 8")
     c1e = const(consts.c1, "c1")
     c2e = consts.c2_expr()
     re_ = consts.r_expr()

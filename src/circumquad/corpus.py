@@ -112,8 +112,9 @@ def gen_corpus(
 
     ``vertices`` is the per-body size parameter: points drawn for ``random``
     (default 32, at least 4, as a hull of fewer than 4 vertices is redrawn),
-    k for ``regular_k_gon`` (default 7), sides for ``ellipse`` (default 64);
-    ignored for ``affine_pentagon``.  ``pentagon`` is accepted as an alias of
+    k for ``regular_k_gon`` (default 7), sides for ``ellipse`` (default 64).
+    An ``affine_pentagon`` always has 5 vertices, so any ``vertices`` but
+    None raises BadParams for it.  ``pentagon`` is accepted as an alias of
     ``affine_pentagon``.
     """
     if kind == "pentagon":
@@ -122,6 +123,8 @@ def gen_corpus(
         raise BadParams(f"unknown corpus kind {kind!r}; expected one of {KINDS}")
     if _as_int(count, "count") < 1:
         raise BadParams("count must be positive")
+    if vertices is not None and kind == "affine_pentagon":
+        raise BadParams("vertices must not be given for affine_pentagon")
     least = 4 if kind == "random" else 3
     if vertices is not None and _as_int(vertices, "vertices") < least:
         raise BadParams(f"vertices must be at least {least} for {kind}")

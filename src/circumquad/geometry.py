@@ -220,8 +220,8 @@ class ConvexPolygon:
     @classmethod
     def _unchecked(cls, vertices: Tuple[Point, ...]) -> "ConvexPolygon":
         # Skips validation, for vertices already known to be strictly convex
-        # and ccw: a finished hull, a polygon being unpickled, or a test body
-        # that must reach the solver as given.
+        # and ccw: a finished hull, or a test body that must reach the solver
+        # as given.
         obj = object.__new__(cls)
         obj.vertices = tuple(vertices)
         return obj
@@ -237,9 +237,6 @@ class ConvexPolygon:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.vertices)!r})"
-
-    def __reduce__(self):
-        return (_rebuild_polygon, (type(self), self.vertices))
 
     @property
     def is_exact(self) -> bool:
@@ -287,10 +284,6 @@ class ConvexPolygon:
             return type(self)(image)
         except DegenerateInput:
             return convex_hull(image)
-
-
-def _rebuild_polygon(cls, vertices):
-    return cls._unchecked(vertices)
 
 
 def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
@@ -381,7 +374,7 @@ class Support:
         this oracle carries.
         """
         image = object.__new__(Support)
-        for name in ("normals", "contacts", "tiny", "_starts", "_vertices", "_reach"):
+        for name in Support.__slots__:
             setattr(image, name, getattr(self, name))
         image.affine = affine
         image._exact = self._exact and not any(isinstance(c, float) for c in affine)

@@ -445,9 +445,9 @@ def _quad_from_lines(lines, tiny: float):
 def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
     """Best circumscribed quadrilateral over the uniform angle grid.
 
-    Exhaustive over all direction quadruples with gaps below pi; no
-    refinement.  Serves as the independent oracle for the solver.  ``grid``
-    runs from 16 to 1024.  Returns a :class:`Quadrilateral`, or a triangle
+    Exhaustive over all direction quadruples with gaps below pi.  Serves
+    as the independent oracle for the solver.  ``grid`` runs from 16 to
+    1024.  Returns a :class:`Quadrilateral`, or a triangle
     when the best quadruple has a collapsed side: its line then passes
     through the corner of its two neighbours, and the other three lines cut
     out the same region.  The minimum circumscribed quadrilateral is never

@@ -190,6 +190,11 @@ class TestInputErrors:
         assert main([command, "--kind", "random", "--count", "1", "--vertices", "3"]) == 2
         assert "vertices must be at least 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_pentagon_kind_with_vertices(self, command, capsys):
+        assert main([command, "--kind", "pentagon", "--count", "1", "--vertices", "5"]) == 2
+        assert "vertices" in capsys.readouterr().err
+
     def test_bad_thread_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CIRCUMQUAD_THREADS", "zero")
         assert main(["bench", "--kind", "pentagon", "--count", "1"]) == 2

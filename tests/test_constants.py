@@ -85,6 +85,13 @@ class TestCertification:
         assert len(checks) == 8
         assert all(c.verdict is Verdict.PROVEN for c in checks)
 
+    def test_precision_floor_is_checked_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("circumquad.constants.certify_less", lambda *a: calls.append(a))
+        with pytest.raises(BadParams, match="precision_bits"):
+            certify_constants(TheoremConstants(), 7)
+        assert calls == []
+
     def test_low_precision_never_disproves(self):
         checks = certify_constants(TheoremConstants(), 8)
         assert any(c.verdict is Verdict.UNDECIDABLE for c in checks)

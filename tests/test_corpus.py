@@ -67,6 +67,11 @@ def test_bad_params():
     # Three points never make the 4-vertex hull the generator redraws for.
     with pytest.raises(BadParams, match="vertices must be at least 4"):
         gen_corpus("random", 1, vertices=3)
+    # An affine pentagon always has 5 vertices; a size parameter is an error.
+    for kind in ("affine_pentagon", "pentagon"):
+        for n in (2, 5, 99):
+            with pytest.raises(BadParams, match="vertices"):
+                gen_corpus(kind, 1, vertices=n)
     with pytest.raises(BadParams):
         regular_polygon(2)
     with pytest.raises(BadParams):

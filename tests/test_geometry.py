@@ -25,6 +25,7 @@ from circumquad.geometry import (
     linf_distance_to_polygon,
     midpoint,
 )
+from circumquad.minquad import Quadrilateral
 
 from conftest import apply_affine
 
@@ -125,6 +126,31 @@ class TestConvexPolygon:
     def test_pickle_round_trip(self):
         poly = ConvexPolygon([(F(1, 3), 0), (1, 0), (0, 1)])
         assert pickle.loads(pickle.dumps(poly)) == poly
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_calls_no_constructor(self, protocol, monkeypatch):
+        # A slotted class pickles as cls.__new__ plus its slot state.
+        polys = [
+            ConvexPolygon([(F(1, 3), 0), (1, 0), (0, 1)]),
+            Quadrilateral([(0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.0, 2.0)]),
+        ]
+        blobs = [pickle.dumps(p, protocol) for p in polys]
+        calls = []
+
+        def counted(init):
+            def __init__(self, vertices):
+                calls.append(vertices)
+                init(self, vertices)
+
+            return __init__
+
+        for cls in (ConvexPolygon, Quadrilateral):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        for poly, blob in zip(polys, blobs):
+            back = pickle.loads(blob)
+            assert type(back) is type(poly)
+            assert back.vertices == poly.vertices
+        assert calls == []
 
 
 class TestHull:
@@ -707,6 +733,21 @@ def test_support_extreme_on_a_rounded_away_edge():
     oracle = Support(FOUND_BODY).under(m)
     assert oracle.bounding_box() == apply_affine(m, FOUND_BODY).bounding_box()
     assert Point(*oracle.extreme(-1, 0)[0]) in image
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_support_image_copies_every_other_slot(exact):
+    """An image shares each slot of its source but the map and what it sets."""
+    body = regular_polygon(12, exact=exact)
+    oracle = Support(body)
+    m = AffineMap(2, 1, 0, 3, F(1, 2), -1)
+    image = oracle.under(m)
+    for name in Support.__slots__:
+        if name not in ("affine", "_exact", "_bounds"):
+            assert getattr(image, name) is getattr(oracle, name), name
+    assert image.affine is m
+    assert image._exact is exact
+    assert image._bounds != oracle._bounds
 
 
 @settings(max_examples=100, deadline=None)

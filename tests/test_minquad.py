@@ -156,7 +156,13 @@ class TestSolver:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
-        "family, vertices", [("random", 16), ("ellipse", 64), ("affine_pentagon", 5)]
+        "family, vertices",
+        [
+            ("random", 16),
+            ("ellipse", 64),
+            # A pentagon takes no size parameter; the id names its 5 vertices.
+            pytest.param("affine_pentagon", None, id="affine_pentagon-5"),
+        ],
     )
     def test_containment_certificate(self, family, vertices, seed):
         body = gen_corpus(family, 1, seed=seed, vertices=vertices)[0]
@@ -456,6 +462,30 @@ def solver_normals(draw):
     return poly, _scan_normals(edge_normals(poly))
 
 
+@pytest.mark.parametrize("kind, n", [("random", 8), ("random", 16), ("random", 64), ("ellipse", 64)])
+def test_corner_terms_are_monge(kind, n):
+    """The corner terms W on a body's edge normals are Monge where finite.
+
+    Every adjacent 2x2 block with four finite entries has
+    W(i, j) + W(i+1, j+1) <= W(i, j+1) + W(i+1, j), within 1e-9 of its
+    largest entry.  A monotone-matrix search for the min-plus product's
+    minima would rest on this (ROADMAP item 9).  A pentagon has no such
+    block: two of its lines three edges apart are more than pi apart.
+    """
+    blocks = 0
+    for seed in range(40):
+        body = gen_corpus(kind, 1, seed=seed, vertices=n)[0]
+        A = np.array(edge_normals(body))
+        W = _corner_terms(np.cos(A), np.sin(A), support_values(body, A)[0])
+        a, b, c, d = W[:-1, :-1], W[1:, 1:], W[:-1, 1:], W[1:, :-1]
+        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
+        a, b, c, d = a[finite], b[finite], c[finite], d[finite]
+        scale = np.maximum.reduce([abs(a), abs(b), abs(c), abs(d)])
+        assert np.all(a + b <= c + d + 1e-9 * scale), (kind, n, seed)
+        blocks += len(a)
+    assert blocks > 0
+
+
 class TestGridScan:
     @pytest.mark.parametrize("directions", [16, 17, 24, "edges"])
     @pytest.mark.parametrize("name", sorted(SCAN_BODIES))
@@ -685,7 +715,13 @@ class TestMidpointCertificate:
             assert not midpoint_certificate(poly, shrunk, support).contains_body
 
     @pytest.mark.parametrize(
-        "kind, n", [("affine_pentagon", 5), ("random", 8), ("ellipse", 64)]
+        "kind, n",
+        [
+            # A pentagon takes no size parameter; the id names its 5 vertices.
+            pytest.param("affine_pentagon", None, id="affine_pentagon-5"),
+            ("random", 8),
+            ("ellipse", 64),
+        ],
     )
     def test_one_query_per_witness_edge(self, kind, n):
         queries = []

@@ -440,8 +440,9 @@ class TestCaseMachine:
         with pytest.raises(BadParams):
             case_machine(ConvexPolygon([(0, 0), (s, 0), (s, s), (0, s)]))
 
-    # Numerically triangles, ratio 1.  The first loses every start in
-    # refinement, the second leaves the scan no quadruple of its 4 normals.
+    # Numerically triangles, ratio 1.  On the first the solver's least
+    # quadrilateral has a side of zero length, the second leaves the scan
+    # no quadruple of its 4 normals.
     @pytest.mark.xfail(
         strict=True,
         raises=NoFeasibleQuadruple,
