@@ -9,19 +9,18 @@ of the inequality, not a floating-point observation.
 The three case factors of the main theorem coincide by construction:
 ``c2 = 1 + sqrt(8 c1 (c1 - 1))`` makes ``(c2 - 1)^2 / (8 c1) = c1 - 1``, and
 ``r = sqrt(32 (sqrt(c1) - 1))`` makes ``1 + r^2 / 32 = sqrt(c1)``, so all
-three reduce to ``1 / sqrt(c1)``, the one case factor
-(:meth:`TheoremConstants.case_factor`).  c2 and r are always derived from
-c1, so :func:`certify_constants` reports the coincidence as proven by
-construction instead of comparing approximations.
+three reduce to ``1 / sqrt(c1)``, the one case factor.  c2 and r are always
+derived from c1, so :func:`certify_constants` reports the coincidence as
+proven by construction instead of comparing approximations.  Nothing here
+holds a float: the case ladder's float thresholds are derived once in
+:mod:`circumquad.pipeline`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import List, Tuple
+from typing import List
 
 from .errors import BadParams, _as_fraction, _as_int
 from .intervals import (
@@ -46,13 +45,13 @@ _FACTOR_BOUND = Fraction(99_999_974, 100_000_000)
 
 @dataclass(frozen=True)
 class TheoremConstants:
-    """The constant bundle driving the case machine.
+    """The exact constant bundle that :func:`certify_constants` checks.
 
-    c2 and r are always their defining radicals in terms of c1, kept as
-    expressions.  The float view the case machine reads (:meth:`c2_value`,
-    :meth:`r_value` and the one :meth:`case_factor`) is derived once per
-    instance, on first use.  A field that is not a finite number or numeric
-    string raises BadParams naming it.
+    The case ladder reads float thresholds derived from the default bundle.
+    The fields are exact rationals.  c2 and r are always their defining
+    radicals in terms of c1, kept as expressions (:meth:`c2_expr`,
+    :meth:`r_expr`).  A field that is not a finite number or numeric string
+    raises BadParams naming it.
     """
 
     c1: Fraction = Fraction(1) + Fraction(53, 100_000_000)
@@ -74,32 +73,6 @@ class TheoremConstants:
 
     def r_expr(self) -> Expr:
         return esqrt(32 * (esqrt(const(self.c1, "c1")) - 1))
-
-    @cached_property
-    def _floats(self) -> Tuple[float, float, float]:
-        """(c2, r, case factor) as floats, derived on first use only.
-
-        c2 and r are the midpoints of their 64-bit enclosures; the case
-        factor is 1/sqrt(c1).
-        """
-        c2 = _midpoint(self.c2_expr())
-        r = _midpoint(self.r_expr())
-        return c2, r, 1.0 / math.sqrt(float(self.c1))
-
-    def c2_value(self) -> float:
-        return self._floats[0]
-
-    def r_value(self) -> float:
-        return self._floats[1]
-
-    def case_factor(self) -> float:
-        """1/sqrt(c1) in floats, the factor every case of the ladder certifies."""
-        return self._floats[2]
-
-
-def _midpoint(expr: Expr) -> float:
-    iv = expr.enclosure(64)
-    return float((iv.lo + iv.hi) / 2)
 
 
 def _corner_cut_peak(consts: TheoremConstants) -> Fraction:

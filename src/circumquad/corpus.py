@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import BadParams, DegenerateInput, _as_int
-from .geometry import ConvexPolygon, convex_hull
+from .geometry import AffineMap, ConvexPolygon, convex_hull
 
 KINDS = ("random", "regular_k_gon", "ellipse", "affine_pentagon")
 
@@ -65,20 +65,13 @@ def regular_polygon(k: int, exact: bool = True) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
-def _random_affine(rng: random.Random):
+def _random_affine(rng: random.Random, poly: ConvexPolygon) -> ConvexPolygon:
+    """The hull of ``poly``'s image under a random non-flat affine map."""
     while True:
         m = [rng.uniform(-2, 2) for _ in range(4)]
         if abs(m[0] * m[3] - m[1] * m[2]) >= 0.2:
-            tx, ty = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            return m, (tx, ty)
-
-
-def _apply(m, t, poly: ConvexPolygon) -> ConvexPolygon:
-    pts = [
-        (m[0] * v.x + m[1] * v.y + t[0], m[2] * v.x + m[3] * v.y + t[1])
-        for v in poly.vertices
-    ]
-    return convex_hull(pts)
+            t = AffineMap(*m, rng.uniform(-3, 3), rng.uniform(-3, 3))
+            return convex_hull([t.apply(v) for v in poly.vertices])
 
 
 def _ellipse_polygon(rng: random.Random, m_sides: int) -> ConvexPolygon:
@@ -92,14 +85,11 @@ def _ellipse_polygon(rng: random.Random, m_sides: int) -> ConvexPolygon:
         )
         for i in range(m_sides)
     ]
-    mat, tr = _random_affine(rng)
-    return _apply(mat, tr, ConvexPolygon(pts))
+    return _random_affine(rng, ConvexPolygon(pts))
 
 
 def _affine_pentagon(rng: random.Random) -> ConvexPolygon:
-    pent = regular_polygon(5, exact=False)
-    mat, tr = _random_affine(rng)
-    return _apply(mat, tr, pent)
+    return _random_affine(rng, regular_polygon(5, exact=False))
 
 
 def gen_corpus(

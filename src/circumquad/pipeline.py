@@ -6,7 +6,8 @@ square [-1, 1]^2.  In those coordinates K touches all four square edges, an
 axis-aligned bounding box and a contact octagon are available, and the body
 falls into one of a handful of certified cases.  Each case certifies the
 same factor 1/sqrt(c1) < 1 for the ratio |Q| / (sqrt(2) |K|), since c2 and
-r are derived from c1 (:meth:`TheoremConstants.case_factor`).
+r are derived from c1.  The ladder reads its thresholds as module floats
+derived once at import from the default :class:`TheoremConstants`.
 
 Everything here works on either numeric backend, and no function takes a
 tolerance: each check allows slack 1e-8 when its input holds a float and
@@ -421,7 +422,17 @@ class CaseReport:
     cut_quad_area: Optional[float] = None
 
 
-_DEFAULT_CONSTS = TheoremConstants()
+# The case ladder's thresholds in floats, derived once from the default
+# constants.  c2 and r are the floats nearest their 128-bit enclosures, the
+# precision certify_constants proves them at; the one case factor every rung
+# reports is 1/sqrt(c1) in floats.
+_CONSTS = TheoremConstants()
+_C1, _C3, _DELTA = float(_CONSTS.c1), float(_CONSTS.c3), float(_CONSTS.delta)
+_C2, _R = (
+    float((iv.lo + iv.hi) / 2)
+    for iv in (_CONSTS.c2_expr().enclosure(128), _CONSTS.r_expr().enclosure(128))
+)
+_CASE_FACTOR = 1.0 / math.sqrt(_C1)
 
 
 def case_machine(body: ConvexPolygon) -> CaseReport:
@@ -466,7 +477,6 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
 
     return _classify_normalized(
         support.under(normalize_to_square(quad)),
-        _DEFAULT_CONSTS,
         quad,
         ratio,
         cert.midpoint_residuals,
@@ -475,7 +485,6 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
 
 def _classify_normalized(
     norm_body: Support,
-    consts: TheoremConstants,
     witness: ConvexPolygon,
     empirical_ratio: float,
     corner_residuals: Sequence[Scalar],
@@ -490,7 +499,7 @@ def _classify_normalized(
     :func:`build_octagon`'s containment test.  ``witness`` and
     ``empirical_ratio`` are passed through to the report; the ladder adds
     the evidence of each rung it reaches.  Every rung reports the one case
-    factor, ``consts.case_factor()``.
+    factor, 1/sqrt(c1) in floats.
     """
     contacts = axis_box_with_contacts(norm_body)
     report = partial(
@@ -500,17 +509,13 @@ def _classify_normalized(
         normalizing_map=norm_body.affine,
         contacts=contacts,
     )
-    factor = consts.case_factor()
-    c1 = float(consts.c1)
-    c2 = consts.c2_value()
-    r = consts.r_value()
     x, y = float(contacts.x), float(contacts.y)
     slack = _slack(contacts.x)
 
-    if x * y > 8 * c1 + slack:
-        return report(CaseId.BOX_LARGE, factor)
-    if x > c2 * y + slack or y > c2 * x + slack:
-        return report(CaseId.BOX_SKEWED, factor)
+    if x * y > 8 * _C1 + slack:
+        return report(CaseId.BOX_LARGE, _CASE_FACTOR)
+    if x > _C2 * y + slack or y > _C2 * x + slack:
+        return report(CaseId.BOX_SKEWED, _CASE_FACTOR)
 
     scene8 = build_octagon(norm_body, contacts)
     if any(d > slack for d in corner_residuals):
@@ -519,28 +524,29 @@ def _classify_normalized(
     # call for the whole body: one maximum per edge normal of the octagon.
     gap = float(linf_distance_to_polygon(norm_body, scene8.octagon))
     octagon_area = float(scene8.octagon_area)
-    if gap > r + slack:
+    if gap > _R + slack:
         return report(
             CaseId.BODY_EXCEEDS_OCTAGON,
-            factor,
+            _CASE_FACTOR,
             octagon_area=octagon_area,
             max_octagon_gap=gap,
         )
 
     # Remaining configuration: round box, body hugging the contact octagon.
     # The cut construction then beats area 8, which contradicts minimality
-    # of the normalizing quadrilateral; reachable only through slack.
+    # of the normalizing quadrilateral; reachable only through slack
+    # (test_octagon_improved_body_solves_to_box_large).
     normed, flips = reflection_normalize(contacts)
-    cut_quad, branch = lemma_octagon_quad(normed, float(consts.c3), float(consts.delta))
+    cut_quad, branch = lemma_octagon_quad(normed, _C3, _DELTA)
     cut_area = float(cut_quad.area)
-    if (1 + r) ** 2 * cut_area >= 8:
+    if (1 + _R) ** 2 * cut_area >= 8:
         raise InconsistentCase(
             "dilated cut quadrilateral fails the strict area-8 guard: "
             f"(1+r)^2 * {cut_area} >= 8"
         )
     return report(
         CaseId.OCTAGON_IMPROVED,
-        factor,
+        _CASE_FACTOR,
         octagon_area=octagon_area,
         max_octagon_gap=gap,
         lemma_branch=branch,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from circumquad import ContactBox, Point, TheoremConstants, convex_hull, pipeline
+from circumquad import ContactBox, Point, convex_hull, pipeline
 from circumquad.corpus import regular_polygon
 from circumquad.geometry import Support
 
@@ -114,7 +114,7 @@ def test_classify_spans_stay_on_the_call_path(monkeypatch):
     square = pipeline.unit_square().vertices
     body = convex_hull(list(square) + list(contacts.contacts)).to_float()
     report = pipeline._classify_normalized(
-        Support(body), TheoremConstants(), witness=body, empirical_ratio=1.0,
+        Support(body), witness=body, empirical_ratio=1.0,
         corner_residuals=(0.0,) * 4,
     )
     assert report.case_id is pipeline.CaseId.OCTAGON_IMPROVED

@@ -15,6 +15,7 @@ from circumquad import (
     certify_constants,
     regular_polygon,
 )
+from circumquad import pipeline
 
 
 class TestTheoremConstants:
@@ -40,30 +41,39 @@ class TestTheoremConstants:
                 TheoremConstants(**bad)
 
     def test_derived_values(self):
-        c = TheoremConstants()
-        assert c.c2_value() == pytest.approx(1.0020591, abs=1e-6)
-        assert c.r_value() == pytest.approx(2.9120e-3, abs=1e-6)
+        assert pipeline._C2 == pytest.approx(1.0020591, abs=1e-6)
+        assert pipeline._R == pytest.approx(2.9120e-3, abs=1e-6)
 
     def test_case_factors_coincide(self):
-        # The second and third factors, from the float c2 and r.
-        c = TheoremConstants()
-        c1, c2, r = float(c.c1), c.c2_value(), c.r_value()
+        # The second and third factors, from the ladder's float c2 and r.
+        c1, c2, r = pipeline._C1, pipeline._C2, pipeline._R
         f2 = 1.0 / math.sqrt(1.0 + (c2 - 1.0) ** 2 / (8.0 * c1))
         f3 = 1.0 / (1.0 + r * r / 32.0)
-        f1 = c.case_factor()
+        f1 = pipeline._CASE_FACTOR
         assert f1 == pytest.approx(f2, abs=1e-12)
         assert f1 == pytest.approx(f3, abs=1e-12)
         assert f1 == pytest.approx(1 - 2.65e-7, abs=2e-9)
 
 
 class TestFloatView:
+    """The case ladder's float thresholds, derived in ``pipeline``."""
+
     def test_bit_for_bit(self):
-        # Midpoints of the 64-bit enclosures of c2 and r, and 1/sqrt(c1)
-        # in floats.
+        # The floats nearest c2 and r, and 1/sqrt(c1) in floats (one ulp
+        # above the float nearest 1/sqrt(c1), on the safe side).
+        assert pipeline._C1 == 1.00000053
+        assert pipeline._C2 == 1.0020591265738656
+        assert pipeline._R == 0.00291204376278934
+        assert pipeline._CASE_FACTOR == 0.9999997350001054
+        assert (pipeline._C3, pipeline._DELTA) == (2.83134, 0.02824)
+
+    def test_nearest_float_to_the_128_bit_enclosure(self):
+        # float() of a Fraction rounds to nearest.  When both ends of the
+        # enclosure round to one float, so does the true value inside it.
         c = TheoremConstants()
-        assert c.c2_value() == 1.0020591265738656
-        assert c.r_value() == 0.002912043762789332
-        assert c.case_factor() == 0.9999997350001054
+        for value, expr in ((pipeline._C2, c.c2_expr()), (pipeline._R, c.r_expr())):
+            iv = expr.enclosure(128)
+            assert float(iv.lo) == value == float(iv.hi)
 
     def test_derived_once_across_bodies(self, monkeypatch):
         calls = Counter()
@@ -75,8 +85,8 @@ class TestFloatView:
             monkeypatch.setattr(TheoremConstants, name, counted)
         for body in (regular_polygon(5), regular_polygon(64)):
             assert case_machine(body).case_id is not CaseId.DEGENERATE_TRIANGLE
-        assert calls["c2_expr"] <= 1
-        assert calls["r_expr"] <= 1
+        # Derived at import: solving reads the module floats only.
+        assert calls == Counter()
 
 
 class TestCertification:

@@ -20,7 +20,6 @@ from circumquad import (
     NormalizationViolated,
     Point,
     Quadrilateral,
-    TheoremConstants,
     case_machine,
     contains_polygon,
     convex_hull,
@@ -502,8 +501,8 @@ class TestCaseMachine:
         residuals = minquad.midpoint_certificate(body, rep.witness, oracle).midpoint_residuals
         oracle._vertices = Counted(oracle._vertices)
         again = _classify_normalized(
-            oracle.under(rep.normalizing_map), TheoremConstants(), rep.witness,
-            rep.empirical_ratio, residuals,
+            oracle.under(rep.normalizing_map), rep.witness, rep.empirical_ratio,
+            residuals,
         )
         assert again == rep
         # 4 box and 12 gap queries (4 axis, 8 octagon edge normals), about
@@ -515,7 +514,7 @@ class TestCaseMachine:
         # contact octagon lies in the body.
         rep = case_machine(regular_polygon(64))
         oracle = Support(regular_polygon(64).to_float()).under(rep.normalizing_map)
-        args = (oracle, TheoremConstants(), rep.witness, rep.empirical_ratio)
+        args = (oracle, rep.witness, rep.empirical_ratio)
         assert _classify_normalized(*args, corner_residuals=(0.0,) * 4) == rep
         with pytest.raises(NormalizationViolated):
             _classify_normalized(*args, corner_residuals=(0.0, 0.0, 1e-6, 0.0))
@@ -575,15 +574,13 @@ class TestCaseMachine:
 class TestClassifier:
     """Drive the case ladder directly with synthetic normalized bodies."""
 
-    CONSTS = TheoremConstants()
-
     def octagon_body(self, ax, ay, bx, by):
         cb = box(F(-ax), F(-ay), F(bx), F(by))
         return hull_with_square(cb).to_float()
 
-    def classify(self, body, consts=CONSTS):
+    def classify(self, body):
         return _classify_normalized(
-            Support(body), consts, witness=body, empirical_ratio=1.0,
+            Support(body), witness=body, empirical_ratio=1.0,
             corner_residuals=(0.0,) * 4,
         )
 
@@ -592,7 +589,7 @@ class TestClassifier:
         body = self.octagon_body(F(29, 20), F(27, 20), F(29, 20), F(27, 20))
         rep = self.classify(body)
         assert rep.case_id is CaseId.BOX_SKEWED
-        assert rep.certified_factor == self.CONSTS.case_factor()
+        assert rep.certified_factor == pipeline._CASE_FACTOR
         assert (rep.contacts.x, rep.contacts.y) == pytest.approx((2.9, 2.7))
         assert rep.octagon_area is None and rep.max_octagon_gap is None
 
@@ -601,25 +598,37 @@ class TestClassifier:
         body = self.octagon_body(s, s, s, s)
         rep = self.classify(body)
         assert rep.case_id is CaseId.OCTAGON_IMPROVED
-        assert rep.certified_factor == self.CONSTS.case_factor()
+        assert rep.certified_factor == pipeline._CASE_FACTOR
         assert rep.lemma_branch is LemmaBranch.MIDPOINT_CASE
         assert rep.reflections == (False, False)
         assert rep.max_octagon_gap == 0.0
-        assert (1 + self.CONSTS.r_value()) ** 2 * rep.cut_quad_area < 8
+        assert (1 + pipeline._R) ** 2 * rep.cut_quad_area < 8
 
     def test_box_large_case(self):
         body = self.octagon_body(F(2), F(2), F(2), F(2))
         rep = self.classify(body)
         assert rep.case_id is CaseId.BOX_LARGE
-        assert rep.certified_factor == self.CONSTS.case_factor()
+        assert rep.certified_factor == pipeline._CASE_FACTOR
         assert rep.contacts.box_area == 16.0
         assert rep.lemma_branch is None
 
-    def test_inconsistent_case_raises_with_bloated_cut(self):
+    def test_inconsistent_case_raises_with_bloated_cut(self, monkeypatch):
         # A legitimate hugging configuration but with c3 large enough that
         # the cut quadrilateral cannot beat area 8.
         s = F(1414, 1000)
         body = self.octagon_body(s, s, s, s)
-        bad = TheoremConstants(c3=F(7, 2))
+        monkeypatch.setattr(pipeline, "_C3", 3.5)
         with pytest.raises(InconsistentCase):
-            self.classify(body, bad)
+            self.classify(body)
+
+    @pytest.mark.parametrize("s", ["1.05", "1.1", "1.2", "1.3", "1.414"])
+    def test_octagon_improved_body_solves_to_box_large(self, s):
+        # The last rung's configurations, hull([-1, 1]^2 and four contacts
+        # at sup-norm s), are not their own minima: solved from scratch,
+        # each normalizes to a box of area above 8*c1.  s = 1.414 is
+        # test_octagon_improved_case's body.
+        s = F(s)
+        rep = case_machine(self.octagon_body(s, s, s, s))
+        assert rep.case_id is CaseId.BOX_LARGE
+        if s == F(1414, 1000):
+            assert rep.empirical_ratio == 1.2071067341872435
