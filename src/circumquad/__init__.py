@@ -27,7 +27,6 @@ from .errors import (
     NegativeRadicand,
     NoFeasibleQuadruple,
     NormalizationViolated,
-    ParallelLines,
     SingularMap,
     SolverFailure,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "NegativeRadicand",
     "NoFeasibleQuadruple",
     "NormalizationViolated",
-    "ParallelLines",
     "Point",
     "Quadrilateral",
     "SingularMap",

@@ -49,10 +49,6 @@ class SingularMap(CircumquadError):
     """Affine map has zero determinant and cannot act on polygons."""
 
 
-class ParallelLines(CircumquadError):
-    """Two lines have no unique intersection point."""
-
-
 # --- solver -----------------------------------------------------------------
 
 class DegenerateBody(CircumquadError):

@@ -20,8 +20,7 @@ float inputs take the generic arithmetic.  Containment of a :class:`Support`
 reads one maximum per edge normal at every ``tol``.
 
 Orientation convention: polygon vertices are counterclockwise and strictly
-convex (no repeated or collinear consecutive vertices).  Lines are written
-``a*x + b*y = c``.
+convex (no repeated or collinear consecutive vertices).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import BadParams, DegenerateInput, ParallelLines, SingularMap, _as_fraction
+from .errors import BadParams, DegenerateInput, SingularMap, _as_fraction
 
 Scalar = Union[int, float, Fraction]
 
@@ -98,23 +97,6 @@ def cross3(o: Point, a: Point, b: Point) -> Scalar:
 
 def midpoint(p: Point, q: Point) -> Point:
     return Point(_half(p.x + q.x), _half(p.y + q.y))
-
-
-class Line(NamedTuple):
-    """Line ``{(x, y) : a*x + b*y = c}`` with ``(a, b) != (0, 0)``."""
-
-    a: Scalar
-    b: Scalar
-    c: Scalar
-
-
-def line_intersection(l1: Line, l2: Line) -> Point:
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        raise ParallelLines(f"no unique intersection of {l1} and {l2}")
-    x = _div(l1.c * l2.b - l2.c * l1.b, det)
-    y = _div(l1.a * l2.c - l2.a * l1.c, det)
-    return Point(x, y)
 
 
 class AffineMap(NamedTuple):
@@ -220,8 +202,8 @@ class ConvexPolygon:
     @classmethod
     def _unchecked(cls, vertices: Tuple[Point, ...]) -> "ConvexPolygon":
         # Skips validation, for vertices already known to be strictly convex
-        # and ccw: a finished hull, or a test body that must reach the solver
-        # as given.
+        # and ccw: a finished hull, a polygon's integer image, or a test body
+        # that must reach the solver as given.
         obj = object.__new__(cls)
         obj.vertices = tuple(vertices)
         return obj
@@ -448,16 +430,6 @@ class Support:
                 seen = seen + side if step == 1 else side[::-1] + seen
         return tuple([Point(*q) for h, q in seen if h >= top - width])
 
-    def bounding_box(self) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
-        """The image's (xmin, ymin, xmax, ymax), from four queries."""
-        left, bottom, right, top = (self.extreme(ux, uy) for ux, uy in _AXES)
-        return (
-            min(p.x for p in left),
-            min(p.y for p in bottom),
-            max(p.x for p in right),
-            max(p.y for p in top),
-        )
-
 
 def _candidates(body, ux: Scalar, uy: Scalar) -> Sequence[Point]:
     """Points among which ``<u, .>`` attains its largest value over ``body``.
@@ -489,14 +461,14 @@ def contains_polygon(
     """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``.
 
     ``inner`` is a polygon, a sequence of points or a :class:`Support`.  At
-    ``tol = 0`` a polygon or sequence is tested on one integer image of its
-    points and ``outer``'s vertices.  Otherwise, and for a :class:`Support`
-    at every ``tol``, the test takes, per edge of ``outer``, the largest
-    excess ``-cross3(a, b, q)`` over the candidates for the edge's outward
-    normal (:func:`_edge_excesses`, one query to a :class:`Support`) and
-    compares that one value with the edge's bound: the maximum is exact and
-    the comparison is monotone in it, so the verdict is that of testing
-    every point.
+    ``tol = 0`` a polygon or sequence is replaced by one integer image of its
+    points and ``outer``'s vertices, where every test is in plain ints.  The
+    test takes, per edge of ``outer``, the largest excess ``-cross3(a, b,
+    q)`` over the candidates for the edge's outward normal
+    (:func:`_edge_excesses`, one query to a :class:`Support`) and compares
+    that one value with the edge's bound: the maximum is exact and the
+    comparison is monotone in it, so the verdict is that of testing every
+    point.
 
     A point q lies beyond edge (a, b) when c = cross3(a, b, q) < 0 and its
     distance -c / |e|, with e = b - a, exceeds ``tol * diam``; at ``tol = 0``
@@ -511,10 +483,8 @@ def contains_polygon(
         points = inner.vertices if isinstance(inner, ConvexPolygon) else inner
         n = len(outer)
         img, _ = _int_image(outer.vertices + tuple(points))
-        ring = img[:n]
-        edges = list(zip(ring, ring[1:] + ring[:1]))
-        return all(cross3(a, b, q) >= 0 for q in img[n:] for a, b in edges)
-    diam = outer.linf_diameter()
+        outer, inner = ConvexPolygon._unchecked(img[:n]), img[n:]
+    diam = outer.linf_diameter() if tol != 0 else None
     for ex, ey, m in _edge_excesses(outer, inner):
         if m > 0 and (
             tol == 0
@@ -578,7 +548,9 @@ def linf_distance_to_polygon(
     if not isinstance(p, (ConvexPolygon, Support)):
         return _point_distances((p,), poly, box)[0]
     xmin, ymin, xmax, ymax = box
-    lx, ly, hx, hy = p.bounding_box()
+    left, bottom, right, top = (_candidates(p, ux, uy) for ux, uy in _AXES)
+    lx, ly = min(q.x for q in left), min(q.y for q in bottom)
+    hx, hy = max(q.x for q in right), max(q.y for q in top)
     dist = max(xmin - lx, hx - xmax, ymin - ly, hy - ymax)
     for ex, ey, excess in _edge_excesses(poly, p):
         if excess > 0:

@@ -48,14 +48,17 @@ of type (ii), on random hulls, and neither has beaten (i) and (ii).
 
 * :func:`brute_force_min_quad`, the reference oracle, scans type (i) on a
   uniform angle grid, anchored at the smallest index (no middle line passes
-  index 0), and returns the best quadruple, or the triangle it is when a
-  side has collapsed.
+  index 0).
 * :func:`min_circumscribed_quadrilateral` solves (i) and (ii) on the body's
   edge normals in one vectorized pass, :func:`_flush_and_pivot`: O(n^3)
   time and O(n^2) memory.  Above 90 edges the pass runs on every k-th
   normal, then on the true normals in windows around its four lines.  Its
   output is wrapped in a :class:`CircumscriptionCertificate`, with
   containment re-checked geometrically.
+
+Both turn their four lines into a polygon in one step, :func:`_circumscribed`:
+the quadrilateral they cut out, or the triangle it is when a side has
+collapsed.
 """
 
 from __future__ import annotations
@@ -376,22 +379,23 @@ def _flush_and_pivot(c: np.ndarray, s: np.ndarray, h: np.ndarray, v: np.ndarray)
     return area, sides
 
 
-def _scan_normals(normals: List[float]) -> List[float]:
-    """The edge normals the solver scans: all of them up to 90 edges.
+def _scan_normals(normals: List[float]) -> np.ndarray:
+    """Indices of the edge normals the solver scans, ascending: all up to 90 edges.
 
     Beyond that every k-th one, k = ceil(edges / 90), except where two picks
     would lie pi or more apart: every normal between them is kept there, for
     no quadruple spans such a gap (a half-disk's flat side makes one).
     """
-    if len(normals) <= _MAX_DIRECTIONS:
-        return list(normals)
-    step = math.ceil(len(normals) / _MAX_DIRECTIONS)
+    n = len(normals)
+    if n <= _MAX_DIRECTIONS:
+        return np.arange(n)
+    step = math.ceil(n / _MAX_DIRECTIONS)
     picked = []
-    for i in range(0, len(normals), step):
-        nxt = normals[i + step] if i + step < len(normals) else normals[0] + _TWO_PI
+    for i in range(0, n, step):
+        nxt = normals[i + step] if i + step < n else normals[0] + _TWO_PI
         wide = math.sin(nxt - normals[i]) <= _SIN_GAP_MIN  # the scan's infeasible gaps
-        picked += normals[i : i + step] if wide else [normals[i]]
-    return picked
+        picked += range(i, min(i + step, n)) if wide else [i]
+    return np.array(picked)
 
 
 def _float_support(
@@ -442,17 +446,37 @@ def _quad_from_lines(lines, tiny: float):
     return twice / 2.0, corners
 
 
+def _circumscribed(lines, tiny: float) -> ConvexPolygon:
+    """The polygon that four support lines, in ccw order, cut out.
+
+    A :class:`Quadrilateral`, or the triangle of the other three lines when
+    one side has collapsed into a corner (:func:`_quad_from_lines` with
+    ``tiny``): the collapsed side's line then passes through the corner of
+    its two neighbours, so without it the region stays the same; without any
+    other line it grows, or is no triangle.  The minimum circumscribed
+    quadrilateral is never larger than a circumscribed triangle.  Raises
+    NoFeasibleQuadruple when the lines cut out neither.
+    """
+    _, corners = _quad_from_lines(lines, tiny)
+    if corners is not None:
+        return Quadrilateral(corners)
+    _, corners = min(
+        (_quad_from_lines(lines[:i] + lines[i + 1 :], tiny) for i in range(4)),
+        key=itemgetter(0),
+    )
+    if corners is None:
+        raise NoFeasibleQuadruple("the four lines cut out neither a quadrilateral nor a triangle")
+    return ConvexPolygon(corners)
+
+
 def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
     """Best circumscribed quadrilateral over the uniform angle grid.
 
     Exhaustive over all direction quadruples with gaps below pi.  Serves
     as the independent oracle for the solver.  ``grid`` runs from 16 to
-    1024.  Returns a :class:`Quadrilateral`, or a triangle
-    when the best quadruple has a collapsed side: its line then passes
-    through the corner of its two neighbours, and the other three lines cut
-    out the same region.  The minimum circumscribed quadrilateral is never
-    larger than a circumscribed triangle, so the result stays an upper bound
-    on it.
+    1024.  Returns a :class:`Quadrilateral`, or a triangle when the best
+    quadruple has a collapsed side (:func:`_circumscribed`), which stays an
+    upper bound on the minimum.
     """
     grid = _as_int(grid, "grid")
     if not 16 <= grid <= _MAX_GRID:
@@ -460,29 +484,18 @@ def brute_force_min_quad(body: ConvexPolygon, grid: int = 180) -> ConvexPolygon:
     poly, support = _float_support(body)
     angles = [_TWO_PI * k / grid for k in range(grid)]
     _, idx = _scan_support_directions(poly, np.array(angles))
-    lines = [support.line(angles[k]) for k in idx]
-    _, corners = _quad_from_lines(lines, support.tiny)
-    if corners is not None:
-        return Quadrilateral(corners)
-    # Without the collapsed side's line the region stays the same; without
-    # any other line it grows, or is no triangle.
-    _, corners = min(
-        (_quad_from_lines(lines[:i] + lines[i + 1 :], support.tiny) for i in range(4)),
-        key=itemgetter(0),
-    )
-    if corners is None:
-        raise NoFeasibleQuadruple(f"the best quadruple on the {grid}-grid is degenerate")
-    return ConvexPolygon(corners)
+    return _circumscribed([support.line(angles[k]) for k in idx], support.tiny)
 
 
 def _solve_on(support: Support, picked: np.ndarray, origin: np.ndarray):
-    """(doubled area, lines) of :func:`_flush_and_pivot` on some edge normals.
+    """(doubled area, sides) of :func:`_flush_and_pivot` on some edge normals.
 
     ``picked`` are ascending indices into ``support.normals``.  Their edge
     lines cut out a polygon around the body, whose vertex between two lines
     is the body's own where the normals are consecutive, and the lines'
-    corner elsewhere.  The pass runs about ``origin``; the four (cos, sin,
-    h) lines come back in the body's frame at ascending angles.
+    corner elsewhere.  The pass runs about ``origin``; the four sides come
+    back as (angle, (cos, sin, h)) in the body's frame at ascending angles,
+    a flush side's angle being its edge normal itself.
     """
     angles = np.array(support.normals)[picked]
     c, s = np.cos(angles), np.sin(angles)
@@ -509,7 +522,7 @@ def _solve_on(support: Support, picked: np.ndarray, origin: np.ndarray):
             line = (cb, sb, float(px[j] * cb + py[j] * sb))
             found.append((math.atan2(sb, cb) % _TWO_PI, line))
     found.sort(key=itemgetter(0))
-    return area, [line for _, line in found]
+    return area, found
 
 
 def min_circumscribed_quadrilateral(
@@ -520,10 +533,12 @@ def min_circumscribed_quadrilateral(
     Solves types (i) and (ii) of the module docstring on the body's edge
     normals in one pass.  On a body of more than 90 edges that pass runs on
     every k-th normal, and the same pass then runs once more on the true
-    normals within k (at most 11) of each of the four lines it found; the
-    lesser answer wins.  A triangular body is its own witness: the result
-    is then the body's 3-vertex polygon (no strictly smaller quadrilateral
-    exists), otherwise a :class:`Quadrilateral`.
+    normals within k (at most 11) of each of the four angles it found; the
+    lesser answer wins.  The result is a :class:`Quadrilateral`, or a
+    triangle: the body itself when it is a triangle (no strictly smaller
+    quadrilateral exists), or, like :func:`brute_force_min_quad`'s, the
+    triangle of the other three lines when a side of the least quadruple
+    has collapsed into a corner (:func:`_circumscribed`).
 
     ``support`` is the :class:`Support` oracle of the body in floats, when the
     caller holds one; the solver and the certificate read the body through it.
@@ -534,18 +549,15 @@ def min_circumscribed_quadrilateral(
 
     normals = support.normals
     origin = np.asarray(poly.vertices, dtype=float).mean(axis=0)
-    picked = np.searchsorted(normals, _scan_normals(normals))
-    area, lines = _solve_on(support, picked, origin)
+    picked = _scan_normals(normals)
+    area, sides = _solve_on(support, picked, origin)
     if len(picked) < len(normals):
         half = min(math.ceil(len(normals) / _MAX_DIRECTIONS), _MAX_DIRECTIONS // 8)
-        found = np.searchsorted(normals, [math.atan2(s, c) % _TWO_PI for c, s, _ in lines])
+        found = np.searchsorted(normals, [theta for theta, _ in sides])
         window = np.unique((found + np.arange(-half, half + 1)[:, None]) % len(normals))
-        area, lines = min((area, lines), _solve_on(support, window, origin), key=itemgetter(0))
+        area, sides = min((area, sides), _solve_on(support, window, origin), key=itemgetter(0))
 
-    _, corners = _quad_from_lines(lines, support.tiny)
-    if corners is None:
-        raise NoFeasibleQuadruple("the least quadrilateral has a side of zero length")
-    quad = Quadrilateral(corners)
+    quad = _circumscribed([line for _, line in sides], support.tiny)
     cert = midpoint_certificate(poly, quad, support)
     if not cert.contains_body:
         raise SolverFailure("the solver's quadrilateral fails the containment check")

@@ -35,7 +35,6 @@ from .errors import (
 from .geometry import (
     AffineMap,
     ConvexPolygon,
-    Line,
     Point,
     Scalar,
     Support,
@@ -45,7 +44,6 @@ from .geometry import (
     _slack,
     contains_polygon,
     convex_hull,
-    line_intersection,
     linf_ball,
     linf_distance_to_polygon,
 )
@@ -340,16 +338,18 @@ def lemma_octagon_quad(
         return quad, LemmaBranch.U_LEFT
 
     # Both contacts inside their tilt bands: intersect the two balanced cut
-    # lines.  The first rises from (1, y2) toward w1, the second descends
-    # through (x1 + c, y2 + 4c/5); their crossing is the far corner.
+    # lines y = slope*x - h.  The first rises from (1, y2) toward w1, the
+    # second descends through (x1 + c, y2 + 4c/5); their crossing is the far
+    # corner.  The slopes have opposite signs, so the lines always cross.
     slope1 = _div((HALF - delta) * c, x1 + c - 1)
-    line1 = Line(slope1, -1, slope1 * 1 - y2)
+    h1 = slope1 - y2
     slope2 = _div(-1, 5 * (HALF - delta))
     anchor_y = y2 + _div(4 * c, 5)
-    line2 = Line(slope2, -1, slope2 * (x1 + c) - anchor_y)
-    far = line_intersection(line1, line2)
-    top = Point(x1, _div(c, 5 * (HALF - delta)) + anchor_y)
-    quad = _ccw([(x1, y2), (1, y2), (far.x, far.y), (top.x, top.y)])
+    h2 = slope2 * (x1 + c) - anchor_y
+    det = slope2 - slope1
+    far = (_div(h2 - h1, det), _div(slope1 * h2 - slope2 * h1, det))
+    top = (x1, _div(c, 5 * (HALF - delta)) + anchor_y)
+    quad = _ccw([(x1, y2), (1, y2), far, top])
     return quad, LemmaBranch.MIDPOINT_CASE
 
 

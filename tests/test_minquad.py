@@ -384,6 +384,12 @@ def edge_normals(poly):
     )
 
 
+def scanned_normals(poly):
+    """The edge normals the solver scans, the angles at ``_scan_normals``' indices."""
+    normals = edge_normals(poly)
+    return [normals[k] for k in _scan_normals(normals)]
+
+
 # The vertex (0.125, 0) turns by 1.7e-12 rad.  Every quadruple of its four
 # edge normals is the body itself; the flagged search reads sides 0 and 1 as
 # collapsed, as each of their contacts lies within 2 * tiny of both
@@ -459,7 +465,7 @@ def solver_normals(draw):
         except DegenerateInput:
             assume(False)
     poly = body.to_float()
-    return poly, _scan_normals(edge_normals(poly))
+    return poly, scanned_normals(poly)
 
 
 @pytest.mark.parametrize("kind, n", [("random", 8), ("random", 16), ("random", 64), ("ellipse", 64)])
@@ -533,7 +539,7 @@ class TestGridScan:
 
     @settings(max_examples=60, deadline=None)
     @given(solver_normals())
-    @example(case=(NEARLY_STRAIGHT, _scan_normals(edge_normals(NEARLY_STRAIGHT))))
+    @example(case=(NEARLY_STRAIGHT, scanned_normals(NEARLY_STRAIGHT)))
     def test_edge_normal_scan_equals_flagged_search(self, case):
         # The solver's lines lie flush with body edges, so a scan that keeps
         # quadruples with a collapsed side finds exactly what one that
@@ -578,7 +584,7 @@ class TestGridScan:
         # scan keeps it, and so finds less than the flagged search's 5.
         poly = ConvexPolygon([(-2.0, 0.0), (0.0, -1.0), (1.0, -1.0), (0.0, 0.0),
                               (-2.0, 9.917260693413039e-85)])
-        normals = _scan_normals(edge_normals(poly))
+        normals = scanned_normals(poly)
         assert len(normals) == 5
         minima = pair_minima(poly, normals)
         assert minima == reference_pairs(reference_scan(poly, normals))
@@ -921,6 +927,32 @@ class TestFlushAndPivot:
 
         scan = peak(lambda: _scan_support_directions(poly, np.array(support.normals)))
         assert peak(lambda: min_circumscribed_quadrilateral(poly, support)) <= 1.1 * scan
+
+    def test_window_holds_the_neighbours_of_each_flush_line(self, monkeypatch):
+        # Above 90 edges the second pass runs on the true normals within
+        # half = min(ceil(n / 90), 11) of the first pass's four angles.  On
+        # this 1024-gon a flush line lies on normal 0; its angle, read back
+        # off the line's cos and sin, came out one ulp high, and the window
+        # centred on normal 1 missed normal -half.
+        body = gen_corpus("ellipse", 8, seed=16, vertices=1024)[6]
+        calls = []
+        solve_on = minquad._solve_on
+
+        def recorded(support, picked, origin):
+            area, sides = solve_on(support, picked, origin)
+            calls.append((support.normals, picked, sides))
+            return area, sides
+
+        monkeypatch.setattr(minquad, "_solve_on", recorded)
+        min_circumscribed_quadrilateral(body)
+        (normals, first, sides), (_, second, _) = calls
+        n = len(normals)
+        half = min(math.ceil(n / 90), 11)
+        angles = [theta for theta, _ in sides]
+        flush = [int(k) for k in first if normals[k] in angles]
+        assert 0 in flush
+        for k in flush:
+            assert {(k + d) % n for d in range(-half, half + 1)} <= set(second.tolist())
 
 
 TWO_PI = 2 * math.pi

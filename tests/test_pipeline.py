@@ -439,18 +439,30 @@ class TestCaseMachine:
         with pytest.raises(BadParams):
             case_machine(ConvexPolygon([(0, 0), (s, 0), (s, s), (0, s)]))
 
-    # Numerically triangles, ratio 1.  On the first the solver's least
-    # quadrilateral has a side of zero length, the second leaves the scan
-    # no quadruple of its 4 normals.
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NoFeasibleQuadruple,
-        reason="a vanishing edge leaves the float solver no quadruple; "
-        "ROADMAP item 4 (affine pre-frame) is to mend it",
+    # Numerically triangles, ratio 1.  On the first the least quadruple has
+    # a side of zero length, and the solver returns the triangle of the other
+    # three lines.  The second body's edge of 5.7e-68 turns its normal by
+    # less than rounding, so two of its 4 normals are equal: the zero gap
+    # leaves the scan no quadruple.
+    @pytest.mark.parametrize(
+        "corner",
+        [
+            (1.0, 5.7362190172743516e-68),
+            pytest.param(
+                (2.0, 5.7e-68),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=NoFeasibleQuadruple,
+                    reason="a zero gap between two normals leaves the float solver "
+                    "no quadruple; ROADMAP item 4 (affine pre-frame) is to mend it",
+                ),
+            ),
+        ],
     )
-    @pytest.mark.parametrize("corner", [(1.0, 5.7362190172743516e-68), (2.0, 5.7e-68)])
     def test_vanishing_edge_gets_a_report(self, corner):
         rep = case_machine(ConvexPolygon([(0.0, 0.0), (1.0, 0.0), corner, (0.0, 1.0)]))
+        assert rep.case_id is CaseId.DEGENERATE_TRIANGLE
+        assert len(rep.witness) == 3
         assert rep.empirical_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_edge_rounded_away_by_the_map_gets_a_report(self):
