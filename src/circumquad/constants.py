@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .errors import BadParams, _as_fraction, _as_int
+from .errors import BadParams, _as_fraction
 from .intervals import (
     CertifiedComparison,
     Expr,
@@ -101,8 +101,6 @@ def certify_constants(
     PROVEN at the default constants and 128 bits.  ``precision_bits`` must be
     an integer of at least 8, else BadParams.
     """
-    if _as_int(precision_bits, "precision_bits") < 8:
-        raise BadParams("precision_bits must be at least 8")
     c1e = const(consts.c1, "c1")
     c2e = consts.c2_expr()
     re_ = consts.r_expr()

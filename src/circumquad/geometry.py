@@ -34,14 +34,10 @@ from .errors import BadParams, DegenerateInput, SingularMap, _as_fraction
 
 Scalar = Union[int, float, Fraction]
 
-# Slack of the checks on float input, relative to quantities of order 1.
-FLOAT_SLACK = 1e-8
+FLOAT_SLACK = 1e-9  # slack of every check on float input, at scale 1
+FLOAT_ROUNDING = 1e-12  # rounding noise of a float quantity at scale 1: about 4500 ulps
 
 _TWO_PI = 2.0 * math.pi
-# Relative width of the near-ties that Support.extreme keeps on float images,
-# 2**13 units in the last place: thousands of times the rounding of a mapped
-# coordinate and of the callers' per-edge expressions on it.
-_NEAR_TIE = 2.0**-40
 # The axis directions -x, -y, +x, +y, as ints so that exact input stays exact.
 _AXES = ((-1, 0), (0, -1), (1, 0), (0, 1))
 
@@ -324,7 +320,7 @@ class Support:
     expressions of ``AffineMap.apply``, so every value read through the
     oracle equals the one read off the polygon of the mapped vertices bit
     for bit.  ``tiny`` is a length at the rounding level of the polygon's
-    coordinates.
+    coordinates, :data:`FLOAT_ROUNDING` times the largest of them.
     """
 
     __slots__ = (
@@ -344,7 +340,7 @@ class Support:
         self._starts = [i for _, _, i in edges]
         self._vertices = poly.vertices
         self._reach = max(max(abs(x), abs(y)) for x, y in self.contacts)
-        self.tiny = 1e-12 * self._reach
+        self.tiny = FLOAT_ROUNDING * self._reach
         self.affine: Optional[AffineMap] = None
         self._exact = poly.is_exact
         self._bounds = (self._reach, self._reach)  # on |x| and |y| over the image
@@ -380,7 +376,7 @@ class Support:
 
         The bisection finds the polygon vertex supporting ``M^T u``.  The
         query then walks on from it while a neighbour's value ``ux*x + uy*y``
-        is higher, or lower by at most the width ``2**-40 * (|ux| X + |uy| Y)``,
+        is higher, or lower by at most the width ``FLOAT_ROUNDING * (|ux| X + |uy| Y)``,
         X and Y bounding the image's coordinates; it returns the vertices
         within that width of the largest value.  On exact input the width is 0
         and the answer is the one or two maximizers.  On floats the width is
@@ -409,7 +405,7 @@ class Support:
         if self._exact and not isinstance(ux, float) and not isinstance(uy, float):
             width = 0
         else:
-            width = _NEAR_TIE * (abs(ux) * self._bounds[0] + abs(uy) * self._bounds[1])
+            width = FLOAT_ROUNDING * (abs(ux) * self._bounds[0] + abs(uy) * self._bounds[1])
         p = image(k)
         top = ux * p[0] + uy * p[1]
         seen = [(top, p)]
@@ -450,7 +446,7 @@ def contains_point(poly: ConvexPolygon, p: Sequence[Scalar], tol: Scalar = 0) ->
     check and exact for rational inputs; so is the tolerant test, see
     :func:`contains_polygon`.
     """
-    return contains_polygon(poly, (Point(p[0], p[1]),), tol)
+    return contains_polygon(poly, (p,), tol)
 
 
 def contains_polygon(
@@ -460,11 +456,12 @@ def contains_polygon(
 ) -> bool:
     """Whether every vertex of ``inner`` passes :func:`contains_point` on ``outer``.
 
-    ``inner`` is a polygon, a sequence of points or a :class:`Support`.  At
-    ``tol = 0`` a polygon or sequence is replaced by one integer image of its
-    points and ``outer``'s vertices, where every test is in plain ints.  The
-    test takes, per edge of ``outer``, the largest excess ``-cross3(a, b,
-    q)`` over the candidates for the edge's outward normal
+    ``inner`` is a polygon, a :class:`Support` or a sequence of points,
+    coerced like a polygon's vertices; ``tol`` is a number in ``[0, inf)``.
+    At ``tol = 0`` a polygon or sequence is replaced by one integer image of
+    its points and ``outer``'s vertices, where every test is in plain ints.
+    The test takes, per edge of ``outer``, the largest excess ``-cross3(a,
+    b, q)`` over the candidates for the edge's outward normal
     (:func:`_edge_excesses`, one query to a :class:`Support`) and compares
     that one value with the edge's bound: the maximum is exact and the
     comparison is monotone in it, so the verdict is that of testing every
@@ -479,6 +476,10 @@ def contains_polygon(
     ``tol * diam * |e|``: squares of coordinates above about 1e77 would
     overflow to inf on both sides and pass every point.
     """
+    if not (isinstance(tol, (int, float, Fraction)) and 0 <= tol < math.inf):
+        raise BadParams(f"tol must be a number in [0, inf), got {tol!r}")
+    if not isinstance(inner, (ConvexPolygon, Support)):
+        inner = _coerce_points(inner)
     if tol == 0 and not isinstance(inner, Support):
         points = inner.vertices if isinstance(inner, ConvexPolygon) else inner
         n = len(outer)
@@ -546,7 +547,7 @@ def linf_distance_to_polygon(
     """
     box = poly.bounding_box()
     if not isinstance(p, (ConvexPolygon, Support)):
-        return _point_distances((p,), poly, box)[0]
+        return _point_distances(_coerce_points((p,)), poly, box)[0]
     xmin, ymin, xmax, ymax = box
     left, bottom, right, top = (_candidates(p, ux, uy) for ux, uy in _AXES)
     lx, ly = min(q.x for q in left), min(q.y for q in bottom)

@@ -36,6 +36,12 @@ RationalLike = Union[int, Fraction]
 _GUARD_BITS = 16
 
 
+def _check_precision(bits) -> None:
+    """BadParams unless ``bits`` is an integer of at least 8, the precision floor."""
+    if _as_int(bits, "precision_bits") < 8:
+        raise BadParams("precision_bits must be at least 8")
+
+
 def _floor_dyadic(q: Fraction, bits: int) -> Fraction:
     return Fraction((q.numerator << bits) // q.denominator, 1 << bits)
 
@@ -107,8 +113,7 @@ def sqrt_enclosure(value: RationalLike, precision_bits: int = 128) -> Interval:
     lo**2 <= value <= hi**2 exactly.  Perfect squares of rationals come back
     as zero-width intervals.
     """
-    if _as_int(precision_bits, "precision_bits") < 8:
-        raise BadParams("precision_bits must be at least 8")
+    _check_precision(precision_bits)
     q = Fraction(value)
     if q < 0:
         raise NegativeRadicand(f"sqrt of negative rational {q}")
@@ -245,6 +250,7 @@ def certify_less(lhs, rhs, precision_bits: int = 128) -> CertifiedComparison:
     precision.  Refining precision can only move UNDECIDABLE to one of the
     definite verdicts, never flip a definite verdict.
     """
+    _check_precision(precision_bits)
     le = as_expr(lhs)
     re_ = as_expr(rhs)
     li = le.enclosure(precision_bits)

@@ -81,6 +81,7 @@ from .errors import (
     _as_int,
 )
 from .geometry import (
+    FLOAT_ROUNDING,
     ConvexPolygon,
     Scalar,
     Support,
@@ -91,13 +92,6 @@ from .geometry import (
     midpoint,
 )
 
-# Two lines whose gap g has ``sin g`` at or below this meet in no corner of a
-# circumscribed quadrilateral: the gap is 0 or at least pi, or so near either
-# that the corner is lost to rounding.  The scans, the pivots and the choice
-# of scanned normals all use it.
-_SIN_GAP_MIN = 1e-12
-# Relative slack of the certificate's containment check on float input.
-_TOL = 1e-9
 # The solver's pass runs on about this many of the body's edge normals at
 # most, so that its O(n^3) product stays near 1 ms (2-core VM); see
 # _scan_normals.  A second pass takes at most _MAX_DIRECTIONS // 8 normals
@@ -108,9 +102,9 @@ _MAX_DIRECTIONS = 90
 _PAIRS_PER_STEP = 512
 # Largest sup-norm diameter of a body the solver accepts.  The scan's support
 # values about the vertex mean are at most sqrt(2) times the diameter, so each
-# feasible corner term is below 8 * diam**2 / _SIN_GAP_MIN, and the scan's
+# feasible corner term is below 8 * diam**2 / FLOAT_ROUNDING, and the scan's
 # sums of four such terms stay finite up to here (about 2.4e147).
-_MAX_DIAMETER = math.sqrt(sys.float_info.max * _SIN_GAP_MIN / 32.0)
+_MAX_DIAMETER = math.sqrt(sys.float_info.max * FLOAT_ROUNDING / 32.0)
 # Largest angle grid the oracle accepts.  The scan holds a few n-by-n float
 # arrays and takes O(n^3) time: at 1024 a 25 MB tracemalloc peak and 1.2 s
 # for the 8-vertex hull of 16 random points on a 2-core VM, and the memory
@@ -164,7 +158,7 @@ def varignon(quad: Quadrilateral) -> ConvexPolygon:
 def midpoint_certificate(
     body: ConvexPolygon, quad: ConvexPolygon, support: Support
 ) -> CircumscriptionCertificate:
-    """Containment (slack ``_TOL`` on float input) and midpoint optimality residuals.
+    """Containment (:func:`geometry._slack`) and midpoint optimality residuals.
 
     The body's bounding box and edge vectors are computed once, for its
     diameter and for the midpoint distances.  The containment test reads the
@@ -176,8 +170,7 @@ def midpoint_certificate(
     diam = max(box[2] - box[0], box[3] - box[1])
     mids = [midpoint(a, b) for a, b in quad.edges()]
     residuals = tuple(d / diam for d in _point_distances(mids, body, box))
-    tol = _TOL if _slack(*body.vertices[0], *quad.vertices[0]) else 0
-    contains = contains_polygon(quad, support, tol)
+    contains = contains_polygon(quad, support, _slack(*body.vertices[0], *quad.vertices[0]))
     ratio = quad.area / body.area
     return CircumscriptionCertificate(contains, residuals, ratio)
 
@@ -227,7 +220,7 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray):
 
 
 def _corner_terms(c: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """W(i, j) of the lines (c, s, h); inf where ``sin g <= _SIN_GAP_MIN``."""
+    """W(i, j) of the lines (c, s, h); inf where ``sin g <= FLOAT_ROUNDING``."""
     ci, si, hi = c[:, None], s[:, None], h[:, None]
     # The infeasible pairs may overflow; they are masked below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -240,7 +233,7 @@ def _corner_terms(c: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
         del cos_g
         np.subtract(2.0 * hi * h, W, out=W)
         W /= sin_g
-    W[sin_g <= _SIN_GAP_MIN] = np.inf
+    W[sin_g <= FLOAT_ROUNDING] = np.inf  # no corner, or one lost to rounding
     return W
 
 
@@ -318,7 +311,7 @@ def _pivots(nrm, h, v, K, x, d):
         gx, gy = nx.conjugate() * u, u.conjugate() * ny
         area = (2.0 * hx * hb - (hx * hx + hb * hb) * gx.real) / gx.imag
         area += (2.0 * hb * hy - (hb * hb + hy * hy) * gy.real) / gy.imag
-    ok = (gx.imag > _SIN_GAP_MIN) & (gy.imag > _SIN_GAP_MIN)
+    ok = (gx.imag > FLOAT_ROUNDING) & (gy.imag > FLOAT_ROUNDING)
     ok &= (nrm[j - 1].conjugate() * u).imag >= 0.0  # b's normal in the cone
     ok &= (u.conjugate() * nrm[j]).imag >= 0.0
     area[~ok] = np.inf
@@ -393,7 +386,7 @@ def _scan_normals(normals: List[float]) -> np.ndarray:
     picked = []
     for i in range(0, n, step):
         nxt = normals[i + step] if i + step < n else normals[0] + _TWO_PI
-        wide = math.sin(nxt - normals[i]) <= _SIN_GAP_MIN  # the scan's infeasible gaps
+        wide = math.sin(nxt - normals[i]) <= FLOAT_ROUNDING  # the scan's infeasible gaps
         picked += range(i, min(i + step, n)) if wide else [i]
     return np.array(picked)
 
@@ -413,7 +406,7 @@ def _float_support(
             f"body too large: its sup-norm diameter {diam:.3g} exceeds {_MAX_DIAMETER:.3g}, "
             "beyond which the solver's sums of corner terms may overflow"
         )
-    if poly.area <= 1e-12 * diam * diam:
+    if poly.area <= FLOAT_ROUNDING * diam * diam:
         raise DegenerateBody("body area is numerically zero")
     return poly, Support(poly) if support is None else support
 
@@ -432,7 +425,7 @@ def _quad_from_lines(lines, tiny: float):
         ci, si, hi = lines[i]
         cj, sj, hj = lines[(i + 1) % k]
         det = ci * sj - cj * si  # sin of the gap
-        if det <= _SIN_GAP_MIN:
+        if det <= FLOAT_ROUNDING:
             return math.inf, None
         corners.append(((hi * sj - hj * si) / det, (ci * hj - cj * hi) / det))
     twice = 0.0
@@ -509,7 +502,7 @@ def _solve_on(support: Support, picked: np.ndarray, origin: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
             px[i] = (h[p] * s[i] - h[i] * s[p]) / det
             py[i] = (c[p] * h[i] - c[i] * h[p]) / det
-        px[i[det <= _SIN_GAP_MIN]] = np.nan  # the lines meet in no corner
+        px[i[det <= FLOAT_ROUNDING]] = np.nan  # the lines meet in no corner
     ox, oy = origin
     area, sides = _flush_and_pivot(c, s, h - (ox * c + oy * s), (px - ox) + 1j * (py - oy))
     found = []

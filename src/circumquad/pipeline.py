@@ -10,8 +10,8 @@ r are derived from c1.  The ladder reads its thresholds as module floats
 derived once at import from the default :class:`TheoremConstants`.
 
 Everything here works on either numeric backend, and no function takes a
-tolerance: each check allows slack 1e-8 when its input holds a float and
-none on exact input (see :func:`geometry._slack`).
+tolerance: each check allows the slack ``geometry.FLOAT_SLACK`` when its
+input holds a float and none on exact input (see :func:`geometry._slack`).
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
     that the octagon lies in the body.
 
     The ladder runs on the body in floats, so every threshold and hypothesis
-    is tested with slack 1e-8 (``geometry.FLOAT_SLACK``) and borderline
+    is tested with the slack ``geometry.FLOAT_SLACK`` and borderline
     bodies fall into the case whose certificate is robust.
     Triangle-degenerate minimizers short-circuit to the exact factor
     1/sqrt(2).

@@ -26,7 +26,7 @@ def cut_domain_violation(c: Scalar, delta: Scalar) -> Optional[str]:
     """Name the bound that ``(c, delta)`` breaks, or None inside the domain.
 
     The domain of the cut parameters is c >= 14/5 and 0 <= delta <= 1/10;
-    for float input every bound is widened by the float slack 1e-8.
+    for float input every bound is widened by ``geometry.FLOAT_SLACK``.
     """
     slack = _slack(c, delta)
     if not c >= _C_MIN - slack:

@@ -40,7 +40,7 @@ from circumquad import (
     zeta_derivative,
     zeta_derivative_roots,
 )
-from circumquad.minquad import _TOL
+from circumquad.geometry import FLOAT_SLACK
 from circumquad.pipeline import axis_box_with_contacts, build_octagon, unit_square
 from circumquad.zeta import zeta_denominator
 
@@ -218,7 +218,7 @@ def test_5_solver_reference_ratios(capsys):
     if abs(disk - 4 / math.pi) > 1e-3:
         problems.append(f"256-gon ratio {disk!r} vs {4 / math.pi!r}")
     square_ratio = ratio_of(regular_polygon(4))
-    if abs(square_ratio - 1.0) > _TOL:
+    if abs(square_ratio - 1.0) > FLOAT_SLACK:
         problems.append(f"square ratio {square_ratio!r} vs 1")
     elapsed = time.perf_counter() - t0
     _report(capsys, 5, "solver reference ratios", problems, elapsed, 60.0)

@@ -16,6 +16,7 @@ from circumquad import (
     regular_polygon,
 )
 from circumquad import pipeline
+from circumquad.intervals import certify_less
 
 
 class TestTheoremConstants:
@@ -96,11 +97,17 @@ class TestCertification:
         assert all(c.verdict is Verdict.PROVEN for c in checks)
 
     def test_precision_floor_is_checked_first(self, monkeypatch):
+        # The first evaluation is a certify_less, which checks the floor.
         calls = []
-        monkeypatch.setattr("circumquad.constants.certify_less", lambda *a: calls.append(a))
+
+        def spy(*args):
+            calls.append(args)
+            return certify_less(*args)
+
+        monkeypatch.setattr("circumquad.constants.certify_less", spy)
         with pytest.raises(BadParams, match="precision_bits"):
             certify_constants(TheoremConstants(), 7)
-        assert calls == []
+        assert len(calls) == 1
 
     def test_low_precision_never_disproves(self):
         checks = certify_constants(TheoremConstants(), 8)

@@ -278,6 +278,34 @@ class TestContainment:
             assert contains_polygon(outer, list(inner.vertices), tol)
             assert not contains_polygon(inner, list(outer.vertices), tol)
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize(
+        "point, tol",
+        [
+            ((math.nan, 0.5), 0),
+            (("a", 0), 0),
+            ((1,), 0),
+            ((5, 5), math.nan),
+            ((5, 5), -1),
+            ((5, 5), math.inf),
+            ((5, 5), "0"),
+        ],
+        ids=["nan-point", "text-point", "short-point", "nan-tol", "negative-tol",
+             "infinite-tol", "text-tol"],
+    )
+    def test_bad_point_or_tol_is_bad_params(self, exact, point, tol):
+        # Every comparison with a NaN is False, so a NaN point or tol would
+        # pass every edge test.
+        sq = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+        sq = sq if exact else sq.to_float()
+        with pytest.raises(BadParams):
+            contains_point(sq, point, tol)
+        with pytest.raises(BadParams):
+            contains_polygon(sq, [(0, 0), point], tol)
+        if tol == 0:
+            with pytest.raises(BadParams):
+                linf_distance_to_polygon(point, sq)
+
     @pytest.mark.parametrize("s", [1e100, 1e140])
     def test_tolerance_on_huge_floats(self, s):
         # Squared cross products of coordinates above about 1e77 overflow to

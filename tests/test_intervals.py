@@ -89,6 +89,11 @@ class TestSqrtEnclosure:
             with pytest.raises(BadParams, match="precision_bits"):
                 certify_constants(TheoremConstants(), bits)
 
+    @pytest.mark.parametrize("bits", [-100, 0, 3, 7, 7.5, "128"])
+    def test_comparison_below_the_precision_floor_is_bad_params(self, bits):
+        with pytest.raises(BadParams, match="precision_bits"):
+            certify_less(const(1) + const(1), const(3), bits)
+
     @settings(max_examples=60)
     @given(st.fractions(min_value=0, max_value=1000, max_denominator=997))
     def test_enclosure_brackets_square(self, x):

@@ -1055,7 +1055,7 @@ class TestSideMove:
         assert float(quad.area) == pytest.approx(2.947470144478123, rel=1e-12)
 
     @staticmethod
-    def assert_memo_changes_no_result(body):
+    def assert_pair_steps_change_no_result(body):
         # The pivot pass takes the wide pairs in steps to bound its memory.
         # With one pair per step, or all at once: the same answer bit for
         # bit, or the same error.
@@ -1077,14 +1077,14 @@ class TestSideMove:
     )
     def test_memo_changes_no_result(self, name):
         body = side_move_miss() if name == "random-900228" else SCAN_BODIES[name]
-        self.assert_memo_changes_no_result(body)
+        self.assert_pair_steps_change_no_result(body)
 
     @settings(max_examples=60, deadline=None)
     @given(solver_normals())
     def test_memo_changes_no_result_on_random_bodies(self, case):
         poly, _ = case
         assume(len(poly) > 3)
-        self.assert_memo_changes_no_result(poly)
+        self.assert_pair_steps_change_no_result(poly)
 
 
 class TestHugeBodies:

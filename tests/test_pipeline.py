@@ -301,7 +301,7 @@ def _expect(exact, error):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float-passes", "exact-fails"])
 class TestSlackFollowsNumberType:
-    """No tolerance argument: float input gets slack 1e-8, exact input none."""
+    """No tolerance argument: float input gets ``FLOAT_SLACK``, exact input none."""
 
     def test_axis_box_with_contacts(self, exact):
         num, eps = _miss(exact)
@@ -375,7 +375,9 @@ class TestBalls:
         )
         assert not outer_ball_check(far)
         # The tripled square grows by the float slack only.
-        cases = ((3 + 1e-9, True), (3 + 1e-7, False), (3 + F(1, 10**9), False))
+        cases = (
+            (3 + 1e-9, True), (3 + 1e-8, False), (3 + 1e-7, False), (3 + F(1, 10**9), False)
+        )
         for edge, inside in cases:
             kite = Quadrilateral(((edge, 0), (0, 1), (-1, 0), (0, -1)))
             assert outer_ball_check(kite) is inside
