@@ -93,6 +93,11 @@ def body_to_json(poly: ConvexPolygon) -> dict:
     return {"mode": "float", "vertices": verts}
 
 
+def _print_json(obj) -> None:
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def _map_to_json(m: Optional[AffineMap]):
     if m is None:
         return None
@@ -108,13 +113,12 @@ def cmd_solve(args) -> int:
     out = {
         "vertices": [[float(v.x), float(v.y)] for v in quad.vertices],
         "area": float(quad.area),
-        "body_area": float(abs(body.area)),
+        "body_area": float(body.area),
         "ratio": float(cert.area_ratio),
         "midpoint_residuals": [float(r) for r in cert.midpoint_residuals],
         "degenerate_triangle": len(quad) == 3,
     }
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(out)
     return 0
 
 
@@ -149,8 +153,7 @@ def cmd_witness(args) -> int:
         "normalizing_map": _map_to_json(report.normalizing_map),
         "details": _details_to_json(report),
     }
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(out)
     return 0
 
 
@@ -172,16 +175,13 @@ def cmd_certify(args) -> int:
             }
         )
     all_proven = all(c.verdict is Verdict.PROVEN for c in comparisons)
-    json.dump(
+    _print_json(
         {
             "all_proven": all_proven,
             "precision_bits": args.precision,
             "comparisons": payload,
-        },
-        sys.stdout,
-        indent=2,
+        }
     )
-    sys.stdout.write("\n")
     return 0 if all_proven else 4
 
 
@@ -190,7 +190,7 @@ def _bench_one(task) -> Tuple[int, int, float, float, float, str, float, float]:
     t0 = time.perf_counter()
     report = case_machine(body)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    area_k = float(abs(body.area))
+    area_k = float(body.area)
     ratio = report.empirical_ratio
     return (
         index,
@@ -252,8 +252,7 @@ def cmd_gen(args) -> int:
                 fh.write("\n")
         print(f"wrote {len(bodies)} bodies to {args.out}")
     else:
-        json.dump([body_to_json(b) for b in bodies], sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _print_json([body_to_json(b) for b in bodies])
     return 0
 
 

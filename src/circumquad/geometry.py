@@ -54,30 +54,12 @@ def _div(num: Scalar, den: Scalar) -> Scalar:
     return Fraction(num, den)
 
 
-def _half(value: Scalar) -> Scalar:
-    return _div(value, 2)
-
-
 class Point(NamedTuple):
     x: Scalar
     y: Scalar
 
-    def __add__(self, other):  # type: ignore[override]
-        return Point(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other):
         return Point(self.x - other.x, self.y - other.y)
-
-    def __neg__(self):
-        return Point(-self.x, -self.y)
-
-    def __mul__(self, k):  # type: ignore[override]
-        return Point(k * self.x, k * self.y)
-
-    __rmul__ = __mul__
-
-    def dot(self, other) -> Scalar:
-        return self.x * other.x + self.y * other.y
 
     def cross(self, other) -> Scalar:
         return self.x * other.y - self.y * other.x
@@ -92,7 +74,7 @@ def cross3(o: Point, a: Point, b: Point) -> Scalar:
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return Point(_half(p.x + q.x), _half(p.y + q.y))
+    return Point(_div(p.x + q.x, 2), _div(p.y + q.y, 2))
 
 
 class AffineMap(NamedTuple):
@@ -227,7 +209,7 @@ class ConvexPolygon:
         img, scale = _int_image(self.vertices)
         n = len(img)
         twice = sum(img[i].cross(img[(i + 1) % n]) for i in range(n))
-        return _half(twice) if scale is None else Fraction(twice, 2 * scale * scale)
+        return _div(twice, 2) if scale is None else Fraction(twice, 2 * scale * scale)
 
     def edges(self):
         vs = self.vertices
@@ -471,7 +453,7 @@ def contains_polygon(
     distance -c / |e|, with e = b - a, exceeds ``tol * diam``; at ``tol = 0``
     when c < 0.  An excess is a float exactly when the edge or the point is
     (:func:`_slack`'s rule).  A rational excess is compared squared,
-    ``c * c`` against ``tol**2 * diam**2 * e.dot(e)``, which keeps the test
+    ``c * c`` against ``tol**2 * diam**2 * |e|**2``, which keeps the test
     exact.  A float excess is compared as ``-c`` against
     ``tol * diam * |e|``: squares of coordinates above about 1e77 would
     overflow to inf on both sides and pass every point.
@@ -480,6 +462,8 @@ def contains_polygon(
         raise BadParams(f"tol must be a number in [0, inf), got {tol!r}")
     if not isinstance(inner, (ConvexPolygon, Support)):
         inner = _coerce_points(inner)
+        if not inner:
+            return True
     if tol == 0 and not isinstance(inner, Support):
         points = inner.vertices if isinstance(inner, ConvexPolygon) else inner
         n = len(outer)

@@ -205,18 +205,26 @@ def _scan_support_directions(poly: ConvexPolygon, angles: np.ndarray):
     total = M + M.T
     del M
     np.copyto(total, np.inf, where=np.tri(n, dtype=bool))  # a >= c
-    a, c = divmod(int(total.argmin()), n)
-    area = float(total[a, c])
-    if not math.isfinite(area):
-        raise NoFeasibleQuadruple(
-            f"no four of the {n} directions have consecutive gaps below pi"
-        )
+    a, c, area = _least(total)
     F = W[a] + W[:, c]  # W(a, b) + W(b, c); inf unless a < b < c
     G = W[c] + W[:, a]  # W(c, d) + W(d, a)
     G[: c + 1] = np.inf  # a d below a would be the anchor
     b = int((F + G.min() == area).argmax())
     d = int((F[b] + G == area).argmax())
     return area, (a, b, c, d)
+
+
+def _least(total: np.ndarray) -> Tuple[int, int, float]:
+    """(row, column, value) of the first least entry of the square ``total``, row-major.
+
+    Raises NoFeasibleQuadruple when no entry is finite.
+    """
+    n = len(total)
+    row, col = divmod(int(total.argmin()), n)
+    value = float(total[row, col])
+    if not math.isfinite(value):
+        raise NoFeasibleQuadruple(f"no four of the {n} directions have consecutive gaps below pi")
+    return row, col, value
 
 
 def _corner_terms(c: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -343,12 +351,7 @@ def _flush_and_pivot(c: np.ndarray, s: np.ndarray, h: np.ndarray, v: np.ndarray)
     del D
     back = np.take(M, (x + d) % n * n + (n - d) % n)  # M[y, x]
     total = M + back
-    i = int(total.argmin())
-    area = float(total.flat[i])
-    if not math.isfinite(area):
-        raise NoFeasibleQuadruple(
-            f"no four of the {n} directions have consecutive gaps below pi"
-        )
+    x, d, area = _least(total)
     pairs = np.flatnonzero(wide & np.isfinite(total))
     back = back.flat[pairs]
     del M, total, wide
@@ -356,7 +359,6 @@ def _flush_and_pivot(c: np.ndarray, s: np.ndarray, h: np.ndarray, v: np.ndarray)
     def sides_of(x, y, b):  # the flush pair x, y, the side b after x, the middle after y
         return (x, None), b, (y, None), ((y + int(K[y, (x - y) % n])) % n, None)
 
-    x, d = divmod(i, n)
     sides = sides_of(x, (x + d) % n, ((x + int(K[x, d])) % n, None))
     nrm = c + 1j * s
     for lo in range(0, len(pairs), _PAIRS_PER_STEP):
@@ -527,8 +529,9 @@ def min_circumscribed_quadrilateral(
     normals in one pass.  On a body of more than 90 edges that pass runs on
     every k-th normal, and the same pass then runs once more on the true
     normals within k (at most 11) of each of the four angles it found; the
-    lesser answer wins.  The result is a :class:`Quadrilateral`, or a
-    triangle: the body itself when it is a triangle (no strictly smaller
+    lesser answer wins.  A quadrilateral body is its own answer and takes
+    no pass: its four edge lines.  The result is a :class:`Quadrilateral`,
+    or a triangle: the body itself when it is a triangle (no strictly smaller
     quadrilateral exists), or, like :func:`brute_force_min_quad`'s, the
     triangle of the other three lines when a side of the least quadruple
     has collapsed into a corner (:func:`_circumscribed`).
@@ -541,16 +544,21 @@ def min_circumscribed_quadrilateral(
         return poly, midpoint_certificate(poly, poly, support)
 
     normals = support.normals
-    origin = np.asarray(poly.vertices, dtype=float).mean(axis=0)
-    picked = _scan_normals(normals)
-    area, sides = _solve_on(support, picked, origin)
-    if len(picked) < len(normals):
-        half = min(math.ceil(len(normals) / _MAX_DIRECTIONS), _MAX_DIRECTIONS // 8)
-        found = np.searchsorted(normals, [theta for theta, _ in sides])
-        window = np.unique((found + np.arange(-half, half + 1)[:, None]) % len(normals))
-        area, sides = min((area, sides), _solve_on(support, window, origin), key=itemgetter(0))
+    if len(poly) == 4:
+        # Its own minimum; a turn below rounding can leave the pass no quadruple.
+        lines = [support.line(theta) for theta in normals]
+    else:
+        origin = np.asarray(poly.vertices, dtype=float).mean(axis=0)
+        picked = _scan_normals(normals)
+        area, sides = _solve_on(support, picked, origin)
+        if len(picked) < len(normals):
+            half = min(math.ceil(len(normals) / _MAX_DIRECTIONS), _MAX_DIRECTIONS // 8)
+            found = np.searchsorted(normals, [theta for theta, _ in sides])
+            window = np.unique((found + np.arange(-half, half + 1)[:, None]) % len(normals))
+            area, sides = min((area, sides), _solve_on(support, window, origin), key=itemgetter(0))
+        lines = [line for _, line in sides]
 
-    quad = _circumscribed([line for _, line in sides], support.tiny)
+    quad = _circumscribed(lines, support.tiny)
     cert = midpoint_certificate(poly, quad, support)
     if not cert.contains_body:
         raise SolverFailure("the solver's quadrilateral fails the containment check")

@@ -48,7 +48,7 @@ from .geometry import (
     linf_distance_to_polygon,
 )
 from .minquad import Quadrilateral, min_circumscribed_quadrilateral, varignon
-from .zeta import cut_domain_violation
+from .zeta import _validate_params
 
 HALF = Fraction(1, 2)
 
@@ -293,9 +293,7 @@ def lemma_octagon_quad(
     x1, y2 = contacts.a1, contacts.a2
     v1, v2, w1, w2 = contacts.v1, contacts.v2, contacts.w1, contacts.w2
     tol = _slack(c, delta, x1, y2, contacts.b1, contacts.b2, *v1, *v2, *w1, *w2)
-    problem = cut_domain_violation(c, delta)
-    if problem:
-        raise DomainError(problem)
+    _validate_params(c, delta)
 
     checks = (
         (-v1.y <= 1 + tol and v1.y <= 1 + tol, "|v1_y| <= 1"),

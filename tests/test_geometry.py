@@ -279,6 +279,12 @@ class TestContainment:
             assert not contains_polygon(inner, list(outer.vertices), tol)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("tol", [0, 1e-9])
+    def test_no_points_are_contained(self, exact, tol):
+        sq = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+        assert contains_polygon(sq if exact else sq.to_float(), [], tol)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     @pytest.mark.parametrize(
         "point, tol",
         [
@@ -593,7 +599,7 @@ def _tolerant_contains_by_pairs(outer, points, tol):
             if c >= 0:
                 continue
             if exact:
-                if c * c > tol * tol * diam * diam * (b - a).dot(b - a):
+                if c * c > tol * tol * diam * diam * ((b.x - a.x) ** 2 + (b.y - a.y) ** 2):
                     return False
             elif -c > float(tol) * float(diam) * math.hypot(b.x - a.x, b.y - a.y):
                 return False

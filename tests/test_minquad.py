@@ -65,8 +65,8 @@ def random_rational_quad(rng):
             return Quadrilateral(tuple(hull.vertices))
 
 
-def side_move_miss():
-    """A 12-vertex hull on which a bisecting side move once missed the walk's choice."""
+def random_900228():
+    """A 12-vertex hull on which a descent by one side at a time stopped above the least."""
     return gen_corpus("random", 12, seed=900228, vertices=48)[11]
 
 
@@ -207,9 +207,9 @@ class TestSolver:
             oracle = brute_force_min_quad(body, grid=96)
             assert float(quad.area) <= float(oracle.area) + 1e-6 * float(body.area)
 
-    def test_start_rule(self):
-        # An 8-gon whose best start pair is not the best pair of its anchor:
-        # the best start per anchor ends at 1.2949025243.
+    def test_least_ratio_below_a_descent_from_each_anchor(self):
+        # An 8-gon on which a descent from the best pair of each anchor
+        # stopped at 1.2949025243.
         body = gen_corpus("random", 150, seed=777002, vertices=16)[129]
         _, cert = min_circumscribed_quadrilateral(body)
         assert cert.area_ratio <= 1.2899173432438256 + 1e-12
@@ -1037,7 +1037,7 @@ class TestSideMove:
         elif name == "ellipse-1024":
             body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
         elif name == "random-900228":
-            body = side_move_miss()
+            body = random_900228()
         elif name == "half-disk-201":
             body = half_disk(200)
         else:
@@ -1048,10 +1048,10 @@ class TestSideMove:
         assert area == pytest.approx(float(quad.area), rel=1e-12)
         assert least >= area * (1 - 1e-12)
 
-    def test_another_start_recovers_the_side_move_miss(self):
-        # Starts (1, 5, 7, 10) and (1, 5, 8, 10) ended at 3.012743 by
-        # bisection, where the walk ends at 2.947470; the pass finds it.
-        quad, _ = min_circumscribed_quadrilateral(side_move_miss())
+    def test_least_area_on_random_900228(self):
+        # A descent from (1, 5, 7, 10) or (1, 5, 8, 10) stopped at 3.012743;
+        # the walk and the pass end at 2.947470.
+        quad, _ = min_circumscribed_quadrilateral(random_900228())
         assert float(quad.area) == pytest.approx(2.947470144478123, rel=1e-12)
 
     @staticmethod
@@ -1076,12 +1076,12 @@ class TestSideMove:
         "name", sorted(n for n in SCAN_BODIES if "triangle" not in n) + ["random-900228"]
     )
     def test_memo_changes_no_result(self, name):
-        body = side_move_miss() if name == "random-900228" else SCAN_BODIES[name]
+        body = random_900228() if name == "random-900228" else SCAN_BODIES[name]
         self.assert_pair_steps_change_no_result(body)
 
     @settings(max_examples=60, deadline=None)
     @given(solver_normals())
-    def test_memo_changes_no_result_on_random_bodies(self, case):
+    def test_pair_steps_change_no_result_on_random_bodies(self, case):
         poly, _ = case
         assume(len(poly) > 3)
         self.assert_pair_steps_change_no_result(poly)

@@ -16,7 +16,6 @@ from circumquad import (
     DomainError,
     HypothesisViolated,
     InconsistentCase,
-    NoFeasibleQuadruple,
     NormalizationViolated,
     Point,
     Quadrilateral,
@@ -441,24 +440,20 @@ class TestCaseMachine:
         with pytest.raises(BadParams):
             case_machine(ConvexPolygon([(0, 0), (s, 0), (s, s), (0, s)]))
 
-    # Numerically triangles, ratio 1.  On the first the least quadruple has
-    # a side of zero length, and the solver returns the triangle of the other
-    # three lines.  The second body's edge of 5.7e-68 turns its normal by
-    # less than rounding, so two of its 4 normals are equal: the zero gap
-    # leaves the scan no quadruple.
+    # Numerically triangles, ratio 1: each body is its own least
+    # quadrilateral, one of whose edges has collapsed into a corner, and the
+    # solver returns the triangle of the other three edge lines.  From the
+    # second body on, the turn at (1, 0) is below rounding: two of the 4
+    # normals are equal or too close for a search to find any quadruple.
     @pytest.mark.parametrize(
         "corner",
         [
             (1.0, 5.7362190172743516e-68),
-            pytest.param(
-                (2.0, 5.7e-68),
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=NoFeasibleQuadruple,
-                    reason="a zero gap between two normals leaves the float solver "
-                    "no quadruple; ROADMAP item 4 (affine pre-frame) is to mend it",
-                ),
-            ),
+            (2.0, 5.7e-68),
+            (2.0, 1e-30),
+            (2.0, 1e-16),
+            (2.0, 1e-14),
+            (2.0, 1e-13),
         ],
     )
     def test_vanishing_edge_gets_a_report(self, corner):
