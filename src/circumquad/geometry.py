@@ -15,9 +15,14 @@ value is a float and 0 otherwise, so exact input is checked exactly.
 The sign-and-area predicates (the polygon constructor's convexity check,
 :func:`convex_hull`, :attr:`ConvexPolygon.area` and the containment of
 points and polygons at ``tol = 0``) are the exception: on exact inputs they
-run on one integer image of their points, see :func:`_int_image`, and only
-float inputs take the generic arithmetic.  Containment of a :class:`Support`
-reads one maximum per edge normal at every ``tol``.
+run on an integer image of their points, see :func:`_int_image`, and only
+float inputs take the generic arithmetic.  A polygon keeps the image that
+built it (its constructor's, the hull's or the midpoints' of ``varignon``)
+and its area once read; a float polygon has no image and reads its
+vertices.  Containment at ``tol = 0`` rescales two kept images to one
+scale.  Containment of a :class:`Support` reads one maximum per edge normal
+at every ``tol``.  A float value that overflows to an infinity or NaN in a
+containment or support query raises BadParams.
 
 Orientation convention: polygon vertices are counterclockwise and strictly
 convex (no repeated or collinear consecutive vertices).
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadParams, DegenerateInput, SingularMap, _as_fraction
 
@@ -61,16 +66,14 @@ class Point(NamedTuple):
     def __sub__(self, other):
         return Point(self.x - other.x, self.y - other.y)
 
-    def cross(self, other) -> Scalar:
-        return self.x * other.y - self.y * other.x
-
     def linf(self) -> Scalar:
         return max(abs(self.x), abs(self.y))
 
 
-def cross3(o: Point, a: Point, b: Point) -> Scalar:
+def cross3(o: Sequence[Scalar], a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     """Twice the signed area of triangle (o, a, b); positive iff ccw turn."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    (ox, oy), (ax, ay), (bx, by) = o, a, b
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def midpoint(p: Point, q: Point) -> Point:
@@ -112,21 +115,42 @@ class AffineMap(NamedTuple):
         )
 
 
-def _int_image(points: Sequence[Point]) -> Tuple[Sequence[Point], Optional[int]]:
-    """The points times ``L``, the lcm of their denominators, as int Points.
+# An integer image, see _int_image: flat int coordinates and their scale, or
+# (None, None) for float points.
+_Image = Tuple[Optional[Tuple[int, ...]], Optional[int]]
 
-    Returns ``(image, L)``.  A positive scale keeps the sign of every
-    orientation test and the order of every coordinate, so an exact predicate
-    evaluated on the image gives the exact answer in plain int arithmetic,
-    with no gcd per operation.  When any coordinate is a float the points
-    come back unchanged with ``L = None``, and keep their float arithmetic.
+
+def _int_image(points: Sequence[Point]) -> _Image:
+    """The points times ``L``, the lcm of their denominators, in ints.
+
+    Returns ``(coords, L)``, with the image's coordinates flat in one tuple
+    ``(x0, y0, x1, y1, ...)``, so that a polygon keeps a single object for
+    it.  A positive scale keeps the sign of every orientation test and the
+    order of every coordinate, so an exact predicate evaluated on the image
+    gives the exact answer in plain int arithmetic, with no gcd per
+    operation.  When any coordinate is a float there is no image, ``(None,
+    None)``, and the points keep their float arithmetic.
     """
     if any(isinstance(c, float) for p in points for c in p):
-        return points, None
-    ratios = [(c.numerator, c.denominator) for p in points for c in p]
-    scale = math.lcm(*[d for _, d in ratios])
-    ints = iter([n * (scale // d) for n, d in ratios])
-    return [Point(x, y) for x, y in zip(ints, ints)], scale
+        return None, None
+    coords = [c for p in points for c in p]
+    dens = [c.denominator for c in coords]
+    scale = math.lcm(*dens)
+    return tuple([c.numerator * (scale // d) for c, d in zip(coords, dens)]), scale
+
+
+def _pairs(coords: Sequence[int], factor: int = 1) -> List[Tuple[int, int]]:
+    """The points of flat image coordinates, at ``factor`` times their scale."""
+    ints = iter(coords if factor == 1 else [c * factor for c in coords])
+    return list(zip(ints, ints))
+
+
+def _check_convex(points: Sequence[Sequence[Scalar]]) -> None:
+    """DegenerateInput unless every consecutive triple is a strict left turn."""
+    n = len(points)
+    for i in range(n):
+        if cross3(points[i], points[(i + 1) % n], points[(i + 2) % n]) <= 0:
+            raise DegenerateInput(f"vertices are not strictly convex ccw at index {i}")
 
 
 def _coerce_points(points: Iterable[Sequence[Scalar]]) -> Tuple[Point, ...]:
@@ -160,31 +184,43 @@ class ConvexPolygon:
     Construction validates the invariant: at least 3 vertices, every
     consecutive triple a strict left turn (which also rules out repeated
     vertices).  Coordinates are coerced to one backend, see module docstring.
+    The polygon keeps the integer image that the check ran on (``_image``
+    and ``_scale``, from :func:`_int_image`) and computes its area at the
+    first read.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_image", "_scale", "_area")
 
     def __init__(self, vertices: Iterable[Sequence[Scalar]]):
         vs = _coerce_points(vertices)
         n = len(vs)
         if n < 3:
             raise DegenerateInput(f"polygon needs at least 3 vertices, got {n}")
-        img, _ = _int_image(vs)
-        for i in range(n):
-            if cross3(img[i], img[(i + 1) % n], img[(i + 2) % n]) <= 0:
-                raise DegenerateInput(
-                    f"vertices are not strictly convex ccw at index {i}"
-                )
+        image, scale = _int_image(vs)
+        _check_convex(vs if scale is None else _pairs(image))
         self.vertices = vs
+        self._image, self._scale, self._area = image, scale, None
 
     @classmethod
-    def _unchecked(cls, vertices: Tuple[Point, ...]) -> "ConvexPolygon":
+    def _unchecked(
+        cls, vertices: Tuple[Point, ...], image: Optional[_Image] = None
+    ) -> "ConvexPolygon":
         # Skips validation, for vertices already known to be strictly convex
-        # and ccw: a finished hull, a polygon's integer image, or a test body
-        # that must reach the solver as given.
+        # and ccw: a finished hull, or a test body that must reach the solver
+        # as given.  ``image`` is their ``_int_image`` when the caller has it.
         obj = object.__new__(cls)
         obj.vertices = tuple(vertices)
+        obj._image, obj._scale = _int_image(obj.vertices) if image is None else image
+        obj._area = None
         return obj
+
+    @classmethod
+    def _from_image(cls, coords: Tuple[int, ...], scale: int) -> "ConvexPolygon":
+        """The exact polygon whose integer image at ``scale`` is ``coords``, validated."""
+        pairs = _pairs(coords)
+        _check_convex(pairs)
+        vertices = tuple([Point(Fraction(x, scale), Fraction(y, scale)) for x, y in pairs])
+        return cls._unchecked(vertices, (coords, scale))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -200,16 +236,19 @@ class ConvexPolygon:
 
     @property
     def is_exact(self) -> bool:
-        return not any(
-            isinstance(v.x, float) or isinstance(v.y, float) for v in self.vertices
-        )
+        return self._scale is not None
 
     @property
     def area(self) -> Scalar:
-        img, scale = _int_image(self.vertices)
-        n = len(img)
-        twice = sum(img[i].cross(img[(i + 1) % n]) for i in range(n))
-        return _div(twice, 2) if scale is None else Fraction(twice, 2 * scale * scale)
+        """The shoelace area, computed at the first read (on the image when exact)."""
+        if self._area is None:
+            scale = self._scale
+            pts = self.vertices if scale is None else _pairs(self._image)
+            twice = sum(
+                x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1])
+            )
+            self._area = _div(twice, 2) if scale is None else Fraction(twice, 2 * scale * scale)
+        return self._area
 
     def edges(self):
         vs = self.vertices
@@ -252,7 +291,8 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
     Raises DegenerateInput when the hull has empty interior.
     """
     pts = _coerce_points(points)
-    img, _ = _int_image(pts)
+    coords, scale = _int_image(pts)
+    img = pts if scale is None else _pairs(coords)
     # Deduplicate and sort the image, where an int hashes and compares in C
     # and a Fraction in Python; ``first`` maps each image point back to the
     # first input point with that image.
@@ -280,7 +320,9 @@ def convex_hull(points: Iterable[Sequence[Scalar]]) -> ConvexPolygon:
         cross3(upper[-2], lower[0], lower[1]) <= 0
     ):
         raise DegenerateInput("hull is not strictly convex where its chains meet")
-    return ConvexPolygon._unchecked(tuple(first[q] for q in hull))
+    # The polygon keeps the image of its vertices at the input's scale.
+    image = (None, None) if scale is None else (tuple([c for q in hull for c in q]), scale)
+    return ConvexPolygon._unchecked(tuple(first[q] for q in hull), image)
 
 
 class Support:
@@ -369,7 +411,8 @@ class Support:
         width cannot reach the largest value either, and a maximum of such an
         expression over the answer equals its maximum over every vertex, bit
         for bit.  Typically the answer is one vertex, or the two ends of an
-        edge normal to ``u``.
+        edge normal to ``u``.  BadParams when the largest value or the width
+        overflows the float range, where no maximum can be told.
         """
         vs, t = self._vertices, self.affine
         n = len(vs)
@@ -406,7 +449,10 @@ class Support:
                 side.append((h, q))
             if side:
                 seen = seen + side if step == 1 else side[::-1] + seen
-        return tuple([Point(*q) for h, q in seen if h >= top - width])
+        cut = top - width
+        if isinstance(cut, float) and not math.isfinite(cut):
+            raise BadParams("float overflow: a support value exceeds the float range")
+        return tuple([Point(*q) for h, q in seen if h >= cut])
 
 
 def _candidates(body, ux: Scalar, uy: Scalar) -> Sequence[Point]:
@@ -440,8 +486,9 @@ def contains_polygon(
 
     ``inner`` is a polygon, a :class:`Support` or a sequence of points,
     coerced like a polygon's vertices; ``tol`` is a number in ``[0, inf)``.
-    At ``tol = 0`` a polygon or sequence is replaced by one integer image of
-    its points and ``outer``'s vertices, where every test is in plain ints.
+    At ``tol = 0`` a polygon or sequence and ``outer`` are read as integer
+    images at one scale (:func:`_joint_image`, from each polygon's kept
+    image), where every test is in plain ints.
     The test takes, per edge of ``outer``, the largest excess ``-cross3(a,
     b, q)`` over the candidates for the edge's outward normal
     (:func:`_edge_excesses`, one query to a :class:`Support`) and compares
@@ -456,7 +503,8 @@ def contains_polygon(
     ``c * c`` against ``tol**2 * diam**2 * |e|**2``, which keeps the test
     exact.  A float excess is compared as ``-c`` against
     ``tol * diam * |e|``: squares of coordinates above about 1e77 would
-    overflow to inf on both sides and pass every point.
+    overflow to inf on both sides and pass every point.  A float excess or
+    diameter that overflows raises BadParams, so no overflow ever passes.
     """
     if not (isinstance(tol, (int, float, Fraction)) and 0 <= tol < math.inf):
         raise BadParams(f"tol must be a number in [0, inf), got {tol!r}")
@@ -465,12 +513,13 @@ def contains_polygon(
         if not inner:
             return True
     if tol == 0 and not isinstance(inner, Support):
-        points = inner.vertices if isinstance(inner, ConvexPolygon) else inner
-        n = len(outer)
-        img, _ = _int_image(outer.vertices + tuple(points))
-        outer, inner = ConvexPolygon._unchecked(img[:n]), img[n:]
+        vertices, inner = _joint_image(outer, inner)
+    else:
+        vertices = outer.vertices
     diam = outer.linf_diameter() if tol != 0 else None
-    for ex, ey, m in _edge_excesses(outer, inner):
+    if diam == math.inf:
+        raise BadParams("float overflow: the polygon's diameter exceeds the float range")
+    for ex, ey, m in _edge_excesses(vertices, inner):
         if m > 0 and (
             tol == 0
             or (
@@ -483,27 +532,55 @@ def contains_polygon(
     return True
 
 
-def _edge_excesses(poly: ConvexPolygon, inner):
-    """Per edge (a, b) of ``poly``, ``(e.x, e.y, m)`` with ``e = b - a`` and
-    ``m`` the largest ``-cross3(a, b, q)`` over ``inner``, bit for bit.
+def _joint_image(
+    outer: ConvexPolygon, inner: Union[ConvexPolygon, Sequence[Point]]
+) -> Tuple[Sequence[Point], Sequence[Point]]:
+    """``outer``'s vertices and ``inner``'s points as integer images at one scale.
+
+    The two images (a polygon's kept one, or one built here for a point
+    sequence) are rescaled to the lcm of their scales.  When either side is
+    float, both come back as given.
+    """
+    if isinstance(inner, ConvexPolygon):
+        points, coords, inner_scale = inner.vertices, inner._image, inner._scale
+    else:
+        points, (coords, inner_scale) = inner, _int_image(inner)
+    scale = outer._scale
+    if scale is None or inner_scale is None:
+        return outer.vertices, points
+    common = math.lcm(scale, inner_scale)
+    return _pairs(outer._image, common // scale), _pairs(coords, common // inner_scale)
+
+
+def _edge_excesses(vertices: Sequence[Point], inner):
+    """Per edge (a, b) of the polygon ``vertices``, ``(e.x, e.y, m)`` with
+    ``e = b - a`` and ``m`` the largest ``-cross3(a, b, q)`` over ``inner``,
+    bit for bit.
 
     ``inner`` is a tuple of points, a polygon or a :class:`Support`; the
     maximum runs over its candidates for the edge's outward normal
     ``(e.y, -e.x)`` (:func:`_candidates`).  The edges run from
     ``(v[-1], v[0])``; the callers take maxima over them, which do not see
-    the order.
+    the order.  A float excess that overflows to an infinity or NaN raises
+    BadParams: Python's ``max`` would drop a NaN, and an infinity has no
+    sign to trust.
     """
-    a = poly.vertices[-1]
-    for b in poly.vertices:
-        ax, ay = a
-        ex, ey = b.x - ax, b.y - ay
-        points = _candidates(inner, ey, -ex)
-        yield ex, ey, max([ey * (x - ax) - ex * (y - ay) for x, y in points])
+    a = vertices[-1]
+    for b in vertices:
+        (ax, ay), (bx, by) = a, b
+        ex, ey = bx - ax, by - ay
+        values = [ey * (x - ax) - ex * (y - ay) for x, y in _candidates(inner, ey, -ex)]
+        m = max(values)
+        if isinstance(m, float) and not all(map(math.isfinite, values)):
+            raise BadParams("float overflow: an edge excess exceeds the float range")
+        yield ex, ey, m
         a = b
 
 
 def linf_distance_to_polygon(
-    p: Union[Sequence[Scalar], ConvexPolygon, Support], poly: ConvexPolygon
+    p: Union[Sequence[Scalar], ConvexPolygon, Support],
+    poly: ConvexPolygon,
+    extent: Optional[Tuple[Scalar, Scalar, Scalar, Scalar]] = None,
 ) -> Scalar:
     """Max-norm distance from ``p`` to the polygon (0 when inside).
 
@@ -527,17 +604,23 @@ def linf_distance_to_polygon(
     box), then divided once.  Rounded subtraction and division are monotone,
     so this equals the largest per-vertex distance bit for bit.  When ``p``
     is a :class:`Support`, each of those maxima is read off one query, with
-    the same result as on the polygon it reads.
+    the same result as on the polygon it reads.  A caller that has read
+    ``p``'s bounding box ``(xmin, ymin, xmax, ymax)`` off those same four
+    axis queries passes it as ``extent``, and the queries are not repeated.
     """
     box = poly.bounding_box()
     if not isinstance(p, (ConvexPolygon, Support)):
         return _point_distances(_coerce_points((p,)), poly, box)[0]
     xmin, ymin, xmax, ymax = box
-    left, bottom, right, top = (_candidates(p, ux, uy) for ux, uy in _AXES)
-    lx, ly = min(q.x for q in left), min(q.y for q in bottom)
-    hx, hy = max(q.x for q in right), max(q.y for q in top)
+    if extent is None:
+        left, bottom, right, top = (_candidates(p, ux, uy) for ux, uy in _AXES)
+        extent = (
+            min(q.x for q in left), min(q.y for q in bottom),
+            max(q.x for q in right), max(q.y for q in top),
+        )
+    lx, ly, hx, hy = extent
     dist = max(xmin - lx, hx - xmax, ymin - ly, hy - ymax)
-    for ex, ey, excess in _edge_excesses(poly, p):
+    for ex, ey, excess in _edge_excesses(poly.vertices, p):
         if excess > 0:
             dist = max(dist, _div(excess, abs(ex) + abs(ey)))
     return _clamp(dist, lx)

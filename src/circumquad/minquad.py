@@ -144,13 +144,19 @@ def varignon(quad: Quadrilateral) -> ConvexPolygon:
 
     Raises BadParams for a polygon that is not a quadrilateral (such as a
     triangle body's witness) and DegenerateParallelogram when the midpoints
-    are collinear.
+    are collinear.  On exact input the convexity check and the area run on
+    an integer image built from the quadrilateral's own.
     """
     if len(quad) != 4:
         raise BadParams(f"varignon needs 4 vertices, got {len(quad)}")
-    mids = [midpoint(a, b) for a, b in quad.edges()]
+    coords, scale = quad._image, quad._scale
     try:
-        return ConvexPolygon(mids)
+        if scale is None:
+            return ConvexPolygon([midpoint(a, b) for a, b in quad.edges()])
+        # Twice each midpoint is the sum of its edge's ends, so the sums of
+        # adjacent ints are the midpoints' integer image at twice the scale.
+        sums = tuple([coords[i] + coords[(i + 2) % 8] for i in range(8)])
+        return ConvexPolygon._from_image(sums, 2 * scale)
     except DegenerateInput as exc:
         raise DegenerateParallelogram(str(exc)) from exc
 

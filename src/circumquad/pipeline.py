@@ -453,10 +453,11 @@ def case_machine(body: ConvexPolygon) -> CaseReport:
     builds no normalized copy of the body: it needs about 20 support values
     of the normalized body, and ``h_{MK+t}(u) = h_K(M^T u) + <u, t>`` makes
     each one O(log n) query on the body itself (:meth:`Support.under`).  The
-    contact box takes 4 queries and the octagon gap one per octagon edge
-    normal.  The octagon's corners are the images of the witness's edge
-    midpoints, so the certificate's midpoint residuals stand in for the test
-    that the octagon lies in the body.
+    contact box takes 4 queries and the octagon gap, which reuses the box's
+    axis extremes, one per octagon edge normal.  The octagon's corners are
+    the images of the witness's edge midpoints, so the certificate's
+    midpoint residuals stand in for the test that the octagon lies in the
+    body.
 
     The ladder runs on the body in floats, so every threshold and hypothesis
     is tested with the slack ``geometry.FLOAT_SLACK`` and borderline
@@ -520,7 +521,9 @@ def _classify_normalized(
         raise NormalizationViolated("a corner of the midpoint square escapes the body")
     # The largest sup-norm distance of a body vertex from the octagon, one
     # call for the whole body: one maximum per edge normal of the octagon.
-    gap = float(linf_distance_to_polygon(norm_body, scene8.octagon))
+    # The contact box holds the body's axis extremes, so they are not read again.
+    extent = (contacts.a1, contacts.a2, contacts.b1, contacts.b2)
+    gap = float(linf_distance_to_polygon(norm_body, scene8.octagon, extent))
     octagon_area = float(scene8.octagon_area)
     if gap > _R + slack:
         return report(

@@ -15,7 +15,7 @@ from circumquad import (
     certify_constants,
     regular_polygon,
 )
-from circumquad import pipeline
+from circumquad import intervals, pipeline
 from circumquad.intervals import certify_less
 
 
@@ -108,6 +108,23 @@ class TestCertification:
         with pytest.raises(BadParams, match="precision_bits"):
             certify_constants(TheoremConstants(), 7)
         assert len(calls) == 1
+
+    def test_each_shared_radical_is_enclosed_once_per_call(self, monkeypatch):
+        # Five roots, each enclosed at both ends: sqrt(8 c1 (c1 - 1)) in c2,
+        # sqrt(c1) and the outer root in r, the root of check 3, and
+        # sqrt(c1) in check 7.  Enclosing c2 and r at every use took 28.
+        calls = []
+        real = intervals.sqrt_enclosure
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(intervals, "sqrt_enclosure", spy)
+        for _ in range(2):  # nothing is kept from one call to the next
+            calls.clear()
+            certify_constants(TheoremConstants(), 128)
+            assert len(calls) == 10
 
     def test_low_precision_never_disproves(self):
         checks = certify_constants(TheoremConstants(), 8)

@@ -5,9 +5,10 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from circumquad import geometry
 from circumquad.corpus import gen_corpus, regular_polygon
 from circumquad.errors import BadParams, DegenerateInput, SingularMap
 from circumquad.geometry import (
@@ -23,7 +24,7 @@ from circumquad.geometry import (
     linf_distance_to_polygon,
     midpoint,
 )
-from circumquad.minquad import Quadrilateral
+from circumquad.minquad import Quadrilateral, varignon
 
 from conftest import apply_affine
 
@@ -323,6 +324,24 @@ class TestContainment:
         assert not contains_point(diamond(s), (2 * s, 0.0), tol=1e-9)
         assert contains_polygon(diamond(2 * s), diamond(s), tol=1e-9)
 
+    def test_overflow_near_the_float_limit_never_passes(self):
+        # far lies outside d.  Its excesses over d's edges overflow to
+        # inf - inf = nan, d's diameter to inf, and a support value of far
+        # along (1e308, 1e308) to inf; each once passed far, or left no
+        # candidate and raised a stray ValueError.
+        d = ConvexPolygon([(1e308, 0.0), (0.0, 1e308), (-1e308, 0.0), (0.0, -1e308)])
+        far = ConvexPolygon(
+            [(9e307, 9e307), (9e307 + 1e300, 9e307), (9e307, 9e307 + 1e300)]
+        )
+        for tol in (0, 1e-9):
+            for inner in (far, far.vertices, Support(far)):
+                with pytest.raises(BadParams, match="overflow"):
+                    contains_polygon(d, inner, tol)
+        with pytest.raises(BadParams, match="overflow"):
+            Support(far).extreme(1e308, 1e308)
+        with pytest.raises(BadParams, match="overflow"):
+            linf_distance_to_polygon(far, d)
+
 
 class TestLinfDistance:
     def test_outside_axis(self):
@@ -604,6 +623,84 @@ def _tolerant_contains_by_pairs(outer, points, tol):
             elif -c > float(tol) * float(diam) * math.hypot(b.x - a.x, b.y - a.y):
                 return False
     return True
+
+
+# --- the integer image and the area a polygon keeps ---------------------------
+
+
+@st.composite
+def exact_polygons(draw):
+    """An exact polygon from each construction that keeps an integer image.
+
+    The constructor, :func:`convex_hull`, ``varignon`` and :func:`linf_ball`,
+    each optionally through a pickle round trip, with the area read before
+    pickling or not.
+    """
+    kind = draw(st.sampled_from(["constructor", "hull", "varignon", "ball"]))
+    if kind == "ball":
+        radius = draw(st.fractions(min_value=F(1, 64), max_value=8, max_denominator=64))
+        poly = linf_ball(draw(st.one_of(coord, st.tuples(wide, wide))), radius)
+    else:
+        pts = draw(st.lists(st.one_of(coord, st.tuples(wide, wide)), min_size=5, max_size=10))
+        try:
+            poly = convex_hull(pts)
+        except DegenerateInput:
+            assume(False)
+        k = draw(st.integers(0, len(poly) - 1))
+        if kind == "constructor":
+            poly = ConvexPolygon(poly.vertices[k:] + poly.vertices[:k])
+        elif kind == "varignon":
+            assume(len(poly) >= 4)
+            picks = sorted(draw(st.sets(st.integers(0, len(poly) - 1), min_size=4, max_size=4)))
+            poly = varignon(Quadrilateral([poly.vertices[i] for i in picks]))
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            poly.area
+        poly = pickle.loads(pickle.dumps(poly))
+    return poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    exact_polygons(),
+    exact_polygons(),
+    st.fractions(min_value=F(1, 2), max_value=F(3, 2), max_denominator=1000),
+)
+def test_kept_images_and_areas_match_fraction_references(a, b, t):
+    # a scaled about its vertex mean by t: inside a for t <= 1, at another
+    # integer scale than a's.
+    cx = sum(v.x for v in a.vertices) / len(a)
+    cy = sum(v.y for v in a.vertices) / len(a)
+    scaled = ConvexPolygon([(cx + t * (v.x - cx), cy + t * (v.y - cy)) for v in a.vertices])
+    for poly in (a, b, scaled):
+        expected = shoelace([(v.x, v.y) for v in poly.vertices])
+        assert type(poly.area) is F
+        assert poly.area == expected
+        assert poly.area == expected  # the second read, from the kept value
+    for outer, inner in ((a, b), (b, a), (a, a), (a, scaled), (scaled, a)):
+        expected = _tolerant_contains_by_pairs(outer, inner.vertices, 0)
+        assert contains_polygon(outer, inner, 0) == expected
+        assert contains_polygon(outer, inner.vertices, 0) == expected
+
+
+def test_containment_of_polygons_builds_no_image(monkeypatch):
+    # At tol = 0 two polygons join their kept images; only a point sequence
+    # needs one built.
+    outer = ConvexPolygon([(F(-7, 3), -2), (2, F(-5, 2)), (F(9, 4), 3), (-2, 2)])
+    inner = convex_hull([(F(1, 5), 0), (1, F(1, 7)), (0, 1), (F(1, 3), F(1, 3))])
+    images = []
+    real = geometry._int_image
+
+    def counted(points):
+        images.append(points)
+        return real(points)
+
+    monkeypatch.setattr(geometry, "_int_image", counted)
+    assert contains_polygon(outer, inner, 0)
+    assert not contains_polygon(inner, outer, 0)
+    assert images == []
+    assert contains_polygon(outer, inner.vertices, 0)
+    assert len(images) == 1
 
 
 # A valid float body whose 1e-84 edge rounding removes from its affine images.

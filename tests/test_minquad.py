@@ -1075,7 +1075,7 @@ class TestSideMove:
     @pytest.mark.parametrize(
         "name", sorted(n for n in SCAN_BODIES if "triangle" not in n) + ["random-900228"]
     )
-    def test_memo_changes_no_result(self, name):
+    def test_pair_steps_change_no_result(self, name):
         body = random_900228() if name == "random-900228" else SCAN_BODIES[name]
         self.assert_pair_steps_change_no_result(body)
 

@@ -33,7 +33,7 @@ from circumquad import (
     zeta_bound,
 )
 from circumquad import minquad, pipeline
-from circumquad.geometry import AffineMap, Support
+from circumquad.geometry import _AXES, AffineMap, Support
 from circumquad.pipeline import (
     LemmaBranch,
     _classify_normalized,
@@ -495,7 +495,7 @@ class TestCaseMachine:
             case_machine(body)
             assert built == [body.to_float()]
 
-    def test_ladder_reads_few_vertices_of_a_dense_body(self):
+    def test_ladder_reads_few_vertices_of_a_dense_body(self, monkeypatch):
         class Counted(tuple):
             reads = 0
 
@@ -503,20 +503,30 @@ class TestCaseMachine:
                 Counted.reads += 1
                 return tuple.__getitem__(self, i)
 
+        queries = []
+        extreme = Support.extreme
+
+        def counted(self, ux, uy):
+            queries.append((ux, uy))
+            return extreme(self, ux, uy)
+
         body = gen_corpus("ellipse", 1, seed=1, vertices=1024)[0]
         rep = case_machine(body)
         assert rep.case_id is CaseId.BODY_EXCEEDS_OCTAGON
         oracle = Support(body)
         residuals = minquad.midpoint_certificate(body, rep.witness, oracle).midpoint_residuals
         oracle._vertices = Counted(oracle._vertices)
+        monkeypatch.setattr(Support, "extreme", counted)
         again = _classify_normalized(
             oracle.under(rep.normalizing_map), rep.witness, rep.empirical_ratio,
             residuals,
         )
         assert again == rep
-        # 4 box and 12 gap queries (4 axis, 8 octagon edge normals), about
-        # 3.5 vertices each, of 1024.
-        assert Counted.reads < 60
+        # 4 box queries, whose axis extremes the gap reuses, and 8 gap
+        # queries (the octagon's edge normals), about 3.5 vertices each, of 1024.
+        assert len(queries) == 4 + 8
+        assert all(queries.count(axis) == 1 for axis in _AXES)
+        assert Counted.reads < 45
 
     def test_escaping_square_corner_is_detected(self):
         # The certificate's midpoint residuals stand in for the test that the
